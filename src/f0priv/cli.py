@@ -10,7 +10,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -27,7 +26,7 @@ from .modifiers import (
 )
 from .pitch import PitchConfig, extract_f0, read_wav
 from .plotting import trajectory_svg
-from .trajectory import read_f0_csv, stats, validate
+from .trajectory import format_f0_csv, read_f0_csv, stats, validate
 
 RUN_CONFIG_KEYS = {"modifier", "seed", "input_dir", "output_dir", "pitch"}
 PITCH_KEYS = {f.name for f in dataclasses.fields(PitchConfig)}
@@ -126,13 +125,6 @@ def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_name(f".tmp-{path.name}")
     tmp.write_bytes(data)
     os.replace(tmp, path)
-
-
-def _csv_bytes(traj) -> bytes:
-    hop = traj.frame_hop
-    lines = ["time_s,f0_hz"]
-    lines.extend(f"{i * hop:.6f},{v:.6f}" for i, v in enumerate(traj.values))
-    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _guard_not_input(out_path: Path, in_path: Path) -> None:
@@ -236,7 +228,7 @@ def cmd_extract(inputs, out, frame_len, frame_hop, f_min, f_max, voicing_thresho
         try:
             _guard_not_input(target, wav_path)
             traj = extract_f0(read_wav(wav_path), pitch_cfg, recording_id=rid)
-            _atomic_write(target, _csv_bytes(traj))
+            _atomic_write(target, format_f0_csv(traj))
         except (OSError, ValueError) as exc:
             click.echo(f"error: {wav_path}: {exc}", err=True)
             failures += 1
@@ -257,9 +249,8 @@ def cmd_extract(inputs, out, frame_len, frame_hop, f_min, f_max, voicing_thresho
 @click.option("--target-mean", type=float, default=None, help="shift-and-scale target mean in Hz.")
 @click.option("--target-std", type=float, default=None, help="shift-and-scale target std in Hz.")
 @click.option("--out", type=click.Path(file_okay=False), default=None, help="Output directory.")
-@click.option("--jobs", type=click.IntRange(1, 64), default=1, help="Parallel workers over input files.")
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
-def cmd_modify(inputs, kind, role, seed, strength, f1, f2, target_mean, target_std, out, jobs, config):
+def cmd_modify(inputs, kind, role, seed, strength, f1, f2, target_mean, target_std, out, config):
     """Apply one modification to trajectory CSV files."""
     run_config = _load_run_config(config)
     spec = _modifier_spec(run_config, kind, role, seed, strength, f1, f2, target_mean, target_std)
@@ -268,7 +259,8 @@ def cmd_modify(inputs, kind, role, seed, strength, f1, f2, target_mean, target_s
     out_dir = _out_dir(out, run_config)
     paths = _resolve_inputs(inputs, run_config)
 
-    def process(path: Path):
+    failures = 0
+    for path in paths:
         target = out_dir / path.name
         try:
             _guard_not_input(target, path)
@@ -277,21 +269,12 @@ def cmd_modify(inputs, kind, role, seed, strength, f1, f2, target_mean, target_s
             problems = validate(modified)
             if problems:
                 raise ValueError("output failed validation: " + "; ".join(problems))
-            _atomic_write(target, _csv_bytes(modified))
-            return path, target, None
+            _atomic_write(target, format_f0_csv(modified))
         except (OSError, ValueError) as exc:
-            return path, target, exc
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(process, paths))
-
-    failures = 0
-    for path, target, error in results:
-        if error is not None:
-            click.echo(f"error: {path}: {error}", err=True)
+            click.echo(f"error: {path}: {exc}", err=True)
             failures += 1
-        else:
-            click.echo(f"{path} -> {target}")
+            continue
+        click.echo(f"{path} -> {target}")
 
     sidecar = {
         "tool": "f0priv",
@@ -300,7 +283,8 @@ def cmd_modify(inputs, kind, role, seed, strength, f1, f2, target_mean, target_s
         "seed": spec.seed,
         "inputs": [p.name for p in paths],
     }
-    _atomic_write(out_dir / "sidecar.json", (json.dumps(sidecar, indent=2) + "\n").encode("utf-8"))
+    text = json.dumps(sidecar, indent=2, allow_nan=False) + "\n"
+    _atomic_write(out_dir / "sidecar.json", text.encode("utf-8"))
     if failures:
         sys.exit(2)
 
@@ -316,6 +300,9 @@ def cmd_stats(inputs, out):
         path = Path(item)
         try:
             traj = read_f0_csv(path)
+            problems = validate(traj)
+            if problems:
+                raise ValueError("invalid trajectory: " + "; ".join(problems))
         except (OSError, ValueError) as exc:
             click.echo(f"error: {path}: {exc}", err=True)
             failures += 1
@@ -329,7 +316,7 @@ def cmd_stats(inputs, out):
                 "stats": st.to_dict(),
             }
         )
-    text = json.dumps(reports, indent=2) + "\n"
+    text = json.dumps(reports, indent=2, allow_nan=False) + "\n"
     if out is None:
         click.echo(text, nl=False)
     else:

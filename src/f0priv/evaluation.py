@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import isotonic_regression, minimize
 from scipy.special import expit
 
 from .modifiers import ModifierSpec, apply
@@ -128,6 +128,7 @@ class ScenarioReport:
                 "notes": self.notes,
             },
             indent=2,
+            allow_nan=False,
         )
 
 
@@ -142,19 +143,19 @@ class ZNorm:
         return (vector - self.mean) / self.std
 
 
-def speaker_aggregate(stats_list: list[F0Stats]) -> F0Stats:
-    """Per-speaker enrollment model: the field-wise mean of recording stats."""
-    if not stats_list:
-        raise ScoringError("empty enrollment for speaker aggregate")
-    vectors = np.array([s.as_vector() for s in stats_list])
-    mean = vectors.mean(axis=0)
-    return F0Stats(*[float(v) for v in mean])
+def _stats_matrix(stats_list: list[F0Stats]) -> np.ndarray:
+    # One row per recording, columns in F0Stats.FIELD_ORDER.
+    if not all(st.complete for st in stats_list):
+        raise ScoringError("cannot score recordings with absent statistics")
+    rows = [st.as_vector() for st in stats_list]
+    return np.array(rows).reshape(len(rows), len(F0Stats.FIELD_ORDER))
 
 
-def fit_znorm(aggregates: list[F0Stats]) -> ZNorm:
-    if not aggregates:
+def fit_znorm(population) -> ZNorm:
+    """Fit the normalization on a list of F0Stats, or on their stacked vectors."""
+    if len(population) == 0:
         raise ScoringError("empty enrollment population")
-    vectors = np.array([a.as_vector() for a in aggregates])
+    vectors = population if isinstance(population, np.ndarray) else _stats_matrix(population)
     mean = vectors.mean(axis=0)
     std = vectors.std(axis=0)
     floor = _STD_FLOOR * np.maximum(1.0, np.abs(mean))
@@ -214,32 +215,6 @@ def cllr(scores: ScoreSet) -> float:
     return _cllr_formula(scores.target_scores, scores.nontarget_scores)
 
 
-def _pav_posteriors(values: np.ndarray, tar_weight: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    # Weighted pool-adjacent-violators fit of target fraction over groups
-    # already sorted by score; equal scores must share a group so the result
-    # is a function of the score.
-    sums: list[float] = []
-    totals: list[float] = []
-    sizes: list[int] = []
-    for t, c in zip(tar_weight, counts):
-        sums.append(float(t))
-        totals.append(float(c))
-        sizes.append(1)
-        while len(sums) >= 2 and sums[-2] * totals[-1] >= sums[-1] * totals[-2]:
-            sums[-2] += sums[-1]
-            totals[-2] += totals[-1]
-            sizes[-2] += sizes[-1]
-            sums.pop()
-            totals.pop()
-            sizes.pop()
-    out = np.empty(len(values))
-    start = 0
-    for s_, t_, n_ in zip(sums, totals, sizes):
-        out[start : start + n_] = s_ / t_
-        start += n_
-    return out
-
-
 def pav_llrs(scores: ScoreSet) -> ScoreSet:
     """Optimal monotone recalibration of the pooled scores to LLRs.
 
@@ -257,7 +232,10 @@ def pav_llrs(scores: ScoreSet) -> ScoreSet:
     tar_per_group = np.bincount(inverse, weights=labels, minlength=uniq.size)
     count_per_group = np.bincount(inverse, minlength=uniq.size).astype(float)
 
-    posterior = _pav_posteriors(uniq, tar_per_group, count_per_group)
+    # Tied scores share a group, so the fit is a function of the score.
+    posterior = isotonic_regression(
+        tar_per_group / count_per_group, weights=count_per_group
+    ).x
     prior_log_odds = np.log(tar.size / non.size)
     with np.errstate(divide="ignore"):
         llr_per_group = np.log(posterior) - np.log1p(-posterior) - prior_log_odds
@@ -316,30 +294,43 @@ def affine_calibrate(scores: ScoreSet) -> ScoreSet:
     return ScoreSet(a * st + b, a * sn + b)
 
 
+def _squared_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    # (len(rows) x len(cols)) squared Euclidean distances, accumulated one
+    # dimension at a time so no temporary outgrows the result.
+    out = np.zeros((len(rows), len(cols)))
+    for k in range(rows.shape[1]):
+        diff = np.subtract.outer(rows[:, k], cols[:, k])
+        diff *= diff
+        out += diff
+    return out
+
+
 def score_corpus(
     enroll: list[tuple[str, F0Stats]], trials: list[tuple[str, F0Stats]]
 ) -> ScoreSet:
     """Score every (enrolled speaker, trial recording) pair.
 
     ``enroll`` holds per-recording enrollment stats; each speaker is modeled
-    as their aggregate, and the z-normalization is fit over all enrollment
-    recordings so within-speaker spread enters the per-dimension scale.
+    as the field-wise mean of their recordings, and the z-normalization is
+    fit over all enrollment recordings so within-speaker spread enters the
+    per-dimension scale. Scores come out trial by trial, speakers in sorted
+    order within each trial, as :func:`score` would give them pair by pair.
     """
-    by_speaker: dict[str, list[F0Stats]] = {}
-    for speaker, st in enroll:
-        by_speaker.setdefault(speaker, []).append(st)
-    speakers = sorted(by_speaker)
-    if len(speakers) < 2:
+    speakers, owner = np.unique([spk for spk, _ in enroll], return_inverse=True)
+    if speakers.size < 2:
         raise ScoringError("need at least 2 enrolled speakers for nontarget pairs")
-    aggregates = {spk: speaker_aggregate(by_speaker[spk]) for spk in speakers}
-    znorm = fit_znorm([st for _, st in enroll])
+    enroll_vectors = _stats_matrix([st for _, st in enroll])
+    trial_vectors = _stats_matrix([st for _, st in trials])
+    sums = np.zeros((speakers.size, enroll_vectors.shape[1]))
+    np.add.at(sums, owner, enroll_vectors)
+    models = sums / np.bincount(owner)[:, None]
 
-    target, nontarget = [], []
-    for trial_speaker, trial_stats in trials:
-        for spk in speakers:
-            s = score(aggregates[spk], trial_stats, znorm)
-            (target if spk == trial_speaker else nontarget).append(s)
-    return ScoreSet(np.array(target), np.array(nontarget))
+    znorm = fit_znorm(enroll_vectors)
+    models, trial_vectors = znorm(models), znorm(trial_vectors)
+    scores = -np.sqrt(_squared_distances(trial_vectors, models))
+    trial_speakers = np.array([spk for spk, _ in trials], dtype=str)
+    is_target = trial_speakers[:, None] == speakers[None, :]
+    return ScoreSet(scores[is_target], scores[~is_target])
 
 
 def _modified(recordings: list[Recording], spec: ModifierSpec, role: str) -> list[Recording]:

@@ -261,13 +261,17 @@ def align(a: F0Trajectory, b: F0Trajectory, max_lag: int) -> AlignmentResult:
     return AlignmentResult(lag_frames=lag, rmse_voiced_hz=rmse, voicing_agreement=agreement)
 
 
-def write_f0_csv(traj: F0Trajectory, path) -> None:
-    """Write ``time_s,f0_hz`` rows, 6 decimals, LF endings, UTF-8."""
-    path = Path(path)
+def format_f0_csv(traj: F0Trajectory) -> bytes:
+    """``time_s,f0_hz`` rows, 6 decimals, LF endings, UTF-8."""
     lines = [CSV_HEADER]
     hop = traj.frame_hop
     lines.extend(f"{i * hop:.6f},{v:.6f}" for i, v in enumerate(traj.values))
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def write_f0_csv(traj: F0Trajectory, path) -> None:
+    """Write the trajectory to ``path`` as :func:`format_f0_csv` formats it."""
+    Path(path).write_bytes(format_f0_csv(traj))
 
 
 def read_f0_csv(path, recording_id: str | None = None, frame_hop: float | None = None) -> F0Trajectory:

@@ -90,7 +90,7 @@ class TestModify:
         assert result.exit_code == 2
         assert "role" in result.output
 
-    def test_byte_identical_across_runs_and_jobs(self, runner, tmp_path):
+    def test_byte_identical_across_runs(self, runner, tmp_path):
         rng = np.random.default_rng(0)
         sources = []
         for i in range(4):
@@ -100,12 +100,12 @@ class TestModify:
             write_f0_csv(make_traj(values, rid=f"in{i}"), path)
             sources.append(str(path))
         outputs = {}
-        for name, jobs in (("a", "1"), ("b", "1"), ("c", "4")):
+        for name in ("a", "b", "c"):
             out = tmp_path / name
             result = runner.invoke(
                 cli,
                 ["modify", *sources, "--kind", "random-walk-strong", "--seed", "99",
-                 "--jobs", jobs, "--out", str(out)],
+                 "--out", str(out)],
             )
             assert result.exit_code == 0, result.output
             outputs[name] = [(out / f"in{i}.csv").read_bytes() for i in range(4)] + [
@@ -194,6 +194,18 @@ class TestStats:
         bad.write_text("time_s,f0_hz\n0.0,nope\n")
         result = runner.invoke(cli, ["stats", str(bad)])
         assert result.exit_code == 2
+
+    def test_invalid_values_exit_2_with_valid_json(self, runner, tmp_path):
+        good = write_fixture_csv(tmp_path / "good.csv")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time_s,f0_hz\n0.000000,inf\n0.010000,nan\n0.020000,5\n0.030000,100\n")
+        result = runner.invoke(cli, ["stats", str(good), str(bad)])
+        assert result.exit_code == 2
+        assert f"error: {bad}:" in result.stderr
+        assert "non-finite at frame 0" in result.stderr
+        assert "at frame 2" in result.stderr
+        data = json.loads(result.stdout)
+        assert [r["recording_id"] for r in data] == ["good"]
 
 
 def build_eval_manifest(tmp_path, n_speakers=6, n_rec=4):

@@ -18,11 +18,10 @@ from f0priv.evaluation import (
     run_scenario,
     score,
     score_corpus,
-    speaker_aggregate,
 )
 from f0priv.modifiers import ModifierSpec
 from f0priv.synth import speaker_corpus
-from f0priv.trajectory import stats
+from f0priv.trajectory import F0Stats, stats
 from oracles import brute_force_eer, cllr_reference, exhaustive_cllr_min
 
 
@@ -120,6 +119,10 @@ class TestCllr:
             ([0.0, 0.0], [0.0, 0.0]),
             ([1.0, 1.0, 2.0], [1.0, 0.0]),
             ([3.0], [3.0, 3.0, -1.0]),
+            ([1.0, 2.0, 2.0], [2.0, 0.0]),
+            ([0.5, 0.5, 1.5], [0.5, 1.5, -1.0]),
+            ([0.0, 1.0, 1.0], [1.0, 2.0, 2.0]),
+            ([-1.0, 2.0], [2.0, 2.0, 2.0, -1.0]),
         ]
         for tar, non in cases:
             assert cllr_min(scoreset(tar, non)) == pytest.approx(
@@ -177,6 +180,21 @@ def two_population_stats(rng, n=500, m_enroll=10, m_trial=4):
     return enroll, trials
 
 
+def reference_scores(enroll, trials):
+    """Pair-by-pair scores against field-wise-mean speaker models."""
+    by_speaker = {}
+    for speaker, st in enroll:
+        by_speaker.setdefault(speaker, []).append(st.as_vector())
+    models = {spk: F0Stats(*np.mean(vs, axis=0)) for spk, vs in by_speaker.items()}
+    znorm = fit_znorm([st for _, st in enroll])
+    target, nontarget = [], []
+    for trial_speaker, st in trials:
+        for speaker in sorted(models):
+            s = score(models[speaker], st, znorm)
+            (target if speaker == trial_speaker else nontarget).append(s)
+    return target, nontarget
+
+
 class TestScoring:
     def test_identical_vectors_score_zero(self):
         rng = np.random.default_rng(10)
@@ -202,13 +220,17 @@ class TestScoring:
         with pytest.raises(ScoringError, match="absent"):
             score(good, bad, fit_znorm([good]))
 
-    def test_aggregate_is_fieldwise_mean(self):
+    def test_score_corpus_matches_per_pair_reference(self, corpus):
         rng = np.random.default_rng(13)
-        sts = [stats(make_traj(rng.uniform(100, 300, 80))) for _ in range(3)]
-        agg = speaker_aggregate(sts)
-        got = agg.as_vector()
-        expected = np.mean([s.as_vector() for s in sts], axis=0)
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
+        corpus_stats = [
+            [(r.speaker_id, stats(r.trajectory)) for r in corpus.split(split)]
+            for split in ("enrollment", "trial")
+        ]
+        for enroll, trials in (two_population_stats(rng), corpus_stats):
+            got = score_corpus(enroll, trials)
+            tar, non = reference_scores(enroll, trials)
+            np.testing.assert_allclose(got.target_scores, tar, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.nontarget_scores, non, rtol=0, atol=1e-12)
 
     def test_znorm_guards_zero_spread(self):
         st = stats(make_traj(np.full(60, 150.0)))
