@@ -8,11 +8,13 @@ atomically, so reruns with the same flags and seed are byte-identical.
 
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from .evaluation import SCENARIOS, Recording, SpeakerCorpus, run_scenario
@@ -303,11 +305,18 @@ def cmd_stats(inputs, out):
             problems = validate(traj)
             if problems:
                 raise ValueError("invalid trajectory: " + "; ".join(problems))
+            # Valid but huge values (say 1e308 Hz) overflow the statistics.
+            with np.errstate(over="ignore", invalid="ignore"):
+                st = stats(traj)
+            overflowed = [
+                name for name, v in st.to_dict().items() if v is not None and not math.isfinite(v)
+            ]
+            if overflowed:
+                raise ValueError("non-finite statistics: " + ", ".join(overflowed))
         except (OSError, ValueError) as exc:
             click.echo(f"error: {path}: {exc}", err=True)
             failures += 1
             continue
-        st = stats(traj)
         reports.append(
             {
                 "recording_id": traj.recording_id,

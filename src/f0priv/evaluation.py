@@ -17,8 +17,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression, minimize
-from scipy.special import expit
 
 from .modifiers import ModifierSpec, apply
 from .trajectory import F0Stats, F0Trajectory, stats
@@ -224,6 +222,8 @@ def pav_llrs(scores: ScoreSet) -> ScoreSet:
     :func:`cllr` because a block containing a target can never be all
     nontargets and vice versa.
     """
+    from scipy.optimize import isotonic_regression  # scipy loads only where used
+
     scores.require_valid()
     tar, non = scores.target_scores, scores.nontarget_scores
     pooled = np.concatenate([tar, non])
@@ -260,6 +260,9 @@ def affine_calibrate(scores: ScoreSet) -> ScoreSet:
     The slope is constrained nonnegative so the calibrated cost can never
     undercut the monotone-recalibration optimum.
     """
+    from scipy.optimize import minimize
+    from scipy.special import expit
+
     scores.require_valid()
     tar, non = scores.target_scores, scores.nontarget_scores
     pooled = np.concatenate([tar, non])
@@ -296,10 +299,11 @@ def affine_calibrate(scores: ScoreSet) -> ScoreSet:
 
 def _squared_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     # (len(rows) x len(cols)) squared Euclidean distances, accumulated one
-    # dimension at a time so no temporary outgrows the result.
+    # dimension at a time in one reused buffer of the result's size.
     out = np.zeros((len(rows), len(cols)))
+    diff = np.empty_like(out)
     for k in range(rows.shape[1]):
-        diff = np.subtract.outer(rows[:, k], cols[:, k])
+        np.subtract.outer(rows[:, k], cols[:, k], out=diff)
         diff *= diff
         out += diff
     return out
@@ -327,10 +331,16 @@ def score_corpus(
 
     znorm = fit_znorm(enroll_vectors)
     models, trial_vectors = znorm(models), znorm(trial_vectors)
-    scores = -np.sqrt(_squared_distances(trial_vectors, models))
+    scores = _squared_distances(trial_vectors, models)
+    np.sqrt(scores, out=scores)
+    np.negative(scores, out=scores)
     trial_speakers = np.array([spk for spk, _ in trials], dtype=str)
     is_target = trial_speakers[:, None] == speakers[None, :]
-    return ScoreSet(scores[is_target], scores[~is_target])
+    target, nontarget = scores[is_target], scores[~is_target]
+    # Free the matrix before ScoreSet copies the halves: the peak stays
+    # near two matrix sizes instead of three.
+    del scores
+    return ScoreSet(target, nontarget)
 
 
 def _modified(recordings: list[Recording], spec: ModifierSpec, role: str) -> list[Recording]:

@@ -16,8 +16,6 @@ the number of data points.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
-from scipy.optimize import brentq
 
 # Residual matched to the target within this relative tolerance when the
 # constraint is active.
@@ -51,6 +49,10 @@ class _System:
     """Banded matrices of the natural-spline penalty problem for fixed knots."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
+        # Imported here, once per fit, so importing f0priv loads no scipy.
+        from scipy.linalg import solveh_banded
+
+        self.solveh_banded = solveh_banded
         self.x = x
         self.y = y
         h = np.diff(x)
@@ -96,11 +98,11 @@ class _System:
         """
         if penalty <= 1.0:
             ab = self._banded(1.0, penalty)
-            gamma = solveh_banded(ab, self.qty)
+            gamma = self.solveh_banded(ab, self.qty)
             scaled = penalty * gamma
         else:
             ab = self._banded(1.0 / penalty, 1.0)
-            scaled = solveh_banded(ab, self.qty)
+            scaled = self.solveh_banded(ab, self.qty)
             gamma = scaled / penalty
         err = self.q_times(scaled)  # y - g
         g = self.y - err
@@ -112,7 +114,7 @@ class _System:
         ab = np.zeros((2, n))
         ab[1] = self.r_diag
         ab[0, 1:] = self.r_off
-        return solveh_banded(ab, self.qty)
+        return self.solveh_banded(ab, self.qty)
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -175,6 +177,8 @@ def fit(x, y, s: float | None = None) -> SplineModel:
         return SplineModel(
             x, coeffs, penalty=np.inf, achieved_residual=line_residual, iterations=0
         )
+
+    from scipy.optimize import brentq
 
     evals = 0
 

@@ -1,11 +1,13 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately written the slow, obvious way (pure-Python
-loops, exhaustive enumeration) and stays independent of the code paths it
-verifies.
+loops, exhaustive enumeration, one frame at a time) and stays independent of
+the code paths it verifies.
 """
 
 import math
+
+import numpy as np
 
 
 def sinusoid_modulation_reference(values, frame_hop, f1, f2):
@@ -135,3 +137,56 @@ def exhaustive_cllr_min(targets, nontargets):
         non_cost = sum(n * _bits_cost(l, +1.0) for (_, n), l in zip(blocks, llrs) if n)
         best = min(best, 0.5 * (tar_cost / n_tar + non_cost / n_non))
     return best
+
+
+def track_reference(audio, cfg):
+    """The pitch tracker one frame at a time; returns (values, frame_hop).
+
+    Same arithmetic as ``pitch.extract_f0`` in the order it was first
+    written, so the blocked tracker must match it bit for bit.
+    """
+    sr = audio.sample_rate
+    cfg.check(sr)
+    frame_len = int(round(cfg.frame_len * sr))
+    hop = int(round(cfg.frame_hop * sr))
+    x = audio.samples
+    if len(x) < frame_len:
+        raise ValueError(f"audio shorter than one frame ({len(x)} < {frame_len} samples)")
+
+    def autocorr(signal, nfft):
+        spec = np.fft.rfft(signal, nfft)
+        return np.fft.irfft(spec.real**2 + spec.imag**2, nfft)[: len(signal)]
+
+    lag_min = max(2, int(np.ceil(sr / cfg.f_max)))
+    lag_max = min(int(np.floor(sr / cfg.f_min)), frame_len - 2)
+    if lag_max <= lag_min:
+        raise ValueError("frame too short for the requested f_min")
+    taus = np.arange(lag_min - 1, lag_max + 2)
+    window = np.hanning(frame_len)
+    nfft = 1 << int(np.ceil(np.log2(2 * frame_len)))
+    window_acf = autocorr(window, nfft)
+    window_ratio = window_acf[taus] / window_acf[0]
+
+    n_frames = 1 + (len(x) - frame_len) // hop
+    values = np.zeros(n_frames)
+    for i in range(n_frames):
+        frame = x[i * hop : i * hop + frame_len]
+        frame = (frame - frame.mean()) * window
+        acf = autocorr(frame, nfft)
+        if acf[0] < 1e-12:
+            continue
+        r = (acf[taus] / acf[0]) / window_ratio
+        interior = r[1:-1]
+        peaks = np.flatnonzero(
+            (interior > r[:-2]) & (interior >= r[2:]) & (interior >= cfg.voicing_threshold)
+        )
+        if peaks.size == 0:
+            continue
+        k = int(peaks[0]) + 1
+        curvature = r[k - 1] - 2.0 * r[k] + r[k + 1]
+        delta = 0.0 if curvature == 0.0 else 0.5 * (r[k - 1] - r[k + 1]) / curvature
+        delta = float(np.clip(delta, -0.5, 0.5))
+        values[i] = sr / (taus[k] + delta)
+
+    values[values < 40.0] = 0.0
+    return values, hop / sr

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,17 @@ class TestExtract:
         bad.write_bytes(wav_bytes(b"\x00\x01", audio_format=7, bits=8))
         result = runner.invoke(cli, ["extract", str(bad), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
+
+    def test_nan_float_samples_exit_2(self, runner, tmp_path):
+        samples = 0.4 * np.sin(2 * np.pi * 180.0 * np.arange(9600) / 16000)
+        samples[4000:4010] = np.nan
+        bad = tmp_path / "nan.wav"
+        bad.write_bytes(wav_bytes(samples, audio_format=3, bits=32))
+        out = tmp_path / "o"
+        result = runner.invoke(cli, ["extract", str(bad), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "non-finite float sample at index 4000" in result.stderr
+        assert not (out / "nan.csv").exists()
 
 
 class TestModify:
@@ -204,6 +219,17 @@ class TestStats:
         assert f"error: {bad}:" in result.stderr
         assert "non-finite at frame 0" in result.stderr
         assert "at frame 2" in result.stderr
+        data = json.loads(result.stdout)
+        assert [r["recording_id"] for r in data] == ["good"]
+
+    def test_overflowing_values_exit_2_with_valid_json(self, runner, tmp_path):
+        good = write_fixture_csv(tmp_path / "good.csv")
+        huge = tmp_path / "huge.csv"
+        huge.write_text("time_s,f0_hz\n0.000000,1e308\n0.010000,1e308\n0.020000,1e308\n")
+        result = runner.invoke(cli, ["stats", str(good), str(huge)])
+        assert result.exit_code == 2
+        assert f"error: {huge}: non-finite statistics: voiced_mean_hz" in result.stderr
+        assert "Traceback" not in result.stderr
         data = json.loads(result.stdout)
         assert [r["recording_id"] for r in data] == ["good"]
 
@@ -350,6 +376,20 @@ class TestContract:
         src = write_fixture_csv(tmp_path / "fix.csv")
         result = runner.invoke(cli, ["modify", str(src), "--kind", "sparkle"])
         assert result.exit_code == 2
+
+    def test_import_loads_no_scipy(self):
+        # scipy costs about half a second to import; only spline fitting and
+        # the eval metrics need it, and they import it themselves.
+        code = (
+            "import sys, f0priv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_version(self, runner):
         result = runner.invoke(cli, ["--version"])

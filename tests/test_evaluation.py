@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,24 @@ class TestScoring:
             tar, non = reference_scores(enroll, trials)
             np.testing.assert_allclose(got.target_scores, tar, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got.nontarget_scores, non, rtol=0, atol=1e-12)
+
+    def test_score_corpus_peak_memory(self):
+        # 1,000 speakers x 1,000 trials: an 8 MB score matrix. Its masked
+        # halves and ScoreSet's copies must not all be alive at once.
+        rng = np.random.default_rng(14)
+        n = 1000
+        enroll = [(f"s{i:04d}", F0Stats(*rng.uniform(1.0, 2.0, 6))) for i in range(n)]
+        trials = [(f"s{i:04d}", F0Stats(*rng.uniform(1.0, 2.0, 6))) for i in range(n)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            scores = score_corpus(enroll, trials)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = n * n * 8
+        assert scores.target_scores.size + scores.nontarget_scores.size == n * n
+        assert peak < 2.5 * matrix_bytes
 
     def test_znorm_guards_zero_spread(self):
         st = stats(make_traj(np.full(60, 150.0)))

@@ -3,23 +3,44 @@ import struct
 import numpy as np
 import pytest
 
-from f0priv.pitch import AudioBuffer, PitchConfig, WavReadError, extract_f0, read_wav
+from f0priv.pitch import (
+    BLOCK_FRAMES,
+    AudioBuffer,
+    PitchConfig,
+    WavReadError,
+    extract_f0,
+    read_wav,
+)
 from f0priv.synth import tone
 from f0priv.trajectory import validate
+from oracles import track_reference
 
 
-def wav_bytes(samples, sample_rate=16000, audio_format=1, bits=16, channels=1):
-    """Minimal RIFF/WAVE writer for test fixtures."""
-    if audio_format == 1 and bits == 16:
+SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def wav_bytes(samples, sample_rate=16000, audio_format=1, bits=16, channels=1, subformat=None):
+    """Minimal RIFF/WAVE writer for test fixtures.
+
+    With ``subformat`` set, the file is WAVE_FORMAT_EXTENSIBLE and the
+    sample encoding follows that tag.
+    """
+    codec = audio_format if subformat is None else subformat
+    if codec == 1 and bits == 16:
         payload = np.asarray(samples, dtype="<i2").tobytes()
-    elif audio_format == 3 and bits == 32:
+    elif codec == 1 and bits == 24:
+        payload = b"".join(int(v).to_bytes(3, "little", signed=True) for v in samples)
+    elif codec == 3 and bits == 32:
         payload = np.asarray(samples, dtype="<f4").tobytes()
     else:
         payload = bytes(samples)
     block_align = channels * bits // 8
+    tag = audio_format if subformat is None else 0xFFFE
     fmt = struct.pack(
-        "<HHIIHH", audio_format, channels, sample_rate, sample_rate * block_align, block_align, bits
+        "<HHIIHH", tag, channels, sample_rate, sample_rate * block_align, block_align, bits
     )
+    if subformat is not None:
+        fmt += struct.pack("<HHIH", 22, bits, 0, subformat) + SUBFORMAT_GUID_TAIL
     chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
     chunks += b"data" + struct.pack("<I", len(payload)) + payload
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
@@ -63,10 +84,44 @@ class TestReadWav:
         with pytest.raises(WavReadError, match="unsupported codec"):
             read_wav(path)
 
-    def test_pcm24_unsupported(self, tmp_path):
+    def test_pcm24_decodes(self, tmp_path):
         path = tmp_path / "p24.wav"
-        path.write_bytes(wav_bytes(b"\x00" * 6, audio_format=1, bits=24))
-        with pytest.raises(WavReadError, match="unsupported codec"):
+        path.write_bytes(wav_bytes([-8388608, 8388607, 0, -1, 4194304], bits=24))
+        audio = read_wav(path)
+        assert audio.samples[0] == -1.0
+        assert audio.samples[1] == 8388607 / 8388608
+        assert audio.samples[2] == 0.0
+        assert audio.samples[3] == -1 / 8388608
+        assert audio.samples[4] == 0.5
+
+    def test_pcm24_stereo_downmix(self, tmp_path):
+        path = tmp_path / "p24s.wav"
+        path.write_bytes(wav_bytes([4194304, -4194304, 2097152, 2097152], bits=24, channels=2))
+        assert np.array_equal(read_wav(path).samples, [0.0, 0.25])
+
+    @pytest.mark.parametrize(
+        "subformat, bits, samples",
+        [(1, 16, [-32768, 16384]), (1, 24, [-8388608, 4194304]), (3, 32, [-1.0, 0.5])],
+    )
+    def test_extensible_reads_as_its_subformat(self, tmp_path, subformat, bits, samples):
+        path = tmp_path / "ext.wav"
+        path.write_bytes(wav_bytes(samples, bits=bits, subformat=subformat))
+        assert np.array_equal(read_wav(path).samples, [-1.0, 0.5])
+
+    def test_extensible_other_subformat_unsupported(self, tmp_path):
+        path = tmp_path / "ext_mu.wav"
+        path.write_bytes(wav_bytes(b"\x00\x01\x02\x03", bits=8, subformat=7))
+        with pytest.raises(WavReadError, match=r"unsupported codec \(format tag 7, 8 bits\)"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channels, index", [(1, 7), (2, 3)])
+    def test_non_finite_float_sample_rejected(self, tmp_path, bad, channels, index):
+        data = np.full(20, 0.25, dtype=np.float32)
+        data[7:12] = bad  # interleaved position 7 is frame 3 of a stereo file
+        path = tmp_path / "nan.wav"
+        path.write_bytes(wav_bytes(data, audio_format=3, bits=32, channels=channels))
+        with pytest.raises(WavReadError, match=f"non-finite float sample at index {index}$"):
             read_wav(path)
 
     def test_truncated_chunk(self, tmp_path):
@@ -153,3 +208,60 @@ class TestExtractF0:
     def test_recording_id_passthrough(self):
         traj = extract_f0(tone(150.0, 0.5), recording_id="utt1")
         assert traj.recording_id == "utt1"
+
+
+def _frames_to_samples(cfg, sr, n_frames):
+    frame_len = int(round(cfg.frame_len * sr))
+    hop = int(round(cfg.frame_hop * sr))
+    return frame_len + (n_frames - 1) * hop + hop // 2
+
+
+class TestBlockedTracker:
+    """The blocked tracker must reproduce the frame-by-frame loop bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(audio, cfg=PitchConfig()):
+        values, frame_hop = track_reference(audio, cfg)
+        traj = extract_f0(audio, cfg)
+        assert traj.frame_hop == frame_hop
+        assert traj.values.tobytes() == values.tobytes()
+        return traj
+
+    @pytest.mark.parametrize("sr", [8000, 16000, 22050, 44100])
+    def test_tones(self, sr):
+        t = np.arange(int(1.5 * sr)) / sr
+        glide = 0.5 * np.sin(2 * np.pi * (110.0 + 40.0 * t) * t)
+        traj = self.assert_matches_reference(AudioBuffer(sr, glide))
+        assert np.mean(traj.values > 0) > 0.9
+
+    def test_white_noise(self):
+        rng = np.random.default_rng(21)
+        self.assert_matches_reference(AudioBuffer(16000, 0.1 * rng.standard_normal(24000)))
+
+    def test_silent_gap(self):
+        rng = np.random.default_rng(22)
+        samples = 0.4 * np.sin(2 * np.pi * 150 * np.arange(24000) / 16000)
+        samples += 0.01 * rng.standard_normal(24000)
+        samples[6000:14000] = 0.0
+        traj = self.assert_matches_reference(AudioBuffer(16000, samples))
+        assert np.any(traj.values == 0.0) and np.any(traj.values > 0.0)
+
+    @pytest.mark.parametrize("n_frames", [1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1])
+    def test_frame_counts_around_block_size(self, n_frames):
+        cfg = PitchConfig()
+        n = _frames_to_samples(cfg, 16000, n_frames)
+        rng = np.random.default_rng(n_frames)
+        samples = 0.4 * np.sin(2 * np.pi * 205 * np.arange(n) / 16000)
+        samples += 0.05 * rng.standard_normal(n)
+        traj = self.assert_matches_reference(AudioBuffer(16000, samples))
+        assert traj.n_frames == n_frames
+
+    def test_custom_config(self):
+        cfg = PitchConfig(
+            frame_len=0.04, frame_hop=0.005, f_min=50.0, f_max=500.0, voicing_threshold=0.3
+        )
+        rng = np.random.default_rng(23)
+        n = _frames_to_samples(cfg, 22050, 3 * BLOCK_FRAMES + 5)
+        t = np.arange(n) / 22050
+        samples = 0.3 * np.sin(2 * np.pi * (90.0 + 200.0 * t) * t) + 0.1 * rng.standard_normal(n)
+        self.assert_matches_reference(AudioBuffer(22050, samples), cfg)
