@@ -14,12 +14,9 @@ the number of data points.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-
-# Residual matched to the target within this relative tolerance when the
-# constraint is active.
-RESIDUAL_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -45,32 +42,64 @@ class SplineModel:
             object.__setattr__(self, name, arr)
 
 
+@cache
+def _lapack():
+    # LAPACK's banded (pbsv) and tridiagonal (ptsv) positive-definite
+    # solvers, looked up on first use so importing f0priv loads no scipy.
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("pbsv", "ptsv"), (np.empty(0),))
+
+
+def _check_solved(info: int) -> None:
+    # The errors scipy.linalg.solveh_banded raises for these codes.
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
 class _System:
-    """Banded matrices of the natural-spline penalty problem for fixed knots."""
+    """Banded matrices of the natural-spline penalty problem for fixed knots.
+
+    Solves are memoised by exact penalty, since the bracketing, the root
+    search and the final solve revisit penalties.
+    """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
-        # Imported here, once per fit, so importing f0priv loads no scipy.
-        from scipy.linalg import solveh_banded
-
-        self.solveh_banded = solveh_banded
         self.x = x
         self.y = y
         h = np.diff(x)
-        self.h = h
-        m = len(x)
+        n = len(x) - 2
         # Q columns j = 0..m-3 touch rows j, j+1, j+2.
         self.qp = 1.0 / h[:-1]
         self.qq = -1.0 / h[:-1] - 1.0 / h[1:]
         self.qr = 1.0 / h[1:]
-        # Roughness matrix (tridiagonal, order m-2).
-        self.r_diag = (h[:-1] + h[1:]) / 3.0
-        self.r_off = h[1:-1] / 6.0
-        # Q^T Q bands (pentadiagonal, order m-2).
         p, q, r = self.qp, self.qq, self.qr
-        self.qtq_diag = p**2 + q**2 + r**2
-        self.qtq_off1 = q[:-1] * p[1:] + r[:-1] * q[1:]
-        self.qtq_off2 = r[:-2] * p[2:]
+        # Upper band storage (row 2 the diagonal) of the roughness matrix R
+        # (tridiagonal) and of Q^T Q (pentadiagonal), both of order m-2.
+        self.r_band = np.zeros((3, n), order="F")
+        self.r_band[2] = (h[:-1] + h[1:]) / 3.0
+        self.r_band[1, 1:] = h[1:-1] / 6.0
+        self.qtq_band = np.zeros((3, n), order="F")
+        self.qtq_band[2] = p**2 + q**2 + r**2
+        self.qtq_band[1, 1:] = q[:-1] * p[1:] + r[:-1] * q[1:]
+        self.qtq_band[0, 2:] = r[:-2] * p[2:]
         self.qty = p * y[:-2] + q * y[1:-1] + r * y[2:]
+        # Work buffer that pbsv factors in place.
+        self.ab = np.empty((3, n), order="F")
+        self.pbsv, self.ptsv = _lapack()
+        # Every band entry is p * QtQ + R or R / p + QtQ with a factor of at
+        # most 1, so it is bounded by max|QtQ| + max|R|; only when that bound
+        # or Q^T y is not finite can a solve meet an inf or NaN.
+        bound = np.abs(self.qtq_band).max() + np.abs(self.r_band).max()
+        self.check_finite = not (np.isfinite(bound) and np.isfinite(self.qty).all())
+        self.solved: dict[float, tuple[np.ndarray, np.ndarray, float]] = {}
 
     def q_times(self, gamma: np.ndarray) -> np.ndarray:
         out = np.zeros(len(self.x))
@@ -79,16 +108,12 @@ class _System:
         out[2:] += self.qr * gamma
         return out
 
-    def _banded(self, r_scale: float, qtq_scale: float) -> np.ndarray:
-        # Upper banded storage for solveh_banded; R contributes to the
-        # diagonal and first off-diagonal, Q^T Q to all three bands.
-        n = len(self.qtq_diag)
-        ab = np.zeros((3, n))
-        ab[2] = r_scale * self.r_diag + qtq_scale * self.qtq_diag
-        ab[1, 1:] = r_scale * self.r_off + qtq_scale * self.qtq_off1
-        if n > 2:
-            ab[0, 2:] = qtq_scale * self.qtq_off2
-        return ab
+    def _solve_banded(self) -> np.ndarray:
+        if self.check_finite:
+            _require_finite(self.ab, self.qty)
+        _, x, info = self.pbsv(self.ab, self.qty, lower=0, overwrite_ab=1)
+        _check_solved(info)
+        return x
 
     def solve(self, penalty: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Interior curvatures, fitted values and residual for one penalty.
@@ -96,25 +121,30 @@ class _System:
         For penalties above 1 the system is solved in the variable
         ``penalty * gamma`` to keep the matrix well conditioned.
         """
+        found = self.solved.get(penalty)
+        if found is not None:
+            return found
         if penalty <= 1.0:
-            ab = self._banded(1.0, penalty)
-            gamma = self.solveh_banded(ab, self.qty)
+            np.multiply(self.qtq_band, penalty, out=self.ab)
+            self.ab += self.r_band
+            gamma = self._solve_banded()
             scaled = penalty * gamma
         else:
-            ab = self._banded(1.0 / penalty, 1.0)
-            scaled = self.solveh_banded(ab, self.qty)
+            np.multiply(self.r_band, 1.0 / penalty, out=self.ab)
+            self.ab += self.qtq_band
+            scaled = self._solve_banded()
             gamma = scaled / penalty
         err = self.q_times(scaled)  # y - g
         g = self.y - err
-        residual = float(np.dot(err, err))
-        return gamma, g, residual
+        found = self.solved[penalty] = (gamma, g, float(np.dot(err, err)))
+        return found
 
     def solve_interpolating(self) -> np.ndarray:
-        n = len(self.r_diag)
-        ab = np.zeros((2, n))
-        ab[1] = self.r_diag
-        ab[0, 1:] = self.r_off
-        return self.solveh_banded(ab, self.qty)
+        diag, off = self.r_band[2], self.r_band[1, 1:]
+        _require_finite(diag, off, self.qty)
+        _, _, x, info = self.ptsv(diag, off, self.qty, 0, 0, 0)
+        _check_solved(info)
+        return x
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:

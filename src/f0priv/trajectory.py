@@ -263,10 +263,12 @@ def align(a: F0Trajectory, b: F0Trajectory, max_lag: int) -> AlignmentResult:
 
 def format_f0_csv(traj: F0Trajectory) -> bytes:
     """``time_s,f0_hz`` rows, 6 decimals, LF endings, UTF-8."""
-    lines = [CSV_HEADER]
-    hop = traj.frame_hop
-    lines.extend(f"{i * hop:.6f},{v:.6f}" for i, v in enumerate(traj.values))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    n = traj.n_frames
+    rows = np.empty((n, 2))
+    rows[:, 0] = np.arange(n) * traj.frame_hop
+    rows[:, 1] = traj.values
+    body = ("%.6f,%.6f\n" * n) % tuple(rows.ravel().tolist())
+    return (CSV_HEADER + "\n" + body).encode("utf-8")
 
 
 def write_f0_csv(traj: F0Trajectory, path) -> None:
@@ -274,24 +276,27 @@ def write_f0_csv(traj: F0Trajectory, path) -> None:
     Path(path).write_bytes(format_f0_csv(traj))
 
 
-def read_f0_csv(path, recording_id: str | None = None, frame_hop: float | None = None) -> F0Trajectory:
-    """Read a trajectory CSV written by :func:`write_f0_csv`.
-
-    The frame hop is inferred from the time column, which needs at least two
-    rows; pass ``frame_hop`` explicitly to read single-row files. The
-    recording id defaults to the file stem.
-    """
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise CsvFormatError("missing header", line=1)
-    if lines[0].strip() != CSV_HEADER:
-        raise CsvFormatError(f"expected header {CSV_HEADER!r}, got {lines[0]!r}", line=1)
+def _parse_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    # Data rows to (times, values). One float() pass over all fields when
+    # every row has exactly one comma; anything else (blank lines, a wrong
+    # column count, a field float() rejects) goes through the line loop,
+    # which skips blank lines and raises the line-numbered errors.
+    rows = lines[1:]
+    # Rows hold no "\n", so after joining with ",\n" the n - 1 fields that
+    # start with "\n" begin rows 2..n. With 2n fields, none of them in a
+    # value position means one comma per row. float() strips the "\n".
+    tokens = ",\n".join(rows).split(",")
+    if len(tokens) == 2 * len(rows) and "\n" not in "".join(tokens[1::2]):
+        try:
+            fields = np.fromiter(map(float, tokens), float, len(tokens))
+        except ValueError:
+            pass
+        else:
+            return fields[0::2], fields[1::2]
 
     times: list[float] = []
     values: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(rows, start=2):
         if not line.strip():
             continue
         fields = line.split(",")
@@ -304,23 +309,70 @@ def read_f0_csv(path, recording_id: str | None = None, frame_hop: float | None =
             raise CsvFormatError(str(exc), line=lineno) from None
         times.append(t)
         values.append(v)
+    return np.array(times), np.array(values)
 
-    if not values:
+
+def _infer_hop(times: np.ndarray) -> float:
+    # The hop that reproduces every 6-decimal timestamp: the i-th row was
+    # written as i * hop rounded to 6 decimals, so hop lies in
+    # [(t_i - t_0 - 5e-7) / i, (t_i - t_0 + 5e-7) / i] for every i. The
+    # first step is kept when it lies inside all of them (an exact hop such
+    # as 0.01 s keeps its bits); otherwise the middle of their intersection.
+    first = float(times[1]) - float(times[0])
+    if first <= 0:
+        raise CsvFormatError(f"non-increasing time column (hop {first:g})", line=3)
+    # A non-finite time fails the <= too, so it counts as non-uniform.
+    with np.errstate(invalid="ignore"):
+        uniform = np.abs(times[1:] - times[:-1] - first) <= 2e-6
+    if not uniform.all():
+        raise CsvFormatError("non-uniform time steps", line=int(np.argmin(uniform)) + 3)
+    span = times[1:] - times[0]
+    index = np.arange(1.0, len(times))
+    lo = float(((span - 5e-7) / index).max())
+    hi = float(((span + 5e-7) / index).min())
+    # lo, hi and each i * hop carry a few ulps of float error; a hop farther
+    # than this inside [lo, hi] rewrites every timestamp as it was read.
+    margin = 1e-14 * first
+    if lo + margin <= first <= hi - margin:
+        return first
+    mid = (lo + hi) / 2
+    if abs(hi - lo) <= 2 * margin:
+        # The hop sits on a decimal tie (k / 16000 s for odd k, say), where
+        # only a double or two next to mid rewrites the column unchanged.
+        for hop in mid + np.spacing(mid) * np.array([0, 1, -1, 2, -2]):
+            written = format_f0_csv(F0Trajectory(float(hop), np.zeros(len(times))))
+            if np.array_equal(_parse_rows(written.decode().splitlines())[0], times):
+                return float(hop)
+    return mid
+
+
+def read_f0_csv(path, recording_id: str | None = None, frame_hop: float | None = None) -> F0Trajectory:
+    """Read a trajectory CSV written by :func:`write_f0_csv`.
+
+    The frame hop is inferred from the time column, which needs at least two
+    rows; pass ``frame_hop`` explicitly to read single-row files. The
+    inferred hop reproduces every 6-decimal timestamp, so writing the
+    trajectory again gives the same time column. The recording id defaults
+    to the file stem.
+    """
+    path = Path(path)
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    if not lines:
+        raise CsvFormatError("missing header", line=1)
+    if lines[0].strip() != CSV_HEADER:
+        raise CsvFormatError(f"expected header {CSV_HEADER!r}, got {lines[0]!r}", line=1)
+
+    times, values = _parse_rows(lines)
+    if not values.size:
         raise CsvFormatError("empty trajectory: no data rows", line=len(lines))
     if frame_hop is None:
         if len(times) < 2:
             raise CsvFormatError(
                 "cannot infer frame hop from a single row; pass frame_hop", line=2
             )
-        frame_hop = times[1] - times[0]
-        if frame_hop <= 0:
-            raise CsvFormatError(f"non-increasing time column (hop {frame_hop:g})", line=3)
-        steps = np.diff(times)
-        off = np.abs(steps - frame_hop)
-        if np.any(off > 2e-6):
-            bad = int(np.argmax(off > 2e-6))
-            raise CsvFormatError("non-uniform time steps", line=bad + 3)
+        frame_hop = _infer_hop(times)
 
     if recording_id is None:
         recording_id = path.stem
-    return F0Trajectory(frame_hop=frame_hop, values=np.array(values), recording_id=recording_id)
+    return F0Trajectory(frame_hop=frame_hop, values=values, recording_id=recording_id)

@@ -190,3 +190,182 @@ def track_reference(audio, cfg):
 
     values[values < 40.0] = 0.0
     return values, hop / sr
+
+
+def spline_fit_reference(x, y, s=None):
+    """The smoothing-spline fit as first written, on scipy's ``solveh_banded``.
+
+    Builds fresh band arrays for every penalty, calls the validating scipy
+    wrapper and repeats every solve the search asks for. Returns
+    ``(coefficients, penalty, achieved_residual, iterations)``; the library's
+    direct LAPACK calls must match it bit for bit.
+    """
+    from scipy.linalg import solveh_banded
+    from scipy.optimize import brentq
+
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    m = len(x)
+    if s is None:
+        s = float(m)
+    h = np.diff(x)
+    qp = 1.0 / h[:-1]
+    qq = -1.0 / h[:-1] - 1.0 / h[1:]
+    qr = 1.0 / h[1:]
+    r_diag = (h[:-1] + h[1:]) / 3.0
+    r_off = h[1:-1] / 6.0
+    qtq_diag = qp**2 + qq**2 + qr**2
+    qtq_off1 = qq[:-1] * qp[1:] + qr[:-1] * qq[1:]
+    qtq_off2 = qr[:-2] * qp[2:]
+    qty = qp * y[:-2] + qq * y[1:-1] + qr * y[2:]
+
+    def banded(r_scale, qtq_scale):
+        n = len(qtq_diag)
+        ab = np.zeros((3, n))
+        ab[2] = r_scale * r_diag + qtq_scale * qtq_diag
+        ab[1, 1:] = r_scale * r_off + qtq_scale * qtq_off1
+        if n > 2:
+            ab[0, 2:] = qtq_scale * qtq_off2
+        return ab
+
+    def solve(penalty):
+        if penalty <= 1.0:
+            gamma = solveh_banded(banded(1.0, penalty), qty)
+            scaled = penalty * gamma
+        else:
+            scaled = solveh_banded(banded(1.0 / penalty, 1.0), qty)
+            gamma = scaled / penalty
+        err = np.zeros(m)
+        err[:-2] += qp * scaled
+        err[1:-1] += qq * scaled
+        err[2:] += qr * scaled
+        return gamma, y - err, float(np.dot(err, err))
+
+    def coefficients(g, gamma_full):
+        gi, gj = gamma_full[:-1], gamma_full[1:]
+        coeffs = np.empty((len(h), 4))
+        coeffs[:, 0] = g[:-1]
+        coeffs[:, 1] = np.diff(g) / h - h * (2.0 * gi + gj) / 6.0
+        coeffs[:, 2] = gi / 2.0
+        coeffs[:, 3] = (gj - gi) / (6.0 * h)
+        return coeffs
+
+    if s == 0.0:
+        ab = np.zeros((2, len(r_diag)))
+        ab[1] = r_diag
+        ab[0, 1:] = r_off
+        gamma = solveh_banded(ab, qty)
+        return coefficients(y, np.concatenate(([0.0], gamma, [0.0]))), 0.0, 0.0, 0
+
+    line = np.polynomial.polynomial.polyfit(x, y, 1)
+    g_line = line[0] + line[1] * x
+    line_residual = float(np.sum((y - g_line) ** 2))
+    if line_residual <= s:
+        return coefficients(g_line, np.zeros(m)), np.inf, line_residual, 0
+
+    evals = 0
+
+    def residual_at(penalty):
+        nonlocal evals
+        evals += 1
+        return solve(penalty)[2]
+
+    lo = hi = 1.0
+    r1 = residual_at(1.0)
+    if r1 < s:
+        while residual_at(hi := hi * 16.0) < s:
+            if hi > 1e300:
+                raise RuntimeError("penalty bracketing failed to reach the target")
+        lo = hi / 16.0
+    elif r1 > s:
+        while residual_at(lo := lo / 16.0) > s:
+            if lo < 1e-300:
+                raise RuntimeError("penalty bracketing failed to reach the target")
+        hi = lo * 16.0
+    if r1 == s:
+        root = 1.0
+    else:
+        root = float(
+            np.exp(
+                brentq(
+                    lambda u: residual_at(np.exp(u)) - s,
+                    np.log(lo),
+                    np.log(hi),
+                    xtol=1e-12,
+                    rtol=1e-14,
+                    maxiter=60,
+                )
+            )
+        )
+    gamma, g, residual = solve(root)
+    while residual > s:
+        root *= 1.0 - 1e-7
+        evals += 1
+        gamma, g, residual = solve(root)
+    return coefficients(g, np.concatenate(([0.0], gamma, [0.0]))), root, residual, evals
+
+
+def format_f0_csv_reference(frame_hop, values):
+    """CSV text one row at a time: ``i * frame_hop`` and the value, 6 decimals."""
+    lines = ["time_s,f0_hz"]
+    lines.extend(f"{i * frame_hop:.6f},{v:.6f}" for i, v in enumerate(values))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def read_f0_csv_reference(path):
+    """The CSV reader one line at a time; returns (frame_hop, values, recording_id).
+
+    Raises ``CsvFormatError`` with the same message and line as the library.
+    The hop is the first time step when it safely reproduces every 6-decimal
+    timestamp, else the middle of the hops that do, found row by row; when
+    that range is narrower than float error, the double next to its middle
+    that rewrites every timestamp exactly.
+    """
+    from pathlib import Path
+
+    from f0priv.trajectory import CsvFormatError
+
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise CsvFormatError("missing header", line=1)
+    if lines[0].strip() != "time_s,f0_hz":
+        raise CsvFormatError(f"expected header {'time_s,f0_hz'!r}, got {lines[0]!r}", line=1)
+    times, values = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise CsvFormatError(f"expected 2 columns, got {len(fields)}", line=lineno)
+        try:
+            t = float(fields[0])
+            v = float(fields[1])
+        except ValueError as exc:
+            raise CsvFormatError(str(exc), line=lineno) from None
+        times.append(t)
+        values.append(v)
+    if not values:
+        raise CsvFormatError("empty trajectory: no data rows", line=len(lines))
+    if len(times) < 2:
+        raise CsvFormatError("cannot infer frame hop from a single row; pass frame_hop", line=2)
+    first = times[1] - times[0]
+    if first <= 0:
+        raise CsvFormatError(f"non-increasing time column (hop {first:g})", line=3)
+    for i in range(1, len(times)):
+        if not abs(times[i] - times[i - 1] - first) <= 2e-6:
+            raise CsvFormatError("non-uniform time steps", line=i + 2)
+    lo, hi = -math.inf, math.inf
+    for i in range(1, len(times)):
+        lo = max(lo, (times[i] - times[0] - 5e-7) / i)
+        hi = min(hi, (times[i] - times[0] + 5e-7) / i)
+    margin = 1e-14 * first
+    if lo + margin <= first <= hi - margin:
+        return first, values, path.stem
+    mid = (lo + hi) / 2
+    if abs(hi - lo) <= 2 * margin:
+        for nudge in (0, 1, -1, 2, -2):
+            hop = mid + nudge * math.ulp(mid)
+            if all(float(f"{i * hop:.6f}") == t for i, t in enumerate(times)):
+                return hop, values, path.stem
+    return mid, values, path.stem

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from f0priv.spline import evaluate, fit
+from f0priv.spline import _System, evaluate, fit
+from oracles import spline_fit_reference
 
 
 def noisy_sine(n=50, seed=0, sigma=1.0):
@@ -146,3 +147,52 @@ class TestErrors:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fit([0, 1, 2, 3], [1, 2, 3])
+
+
+def uneven(n, seed):
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.002, 0.03, n))
+    y = 150.0 + 30.0 * np.sin(2.0 * np.pi * 1.5 * x) + 4.0 * rng.standard_normal(n)
+    return x, y
+
+
+def assert_matches_reference(x, y, s):
+    model = fit(x, y, s=s)
+    coefficients, penalty, residual, iterations = spline_fit_reference(x, y, s)
+    assert np.array_equal(model.coefficients, coefficients)
+    assert model.penalty == penalty
+    assert model.achieved_residual == residual
+    assert model.iterations == iterations
+    return model
+
+
+class TestReferenceBitIdentity:
+    @pytest.mark.parametrize("n", [4, 5, 50, 500, 3000])
+    def test_both_bracket_directions(self, n):
+        x, y = uneven(n, seed=n)
+        r1 = _System(x, y).solve(1.0)[2]
+        line_residual = float(np.sum((y - np.polyval(np.polyfit(x, y, 1), x)) ** 2))
+        # The residual grows with the penalty: a target below r(1) searches
+        # penalties under 1, one between r(1) and the line's above 1.
+        below = assert_matches_reference(x, y, 0.5 * r1)
+        assert below.penalty < 1.0 and below.iterations > 0
+        above = assert_matches_reference(x, y, 0.5 * (r1 + line_residual))
+        assert above.penalty > 1.0 and above.iterations > 0
+
+    @pytest.mark.parametrize("n", [4, 5, 50, 500, 3000])
+    def test_default_target_interpolation_and_line(self, n):
+        x, y = uneven(n, seed=100 + n)
+        assert_matches_reference(x, y, None)
+        assert assert_matches_reference(x, y, 0.0).penalty == 0.0
+        assert assert_matches_reference(x, y, 1e12).penalty == np.inf
+
+    def test_non_finite_bands_still_raise(self):
+        # Knots 1e-200 apart make Q^T Q overflow to inf; the banded solve
+        # must refuse it as scipy's validating wrapper did.
+        x = [0.0, 1e-200, 2e-200, 3e-200, 1.0, 2.0]
+        y = [100.0, 300.0, 100.0, 300.0, 100.0, 300.0]
+        for solver in (fit, spline_fit_reference):
+            with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="must not contain infs or NaNs"
+            ):
+                solver(x, y, 1.0)

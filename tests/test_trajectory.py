@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import skew as scipy_skew
 
 from conftest import make_traj
@@ -9,12 +11,14 @@ from f0priv.trajectory import (
     F0Trajectory,
     NoVoicedFramesError,
     align,
+    format_f0_csv,
     read_f0_csv,
     stats,
     validate,
     voiced_mean,
     write_f0_csv,
 )
+from oracles import format_f0_csv_reference, read_f0_csv_reference
 
 
 class TestValidate:
@@ -240,6 +244,113 @@ class TestCsv:
         path.write_text("time_s,f0_hz\n0.000000,100.0\n0.010000,100.0\n0.030000,100.0\n")
         with pytest.raises(CsvFormatError, match="non-uniform"):
             read_f0_csv(path)
+
+
+class TestCsvReader:
+    # 16 kHz hops of an odd sample count end in a 5 at the 7th decimal, so
+    # their timestamps sit on rounding ties.
+    @pytest.mark.parametrize(
+        "sample_rate, hop_samples", [(22050, 220), (44100, 441), (16000, 13), (16000, 949)]
+    )
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 10, 30, 100, 1001, 4716, 20000])
+    def test_rewrite_is_byte_identical(self, tmp_path, sample_rate, hop_samples, n):
+        hop = hop_samples / sample_rate
+        text = format_f0_csv(make_traj(np.full(n, 120.0), hop=hop))
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        back = read_f0_csv(path)
+        assert format_f0_csv(back) == text
+        assert abs(back.frame_hop - hop) <= 1e-6 / (n - 1)
+
+    def test_exact_hop_keeps_its_bits(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_f0_csv(make_traj(np.full(300, 120.0), hop=0.01), path)
+        assert read_f0_csv(path).frame_hop == 0.01
+
+    def test_one_and_three_columns_are_refused(self, tmp_path):
+        # As many commas as rows, but not one per row.
+        path = tmp_path / "bad.csv"
+        path.write_text("time_s,f0_hz\n0.000000\n0.010000,100.0,1.0\n")
+        with pytest.raises(CsvFormatError, match="line 2: expected 2 columns, got 1"):
+            read_f0_csv(path)
+
+    def test_non_finite_time_is_non_uniform(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time_s,f0_hz\n0.000000,100.0\n0.010000,100.0\nnan,100.0\n")
+        with pytest.raises(CsvFormatError, match="line 4: non-uniform"):
+            read_f0_csv(path)
+
+
+SAMPLE_RATES = (8000, 16000, 22050, 44100, 48000)
+
+contours = st.lists(st.one_of(st.just(0.0), st.floats(40.0, 1000.0)), min_size=2, max_size=300)
+hops = st.builds(
+    lambda sr, k: k / sr, st.sampled_from(SAMPLE_RATES), st.integers(1, 2048)
+)
+
+# Row corruptions: each turns one well-formed row into something the reader
+# must either accept as float() would or refuse with a line-numbered error.
+CORRUPTIONS = (
+    lambda row: "",
+    lambda row: "   ",
+    lambda row: row.partition(",")[0],
+    lambda row: row + ",1.0",
+    lambda row: row.replace(",", ",abc"),
+    lambda row: "x" + row,
+    lambda row: row.partition(",")[0] + ",nan",
+    lambda row: row.partition(",")[0] + ",inf",
+    lambda row: "inf," + row.partition(",")[2],
+    lambda row: "nan," + row.partition(",")[2],
+    lambda row: row.partition(",")[0] + ",1_0",
+    lambda row: " " + row.replace(",", " ,\t") + " ",
+    lambda row: row.partition(",")[0] + ",",
+    lambda row: "0.5," + row.partition(",")[2],
+)
+
+
+def outcome(read, path):
+    try:
+        result = read(path)
+    except CsvFormatError as exc:
+        return ("error", str(exc), exc.line)
+    if isinstance(result, F0Trajectory):
+        result = (result.frame_hop, result.values, result.recording_id)
+    hop, values, rid = result
+    return ("ok", np.float64(hop).tobytes(), np.asarray(values, dtype=float).tobytes(), rid)
+
+
+class TestCsvProperties:
+    @settings(deadline=None)
+    @given(values=contours, hop=hops)
+    def test_format_read_format_is_byte_identical(self, tmp_path_factory, values, hop):
+        traj = make_traj(values, hop=hop)
+        text = format_f0_csv(traj)
+        assert text == format_f0_csv_reference(hop, traj.values)
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(text)
+        assert format_f0_csv(read_f0_csv(path)) == text
+
+    @settings(deadline=None)
+    @given(
+        values=contours,
+        hop=hops,
+        corruptions=st.lists(
+            st.tuples(st.integers(0, 299), st.sampled_from(CORRUPTIONS)), max_size=3
+        ),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        trailing_blank=st.booleans(),
+    )
+    def test_reader_matches_line_by_line_reference(
+        self, tmp_path_factory, values, hop, corruptions, newline, trailing_blank
+    ):
+        rows = format_f0_csv(make_traj(values, hop=hop)).decode().splitlines()
+        for index, corrupt in corruptions:
+            row = 1 + index % (len(rows) - 1)
+            rows[row] = corrupt(rows[row])
+        text = newline.join(rows) + newline + (newline if trailing_blank else "")
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(read_f0_csv, path) == outcome(read_f0_csv_reference, path)
 
 
 class TestImmutability:
