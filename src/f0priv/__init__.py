@@ -21,11 +21,10 @@ from .evaluation import (
 )
 from .modifiers import ModifierSpec, apply, post_rules
 from .pitch import AudioBuffer, PitchConfig, extract_f0, read_wav
-from .spline import SplineModel, evaluate, fit
+from .spline import SplineModel, fit
 from .trajectory import (
     F0Stats,
     F0Trajectory,
-    align,
     read_f0_csv,
     stats,
     validate,
@@ -46,12 +45,10 @@ __all__ = [
     "ScoreSet",
     "SpeakerCorpus",
     "SplineModel",
-    "align",
     "apply",
     "cllr",
     "cllr_min",
     "eer",
-    "evaluate",
     "extract_f0",
     "fit",
     "post_rules",

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from numbers import Real
 from pathlib import Path
 
 import click
@@ -31,6 +32,12 @@ from .plotting import trajectory_svg
 from .trajectory import format_f0_csv, read_f0_csv, stats, validate
 
 RUN_CONFIG_KEYS = {"modifier", "seed", "input_dir", "output_dir", "pitch"}
+RUN_CONFIG_TYPES = {
+    "modifier": (dict, "an object"),
+    "pitch": (dict, "an object"),
+    "input_dir": (str, "a string"),
+    "output_dir": (str, "a string"),
+}
 PITCH_KEYS = {f.name for f in dataclasses.fields(PitchConfig)}
 
 
@@ -46,15 +53,17 @@ def _load_run_config(path) -> dict:
     unknown = set(data) - RUN_CONFIG_KEYS
     if unknown:
         raise click.UsageError(f"config {path}: unknown keys {sorted(unknown)}")
-    pitch = data.get("pitch") or {}
-    bad = set(pitch) - PITCH_KEYS
+    for key, (kind, noun) in RUN_CONFIG_TYPES.items():
+        if key in data and not isinstance(data[key], kind):
+            raise click.UsageError(f"config {path}: {key!r} must be {noun}")
+    bad = set(data.get("pitch", {})) - PITCH_KEYS
     if bad:
         raise click.UsageError(f"config {path}: unknown pitch keys {sorted(bad)}")
     return data
 
 
 def _pitch_config(config: dict, frame_len, frame_hop, f_min, f_max, voicing_threshold) -> PitchConfig:
-    merged = dict(config.get("pitch") or {})
+    merged = dict(config.get("pitch", {}))
     overrides = {
         "frame_len": frame_len,
         "frame_hop": frame_hop,
@@ -63,17 +72,17 @@ def _pitch_config(config: dict, frame_len, frame_hop, f_min, f_max, voicing_thre
         "voicing_threshold": voicing_threshold,
     }
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return PitchConfig(**merged)
-    except TypeError as exc:
-        raise click.UsageError(str(exc))
+    for name, value in merged.items():
+        if not isinstance(value, Real) or isinstance(value, bool):
+            raise click.UsageError(f"pitch {name} must be a number, got {value!r}")
+    return PitchConfig(**merged)
 
 
 def _modifier_spec(
     config: dict, kind, role, seed, strength, f1, f2, target_mean, target_std,
     per_side_roles: bool = False,
 ):
-    base = dict(config.get("modifier") or {})
+    base = dict(config.get("modifier", {}))
     if kind is not None:
         base["kind"] = kind
     if role is not None:
@@ -158,7 +167,7 @@ def _load_manifest(path) -> list[dict]:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"manifest {path}: invalid JSON ({exc})")
-    if not isinstance(data, dict) or "entries" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise click.UsageError(f"manifest {path}: expected an object with an 'entries' list")
     entries = data["entries"]
     problems = []

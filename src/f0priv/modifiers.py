@@ -12,7 +12,9 @@ all-flat transform is the one exception and keeps its constant everywhere.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -73,6 +75,16 @@ class ModifierSpec:
     def validated(self) -> "ModifierSpec":
         if self.kind not in KINDS:
             raise SpecError(f"unknown kind {self.kind!r}; choose from {', '.join(KINDS)}")
+        if self.seed is not None and (
+            not isinstance(self.seed, Integral) or isinstance(self.seed, bool)
+        ):
+            raise SpecError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("target_mean_hz", "target_std_hz", "f1_hz", "f2_hz"):
+            value = getattr(self, name)
+            if value is not None and not (
+                isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+            ):
+                raise SpecError(f"{name} must be a finite number, got {value!r}")
         if self.role is not None and self.role not in ROLES:
             raise SpecError(f"role must be one of {ROLES}, got {self.role!r}")
         if self.kind == "modulated-different" and self.role is None:
@@ -238,7 +250,7 @@ def smoothing_spline_modifier(traj: F0Trajectory) -> F0Trajectory:
     times = traj.times[mask]
     model = spline.fit(times, traj.values[mask], s=float(n_voiced))
     values = np.array(traj.values, copy=True)
-    values[mask] = spline.evaluate(model, times)
+    values[mask] = model.fitted
     return post_rules(traj.with_values(values), voiced_before=mask)
 
 

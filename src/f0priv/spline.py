@@ -10,7 +10,8 @@ and the penalty is root-searched so the achieved residual meets the target:
 ``s = 0`` gives the interpolating natural spline, a target at or above the
 straight-line residual gives the ordinary least-squares line, anything in
 between is found by a bracketed monotone search. The default target equals
-the number of data points.
+the number of data points. A fit yields the spline's values at the data
+abscissae, which is all the smoothing modifier needs.
 """
 
 from dataclasses import dataclass
@@ -21,34 +22,32 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SplineModel:
-    """Fitted natural cubic spline in per-interval polynomial form.
+    """Fitted natural cubic smoothing spline, as its values at the data.
 
-    ``coefficients[i]`` holds (value, slope, quad, cubic) of the polynomial
-    in ``t - knots[i]`` on interval i. ``penalty`` is the curvature weight
-    actually used (0 = interpolation, inf = straight line), and
-    ``iterations`` counts residual evaluations spent in the penalty search.
+    ``fitted[i]`` is the spline's value at ``x[i]``. ``penalty`` is the
+    curvature weight actually used (0 = interpolation, inf = straight line),
+    and ``iterations`` counts residual evaluations spent in the penalty
+    search.
     """
 
-    knots: np.ndarray
-    coefficients: np.ndarray
+    fitted: np.ndarray
     penalty: float
     achieved_residual: float
     iterations: int = 0
 
     def __post_init__(self):
-        for name in ("knots", "coefficients"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        arr = np.array(self.fitted, dtype=np.float64, copy=True)
+        arr.setflags(write=False)
+        object.__setattr__(self, "fitted", arr)
 
 
 @cache
-def _lapack():
-    # LAPACK's banded (pbsv) and tridiagonal (ptsv) positive-definite
-    # solvers, looked up on first use so importing f0priv loads no scipy.
+def _pbsv():
+    # LAPACK's banded positive-definite solver, looked up on first use so
+    # importing f0priv loads no scipy.
     from scipy.linalg import get_lapack_funcs
 
-    return get_lapack_funcs(("pbsv", "ptsv"), (np.empty(0),))
+    return get_lapack_funcs("pbsv", (np.empty(0),))
 
 
 def _check_solved(info: int) -> None:
@@ -72,7 +71,6 @@ class _System:
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x = x
         self.y = y
         h = np.diff(x)
         n = len(x) - 2
@@ -93,16 +91,16 @@ class _System:
         self.qty = p * y[:-2] + q * y[1:-1] + r * y[2:]
         # Work buffer that pbsv factors in place.
         self.ab = np.empty((3, n), order="F")
-        self.pbsv, self.ptsv = _lapack()
+        self.pbsv = _pbsv()
         # Every band entry is p * QtQ + R or R / p + QtQ with a factor of at
         # most 1, so it is bounded by max|QtQ| + max|R|; only when that bound
         # or Q^T y is not finite can a solve meet an inf or NaN.
         bound = np.abs(self.qtq_band).max() + np.abs(self.r_band).max()
         self.check_finite = not (np.isfinite(bound) and np.isfinite(self.qty).all())
-        self.solved: dict[float, tuple[np.ndarray, np.ndarray, float]] = {}
+        self.solved: dict[float, tuple[np.ndarray, float]] = {}
 
     def q_times(self, gamma: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(self.x))
+        out = np.zeros(len(self.y))
         out[:-2] += self.qp * gamma
         out[1:-1] += self.qq * gamma
         out[2:] += self.qr * gamma
@@ -115,11 +113,12 @@ class _System:
         _check_solved(info)
         return x
 
-    def solve(self, penalty: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Interior curvatures, fitted values and residual for one penalty.
+    def solve(self, penalty: float) -> tuple[np.ndarray, float]:
+        """Fitted values and residual for one penalty.
 
-        For penalties above 1 the system is solved in the variable
-        ``penalty * gamma`` to keep the matrix well conditioned.
+        The system is solved for the interior curvatures gamma, or for
+        ``penalty * gamma`` when the penalty is above 1, which keeps the
+        matrix well conditioned.
         """
         found = self.solved.get(penalty)
         if found is not None:
@@ -127,41 +126,20 @@ class _System:
         if penalty <= 1.0:
             np.multiply(self.qtq_band, penalty, out=self.ab)
             self.ab += self.r_band
-            gamma = self._solve_banded()
-            scaled = penalty * gamma
+            scaled = penalty * self._solve_banded()
         else:
             np.multiply(self.r_band, 1.0 / penalty, out=self.ab)
             self.ab += self.qtq_band
             scaled = self._solve_banded()
-            gamma = scaled / penalty
         err = self.q_times(scaled)  # y - g
-        g = self.y - err
-        found = self.solved[penalty] = (gamma, g, float(np.dot(err, err)))
+        found = self.solved[penalty] = (self.y - err, float(np.dot(err, err)))
         return found
-
-    def solve_interpolating(self) -> np.ndarray:
-        diag, off = self.r_band[2], self.r_band[1, 1:]
-        _require_finite(diag, off, self.qty)
-        _, _, x, info = self.ptsv(diag, off, self.qty, 0, 0, 0)
-        _check_solved(info)
-        return x
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     coeffs = np.polynomial.polynomial.polyfit(x, y, 1)
     g = coeffs[0] + coeffs[1] * x
     return g, float(np.sum((y - g) ** 2))
-
-
-def _build_coefficients(x: np.ndarray, g: np.ndarray, gamma_full: np.ndarray) -> np.ndarray:
-    h = np.diff(x)
-    gi, gj = gamma_full[:-1], gamma_full[1:]
-    coeffs = np.empty((len(h), 4))
-    coeffs[:, 0] = g[:-1]
-    coeffs[:, 1] = np.diff(g) / h - h * (2.0 * gi + gj) / 6.0
-    coeffs[:, 2] = gi / 2.0
-    coeffs[:, 3] = (gj - gi) / (6.0 * h)
-    return coeffs
 
 
 def fit(x, y, s: float | None = None) -> SplineModel:
@@ -193,29 +171,23 @@ def fit(x, y, s: float | None = None) -> SplineModel:
     if s < 0:
         raise ValueError(f"residual target must be >= 0, got {s}")
 
-    sys_ = _System(x, y)
-
     if s == 0.0:
-        gamma = sys_.solve_interpolating()
-        gamma_full = np.concatenate(([0.0], gamma, [0.0]))
-        coeffs = _build_coefficients(x, y, gamma_full)
-        return SplineModel(x, coeffs, penalty=0.0, achieved_residual=0.0, iterations=0)
+        # The natural interpolating spline passes through every point.
+        return SplineModel(y, penalty=0.0, achieved_residual=0.0, iterations=0)
 
     g_line, line_residual = _line_fit(x, y)
     if line_residual <= s:
-        coeffs = _build_coefficients(x, g_line, np.zeros(m))
-        return SplineModel(
-            x, coeffs, penalty=np.inf, achieved_residual=line_residual, iterations=0
-        )
+        return SplineModel(g_line, penalty=np.inf, achieved_residual=line_residual, iterations=0)
 
     from scipy.optimize import brentq
 
+    sys_ = _System(x, y)
     evals = 0
 
     def residual_at(penalty: float) -> float:
         nonlocal evals
         evals += 1
-        return sys_.solve(penalty)[2]
+        return sys_.solve(penalty)[1]
 
     # Bracket the monotone residual curve around the target, then root-find
     # on the log of the penalty.
@@ -247,40 +219,11 @@ def fit(x, y, s: float | None = None) -> SplineModel:
             )
         )
 
-    gamma, g, residual = sys_.solve(root)
+    g, residual = sys_.solve(root)
     # The root search lands within float noise of the target; the contract is
     # an upper bound, so step down the penalty until the feasible side.
     while residual > s:
         root *= 1.0 - 1e-7
         evals += 1
-        gamma, g, residual = sys_.solve(root)
-    gamma_full = np.concatenate(([0.0], gamma, [0.0]))
-    coeffs = _build_coefficients(x, g, gamma_full)
-    return SplineModel(x, coeffs, penalty=root, achieved_residual=residual, iterations=evals)
-
-
-def evaluate(model: SplineModel, x) -> np.ndarray:
-    """Evaluate the spline; outside the knot span the end slopes continue linearly."""
-    t = np.asarray(x, dtype=np.float64)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    knots = model.knots
-    coeffs = model.coefficients
-
-    idx = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
-    d = t - knots[idx]
-    c = coeffs[idx]
-    out = c[:, 0] + d * (c[:, 1] + d * (c[:, 2] + d * c[:, 3]))
-
-    left = t < knots[0]
-    if left.any():
-        out[left] = coeffs[0, 0] + coeffs[0, 1] * (t[left] - knots[0])
-    right = t > knots[-1]
-    if right.any():
-        h = knots[-1] - knots[-2]
-        c_last = coeffs[-1]
-        end_value = c_last[0] + h * (c_last[1] + h * (c_last[2] + h * c_last[3]))
-        end_slope = c_last[1] + 2.0 * c_last[2] * h + 3.0 * c_last[3] * h**2
-        out[right] = end_value + end_slope * (t[right] - knots[-1])
-
-    return out[0] if scalar else out
+        g, residual = sys_.solve(root)
+    return SplineModel(g, penalty=root, achieved_residual=residual, iterations=evals)

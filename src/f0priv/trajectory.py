@@ -1,4 +1,4 @@
-"""F0 trajectory data model, statistics, alignment and CSV I/O.
+"""F0 trajectory data model, statistics and CSV I/O.
 
 A trajectory is a uniformly sampled pitch contour in Hz. The in-band value
 0.0 marks unvoiced frames; voiced frames carry values of at least 40 Hz
@@ -19,10 +19,6 @@ CSV_HEADER = "time_s,f0_hz"
 
 class NoVoicedFramesError(ValueError):
     """Raised when an operation needs voiced frames and there are none."""
-
-
-class AlignmentError(ValueError):
-    """Raised when two contours share no voiced frames at any admissible lag."""
 
 
 class CsvFormatError(ValueError):
@@ -111,15 +107,6 @@ class F0Stats:
         return {name: getattr(self, name) for name in self.FIELD_ORDER}
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
-    """Delay-compensated comparison of two contours."""
-
-    lag_frames: int
-    rmse_voiced_hz: float
-    voicing_agreement: float
-
-
 def validate(traj: F0Trajectory) -> list[str]:
     """Check trajectory invariants; returns a list of violations (empty = valid).
 
@@ -202,63 +189,6 @@ def stats(traj: F0Trajectory) -> F0Stats:
         rise_rate_hz_s=_rise_rate(traj.values, traj.frame_hop),
         voiced_fraction=fraction,
     )
-
-
-def _masked_centered(traj: F0Trajectory) -> np.ndarray:
-    # Voiced frames centered on the voiced mean, unvoiced contributing 0.
-    out = np.zeros(traj.n_frames)
-    mask = traj.voiced_mask
-    if mask.any():
-        out[mask] = traj.values[mask] - np.mean(traj.values[mask])
-    return out
-
-
-def align(a: F0Trajectory, b: F0Trajectory, max_lag: int) -> AlignmentResult:
-    """Find the delay of ``b`` relative to ``a`` and compare the aligned contours.
-
-    The lag maximizing the cross-correlation of the mean-subtracted,
-    voiced-masked contours is searched within ±``max_lag`` frames;
-    correlation ties break toward the smaller |lag|. RMSE is computed over
-    frames voiced in both contours after alignment, voicing agreement over
-    the whole overlap.
-    """
-    if a.n_frames == 0 or b.n_frames == 0:
-        raise ValueError("cannot align empty trajectories")
-    if not np.isclose(a.frame_hop, b.frame_hop, rtol=1e-9, atol=0.0):
-        raise ValueError(f"frame hops differ: {a.frame_hop} vs {b.frame_hop}")
-    max_lag = int(max_lag)
-    if max_lag < 0:
-        raise ValueError("max_lag must be >= 0")
-
-    xa = _masked_centered(a)
-    xb = _masked_centered(b)
-    va = a.voiced_mask
-    vb = b.voiced_mask
-
-    candidates = []
-    for lag in range(-max_lag, max_lag + 1):
-        # b[i] ~ a[i - lag]: compare a[i] against b[i + lag].
-        a_lo, a_hi = max(0, -lag), min(a.n_frames, b.n_frames - lag)
-        if a_hi <= a_lo:
-            continue
-        sa = slice(a_lo, a_hi)
-        sb = slice(a_lo + lag, a_hi + lag)
-        overlap_voiced = va[sa] & vb[sb]
-        if not overlap_voiced.any():
-            continue
-        corr = float(np.dot(xa[sa], xb[sb]))
-        candidates.append((corr, abs(lag), lag, sa, sb, overlap_voiced))
-    if not candidates:
-        raise AlignmentError("no overlapping voiced frames at any lag")
-
-    # Max correlation; among ties the smallest |lag| (tuple order does it).
-    corr, _, lag, sa, sb, overlap_voiced = max(
-        candidates, key=lambda c: (c[0], -c[1])
-    )
-    diff = a.values[sa][overlap_voiced] - b.values[sb][overlap_voiced]
-    rmse = float(np.sqrt(np.mean(diff**2)))
-    agreement = float(np.mean(va[sa] == vb[sb]))
-    return AlignmentResult(lag_frames=lag, rmse_voiced_hz=rmse, voicing_agreement=agreement)
 
 
 def format_f0_csv(traj: F0Trajectory) -> bytes:
@@ -349,11 +279,11 @@ def _infer_hop(times: np.ndarray) -> float:
 def read_f0_csv(path, recording_id: str | None = None, frame_hop: float | None = None) -> F0Trajectory:
     """Read a trajectory CSV written by :func:`write_f0_csv`.
 
-    The frame hop is inferred from the time column, which needs at least two
-    rows; pass ``frame_hop`` explicitly to read single-row files. The
-    inferred hop reproduces every 6-decimal timestamp, so writing the
-    trajectory again gives the same time column. The recording id defaults
-    to the file stem.
+    The time column must start at 0. The frame hop is inferred from it,
+    which needs at least two rows; pass ``frame_hop`` explicitly to read
+    single-row files. The inferred hop reproduces every 6-decimal timestamp,
+    so writing the trajectory again gives the same time column. The
+    recording id defaults to the file stem.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -366,6 +296,9 @@ def read_f0_csv(path, recording_id: str | None = None, frame_hop: float | None =
     times, values = _parse_rows(lines)
     if not values.size:
         raise CsvFormatError("empty trajectory: no data rows", line=len(lines))
+    # A trajectory has no time offset, so a shifted column would be lost.
+    if times[0] != 0.0:
+        raise CsvFormatError(f"time column starts at {times[0]:g} s, not 0", line=2)
     if frame_hop is None:
         if len(times) < 2:
             raise CsvFormatError(

@@ -197,7 +197,7 @@ def spline_fit_reference(x, y, s=None):
 
     Builds fresh band arrays for every penalty, calls the validating scipy
     wrapper and repeats every solve the search asks for. Returns
-    ``(coefficients, penalty, achieved_residual, iterations)``; the library's
+    ``(fitted, penalty, achieved_residual, iterations)``; the library's
     direct LAPACK calls must match it bit for bit.
     """
     from scipy.linalg import solveh_banded
@@ -234,41 +234,28 @@ def spline_fit_reference(x, y, s=None):
             scaled = penalty * gamma
         else:
             scaled = solveh_banded(banded(1.0 / penalty, 1.0), qty)
-            gamma = scaled / penalty
         err = np.zeros(m)
         err[:-2] += qp * scaled
         err[1:-1] += qq * scaled
         err[2:] += qr * scaled
-        return gamma, y - err, float(np.dot(err, err))
-
-    def coefficients(g, gamma_full):
-        gi, gj = gamma_full[:-1], gamma_full[1:]
-        coeffs = np.empty((len(h), 4))
-        coeffs[:, 0] = g[:-1]
-        coeffs[:, 1] = np.diff(g) / h - h * (2.0 * gi + gj) / 6.0
-        coeffs[:, 2] = gi / 2.0
-        coeffs[:, 3] = (gj - gi) / (6.0 * h)
-        return coeffs
+        return y - err, float(np.dot(err, err))
 
     if s == 0.0:
-        ab = np.zeros((2, len(r_diag)))
-        ab[1] = r_diag
-        ab[0, 1:] = r_off
-        gamma = solveh_banded(ab, qty)
-        return coefficients(y, np.concatenate(([0.0], gamma, [0.0]))), 0.0, 0.0, 0
+        # The natural interpolating spline passes through every point.
+        return y, 0.0, 0.0, 0
 
     line = np.polynomial.polynomial.polyfit(x, y, 1)
     g_line = line[0] + line[1] * x
     line_residual = float(np.sum((y - g_line) ** 2))
     if line_residual <= s:
-        return coefficients(g_line, np.zeros(m)), np.inf, line_residual, 0
+        return g_line, np.inf, line_residual, 0
 
     evals = 0
 
     def residual_at(penalty):
         nonlocal evals
         evals += 1
-        return solve(penalty)[2]
+        return solve(penalty)[1]
 
     lo = hi = 1.0
     r1 = residual_at(1.0)
@@ -297,12 +284,12 @@ def spline_fit_reference(x, y, s=None):
                 )
             )
         )
-    gamma, g, residual = solve(root)
+    g, residual = solve(root)
     while residual > s:
         root *= 1.0 - 1e-7
         evals += 1
-        gamma, g, residual = solve(root)
-    return coefficients(g, np.concatenate(([0.0], gamma, [0.0]))), root, residual, evals
+        g, residual = solve(root)
+    return g, root, residual, evals
 
 
 def format_f0_csv_reference(frame_hop, values):
@@ -316,7 +303,7 @@ def read_f0_csv_reference(path):
     """The CSV reader one line at a time; returns (frame_hop, values, recording_id).
 
     Raises ``CsvFormatError`` with the same message and line as the library.
-    The hop is the first time step when it safely reproduces every 6-decimal
+    The time column must start at 0. The hop is the first time step when it safely reproduces every 6-decimal
     timestamp, else the middle of the hops that do, found row by row; when
     that range is narrower than float error, the double next to its middle
     that rewrites every timestamp exactly.
@@ -347,6 +334,8 @@ def read_f0_csv_reference(path):
         values.append(v)
     if not values:
         raise CsvFormatError("empty trajectory: no data rows", line=len(lines))
+    if times[0] != 0.0:
+        raise CsvFormatError(f"time column starts at {times[0]:g} s, not 0", line=2)
     if len(times) < 2:
         raise CsvFormatError("cannot infer frame hop from a single row; pass frame_hop", line=2)
     first = times[1] - times[0]

@@ -25,7 +25,6 @@ from f0priv.modifiers import (
     shift_and_scale,
 )
 from f0priv.pitch import AudioBuffer, extract_f0
-from f0priv.spline import evaluate as spline_evaluate
 from f0priv.spline import fit as spline_fit
 from f0priv.synth import random_trajectory, speaker_corpus, tone
 from f0priv.trajectory import read_f0_csv, voiced_mean, write_f0_csv
@@ -147,7 +146,7 @@ def test_c5_spline_limits():
                 x = np.sort(rng.uniform(0.0, 2.0, 20))
             y = rng.uniform(60.0, 300.0, 20)
             model = spline_fit(x, y, s=0.0)
-            assert np.max(np.abs(spline_evaluate(model, x) - y)) <= 1e-9
+            assert np.max(np.abs(model.fitted - y)) <= 1e-9
         # Huge s matches the ordinary least-squares line.
         for _ in range(5):
             x = np.sort(rng.uniform(0.0, 2.0, 30))
@@ -155,13 +154,13 @@ def test_c5_spline_limits():
             model = spline_fit(x, y, s=1e12)
             slope, intercept = np.polyfit(x, y, 1)
             line = intercept + slope * x
-            assert np.max(np.abs(spline_evaluate(model, x) - line)) <= 1e-6
+            assert np.max(np.abs(model.fitted - line)) <= 1e-6
         # Active constraints hit the residual target.
         x = np.arange(50) * 0.01
         y = 120.0 + 10.0 * np.sin(2 * np.pi * 2.0 * x) + rng.standard_normal(50)
         for s in (5.0, 20.0, 50.0):
             model = spline_fit(x, y, s=s)
-            direct = float(np.sum((y - spline_evaluate(model, x)) ** 2))
+            direct = float(np.sum((y - model.fitted) ** 2))
             assert direct <= s * (1.0 + 1e-12)
             assert abs(direct - s) / s <= 1e-3
         # Residual monotone over an s-grid.

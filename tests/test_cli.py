@@ -170,6 +170,15 @@ class TestModify:
         assert result.exit_code == 2
         assert "unknown keys" in result.output
 
+    def test_time_offset_exit_2(self, runner, tmp_path):
+        src = tmp_path / "late.csv"
+        src.write_text("time_s,f0_hz\n1.000000,100.0\n1.010000,110.0\n1.020000,120.0\n")
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["modify", str(src), "--kind", "voiced-flat", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "line 2: time column starts at 1 s, not 0" in result.output
+        assert not (out / "late.csv").exists()
+
     def test_band_warning_for_custom_frequencies(self, runner, tmp_path):
         src = write_fixture_csv(tmp_path / "fix.csv")
         out = tmp_path / "out"
@@ -332,6 +341,13 @@ class TestEval:
         assert result.exit_code == 2
         assert "does not exist" in result.output
 
+    def test_manifest_entries_not_a_list(self, runner, tmp_path):
+        manifest = tmp_path / "bad.json"
+        manifest.write_text(json.dumps({"entries": 5}))
+        result = runner.invoke(cli, ["eval", "--manifest", str(manifest), "--scenario", "OO"])
+        assert result.exit_code == 2
+        assert "expected an object with an 'entries' list" in result.output
+
 
 class TestPlot:
     def test_two_trajectories_two_paths(self, runner, tmp_path):
@@ -371,6 +387,39 @@ class TestContract:
     def test_usage_error_is_exit_2(self, runner):
         result = runner.invoke(cli, ["modify"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("extract", {"pitch": 5}),
+            ("modify", {"modifier": 5}),
+            ("modify", {"modifier": {"kind": "random-walk-weak", "seed": "abc"}}),
+            ("modify", {"modifier": {"kind": "shift-and-scale", "target_mean_hz": "x",
+                                     "target_std_hz": 20.0}}),
+            ("modify", {"modifier": {"kind": "modulated-same-1", "f1_hz": "5", "f2_hz": 11.0}}),
+            ("extract", {"pitch": {"f_min": "x"}}),
+            ("modify", {"modifier": {"kind": "voiced-flat"}, "input_dir": 5}),
+            ("extract", {"output_dir": ["out"]}),
+        ],
+    )
+    def test_config_of_wrong_type_is_exit_2(self, runner, tmp_path, command, config):
+        if command == "extract":
+            src = write_tone_wav(tmp_path / "tone.wav")
+        else:
+            src = write_fixture_csv(tmp_path / "fix.csv")
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        result = runner.invoke(cli, [command, str(src), "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
+    def test_all_exports_resolve(self):
+        import f0priv
+
+        missing = [name for name in f0priv.__all__ if not hasattr(f0priv, name)]
+        assert missing == []
 
     def test_unknown_kind_is_exit_2(self, runner, tmp_path):
         src = write_fixture_csv(tmp_path / "fix.csv")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from f0priv.spline import _System, evaluate, fit
+from f0priv.spline import _System, fit
 from oracles import spline_fit_reference
 
 
@@ -16,7 +16,7 @@ class TestLimits:
     def test_interpolation_on_line(self):
         x = np.linspace(0.0, 1.0, 10)
         model = fit(x, x, s=0.0)
-        assert np.allclose(evaluate(model, x), x, atol=1e-9)
+        assert np.allclose(model.fitted, x, atol=1e-9)
         assert model.achieved_residual == 0.0
         assert model.penalty == 0.0
 
@@ -25,24 +25,28 @@ class TestLimits:
         x = np.sort(rng.uniform(0, 2, 20))
         y = rng.uniform(80, 300, 20)
         model = fit(x, y, s=0.0)
-        assert np.max(np.abs(evaluate(model, x) - y)) < 1e-9
+        assert np.max(np.abs(model.fitted - y)) < 1e-9
 
     def test_huge_target_gives_least_squares_line(self):
         x, y = noisy_sine()
         model = fit(x, y, s=1e12)
         slope, intercept = np.polyfit(x, y, 1)
         line = intercept + slope * x
-        assert np.max(np.abs(evaluate(model, x) - line)) < 1e-6
+        assert np.max(np.abs(model.fitted - line)) < 1e-6
         assert model.penalty == np.inf
         assert model.achieved_residual == pytest.approx(np.sum((y - line) ** 2), rel=1e-9)
 
     def test_active_constraint_hits_target(self):
         x, y = noisy_sine(n=50, sigma=1.0)
         model = fit(x, y, s=50.0)
-        direct = float(np.sum((y - evaluate(model, x)) ** 2))
+        direct = float(np.sum((y - model.fitted) ** 2))
         assert direct <= 50.0 * (1.0 + 1e-9)
         assert abs(direct - 50.0) / 50.0 < 0.01
         assert model.achieved_residual == pytest.approx(direct, rel=1e-9)
+
+    def test_constant_data(self):
+        model = fit(np.linspace(0, 1, 10), np.full(10, 150.0))
+        assert np.allclose(model.fitted, 150.0, atol=1e-9)
 
 
 class TestProperties:
@@ -58,9 +62,8 @@ class TestProperties:
         c = 37.5
         base = fit(x, y, s=25.0)
         scaled = fit(x, c * y, s=c**2 * 25.0)
-        grid = np.linspace(x[0] - 0.1, x[-1] + 0.1, 137)
-        ref = evaluate(base, grid)
-        assert np.max(np.abs(evaluate(scaled, grid) - c * ref)) < 1e-8 * np.max(np.abs(c * ref))
+        ref = base.fitted
+        assert np.max(np.abs(scaled.fitted - c * ref)) < 1e-8 * np.max(np.abs(c * ref))
 
     def test_search_terminates_within_budget(self):
         for seed in range(8):
@@ -69,66 +72,11 @@ class TestProperties:
                 model = fit(x, y, s=s)
                 assert model.iterations <= 60
 
-    def test_c2_continuity_and_natural_ends(self):
-        x, y = noisy_sine(n=30, seed=9)
-        model = fit(x, y, s=10.0)
-        coeffs = model.coefficients
-        h = np.diff(model.knots)
-        second_left = 2.0 * coeffs[:-1, 2] + 6.0 * coeffs[:-1, 3] * h[:-1]
-        second_right = 2.0 * coeffs[1:, 2]
-        scale = np.max(np.abs(second_right)) + 1e-12
-        assert np.max(np.abs(second_left - second_right)) <= 1e-6 * scale
-        assert abs(2.0 * coeffs[0, 2]) <= 1e-8
-        end_second = 2.0 * coeffs[-1, 2] + 6.0 * coeffs[-1, 3] * h[-1]
-        assert abs(end_second) <= 1e-8
-
     def test_default_target_is_sample_count(self):
         x, y = noisy_sine(n=50, sigma=3.0)
         default = fit(x, y)
         explicit = fit(x, y, s=50.0)
         assert default.achieved_residual == pytest.approx(explicit.achieved_residual, rel=1e-9)
-
-
-class TestEvaluate:
-    def test_knot_values_match_fit(self):
-        x, y = noisy_sine(n=25, seed=2)
-        model = fit(x, y, s=5.0)
-        at_knots = evaluate(model, model.knots)
-        assert np.allclose(at_knots[:-1], model.coefficients[:, 0], atol=1e-12)
-
-    def test_constant_data(self):
-        x = np.linspace(0, 1, 10)
-        model = fit(x, np.full(10, 150.0))
-        probe = np.array([-0.5, 0.1, 0.77, 2.0])
-        assert np.allclose(evaluate(model, probe), 150.0, atol=1e-9)
-
-    def test_interpolant_midpoint_between_neighbors(self):
-        x = np.linspace(0, 1, 12)
-        y = x**2
-        model = fit(x, y, s=0.0)
-        mid = 0.5 * (x[4] + x[5])
-        value = evaluate(model, mid)
-        assert y[4] <= value <= y[5]
-
-    def test_linear_extrapolation(self):
-        x, y = noisy_sine(n=20, seed=4)
-        model = fit(x, y, s=3.0)
-        left = evaluate(model, np.array([x[0] - 0.3, x[0] - 0.2, x[0] - 0.1]))
-        assert np.abs(np.diff(left, 2)).max() < 1e-9  # straight line
-        right = evaluate(model, np.array([x[-1] + 0.1, x[-1] + 0.2, x[-1] + 0.3]))
-        assert np.abs(np.diff(right, 2)).max() < 1e-9
-        # Slope continues the end-point derivative.
-        eps = 1e-7
-        inner = (evaluate(model, x[-1]) - evaluate(model, x[-1] - eps)) / eps
-        outer = (evaluate(model, x[-1] + eps) - evaluate(model, x[-1])) / eps
-        assert inner == pytest.approx(outer, rel=1e-4)
-
-    def test_scalar_input(self):
-        x = np.linspace(0, 1, 8)
-        model = fit(x, 2 * x + 1, s=0.0)
-        value = evaluate(model, 0.25)
-        assert np.isscalar(value) or value.ndim == 0
-        assert float(value) == pytest.approx(1.5, abs=1e-9)
 
 
 class TestErrors:
@@ -156,10 +104,25 @@ def uneven(n, seed):
     return x, y
 
 
+class TestAgainstScipy:
+    # scipy's make_smoothing_spline minimises the same penalised objective;
+    # given the penalty fit() found, its values at the knots must agree.
+    @pytest.mark.parametrize("n", [5, 50, 500, 3000])
+    @pytest.mark.parametrize("factor", [0.3, 1.0, 3.0])
+    def test_fitted_values_match_make_smoothing_spline(self, n, factor):
+        from scipy.interpolate import make_smoothing_spline
+
+        x, y = uneven(n, seed=200 + n)
+        model = fit(x, y, s=factor * n)
+        assert 0.0 < model.penalty < np.inf
+        expected = make_smoothing_spline(x, y, lam=model.penalty)(x)
+        assert np.max(np.abs(model.fitted - expected)) <= 1e-9 * np.max(np.abs(y))
+
+
 def assert_matches_reference(x, y, s):
     model = fit(x, y, s=s)
-    coefficients, penalty, residual, iterations = spline_fit_reference(x, y, s)
-    assert np.array_equal(model.coefficients, coefficients)
+    fitted, penalty, residual, iterations = spline_fit_reference(x, y, s)
+    assert np.array_equal(model.fitted, fitted)
     assert model.penalty == penalty
     assert model.achieved_residual == residual
     assert model.iterations == iterations
@@ -170,7 +133,7 @@ class TestReferenceBitIdentity:
     @pytest.mark.parametrize("n", [4, 5, 50, 500, 3000])
     def test_both_bracket_directions(self, n):
         x, y = uneven(n, seed=n)
-        r1 = _System(x, y).solve(1.0)[2]
+        r1 = _System(x, y).solve(1.0)[1]
         line_residual = float(np.sum((y - np.polyval(np.polyfit(x, y, 1), x)) ** 2))
         # The residual grows with the penalty: a target below r(1) searches
         # penalties under 1, one between r(1) and the line's above 1.

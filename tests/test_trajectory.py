@@ -6,11 +6,9 @@ from scipy.stats import skew as scipy_skew
 
 from conftest import make_traj
 from f0priv.trajectory import (
-    AlignmentError,
     CsvFormatError,
     F0Trajectory,
     NoVoicedFramesError,
-    align,
     format_f0_csv,
     read_f0_csv,
     stats,
@@ -123,63 +121,6 @@ class TestStats:
             stats(make_traj([0.0, 0.0])).as_vector()
 
 
-def shift_right(traj, k):
-    values = np.concatenate([np.zeros(k), traj.values[: traj.n_frames - k]])
-    return traj.with_values(values)
-
-
-class TestAlign:
-    def test_exact_shift(self):
-        rng = np.random.default_rng(3)
-        a = make_traj(rng.uniform(90, 250, 80))
-        b = shift_right(a, 3)
-        result = align(a, b, max_lag=10)
-        assert result.lag_frames == 3
-        assert result.rmse_voiced_hz == pytest.approx(0.0, abs=1e-12)
-
-    def test_identity(self, traj_fixture):
-        result = align(traj_fixture, traj_fixture, max_lag=2)
-        assert result.lag_frames == 0
-        assert result.voicing_agreement == 1.0
-        assert result.rmse_voiced_hz == 0.0
-
-    def test_constant_offset(self):
-        values = np.linspace(100, 200, 50)
-        a = make_traj(values)
-        b = make_traj(values + 5.0)
-        result = align(a, b, max_lag=5)
-        assert result.lag_frames == 0
-        assert result.rmse_voiced_hz == pytest.approx(5.0, rel=1e-12)
-
-    @pytest.mark.parametrize("k", [-4, -1, 0, 2, 5])
-    def test_shift_property(self, k):
-        rng = np.random.default_rng(abs(k) + 1)
-        values = rng.uniform(90, 250, 120)
-        values[rng.random(120) < 0.2] = 0.0
-        a = make_traj(values)
-        b = shift_right(a, k) if k >= 0 else a.with_values(
-            np.concatenate([a.values[-k:], np.zeros(-k)])
-        )
-        assert align(a, b, max_lag=6).lag_frames == k
-
-    def test_frame_hop_mismatch(self):
-        with pytest.raises(ValueError, match="hops differ"):
-            align(make_traj([100, 110]), make_traj([100, 110], hop=0.02), max_lag=1)
-
-    def test_no_voiced_overlap(self):
-        a = make_traj([100.0] + [0.0] * 20)
-        b = make_traj([0.0] * 20 + [100.0])
-        with pytest.raises(AlignmentError):
-            align(a, b, max_lag=2)
-
-    def test_voicing_agreement(self):
-        a = make_traj([0, 100, 110, 0, 120])
-        b = make_traj([0, 100, 110, 130, 120])
-        result = align(a, b, max_lag=1)
-        assert result.lag_frames == 0
-        assert result.voicing_agreement == pytest.approx(0.8)
-
-
 class TestCsv:
     def test_round_trip(self, tmp_path, traj_fixture):
         path = tmp_path / "t.csv"
@@ -238,6 +179,15 @@ class TestCsv:
             read_f0_csv(path)
         traj = read_f0_csv(path, frame_hop=0.01)
         assert traj.n_frames == 1
+
+    def test_time_offset_refused(self, tmp_path):
+        path = tmp_path / "late.csv"
+        path.write_text("time_s,f0_hz\n1.000000,100.0\n1.010000,100.0\n1.020000,100.0\n")
+        with pytest.raises(CsvFormatError, match="line 2: time column starts at 1 s, not 0"):
+            read_f0_csv(path)
+        path.write_text("time_s,f0_hz\n0.010000,100.0\n")
+        with pytest.raises(CsvFormatError, match="line 2: time column starts at 0.01 s, not 0"):
+            read_f0_csv(path, frame_hop=0.01)
 
     def test_non_uniform_times(self, tmp_path):
         path = tmp_path / "bad.csv"
