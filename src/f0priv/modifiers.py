@@ -104,8 +104,12 @@ class ModifierSpec:
         if self.f1_hz is not None:
             if self.f1_hz <= 0 or self.f2_hz <= 0 or self.f1_hz == self.f2_hz:
                 raise SpecError("carrier frequencies must be positive and distinct")
-        if self.strength is not None and self.strength not in (1, 2):
-            raise SpecError(f"strength must be 1 (weak) or 2 (strong), got {self.strength}")
+        if self.strength is not None and (
+            not isinstance(self.strength, Integral)
+            or isinstance(self.strength, bool)
+            or self.strength not in (1, 2)
+        ):
+            raise SpecError(f"strength must be 1 (weak) or 2 (strong), got {self.strength!r}")
         return self
 
     def for_role(self, role: str) -> "ModifierSpec":

@@ -156,7 +156,8 @@ def read_wav(path) -> AudioBuffer:
     else:
         samples = np.frombuffer(data, dtype="<i2" if bits == 16 else "<f4").astype(np.float64)
     if channels == 2:
-        samples = samples.reshape(-1, 2).mean(axis=1)
+        # Same bits as reshape(-1, 2).mean(axis=1), without the reduction.
+        samples = (samples[0::2] + samples[1::2]) / 2.0
     if scale is not None:
         samples = samples * scale
     else:
@@ -224,7 +225,9 @@ def extract_f0(audio: AudioBuffer, cfg: PitchConfig | None = None, recording_id:
         raise ValueError("frame too short for the requested f_min")
     taus = np.arange(lag_min - 1, lag_max + 2)
     window = np.hanning(frame_len)
-    nfft = 1 << int(np.ceil(np.log2(2 * frame_len)))
+    # An nfft-point circular autocorrelation is exact up to lag nfft - frame_len,
+    # so a power of two above frame_len + lag_max + 1 covers the largest lag in taus.
+    nfft = 1 << (frame_len + lag_max + 1).bit_length()
     window_acf = _autocorr(window, nfft)
     window_ratio = window_acf[taus] / window_acf[0]
 

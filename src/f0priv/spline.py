@@ -142,6 +142,19 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return g, float(np.sum((y - g) ** 2))
 
 
+def _search_start(sys_: _System) -> float:
+    # Smoothing sets in where penalty * Q^T Q weighs about as much as R in the
+    # solved matrix; a tenth of the ratio of their mean diagonals, rounded to a
+    # power of 16, lies a few bracketing steps from the root on speech-like
+    # contours. Bracketing from any power of 16 meets the same pair of
+    # consecutive powers as from 1, so the root search sees the same bracket.
+    guess = 0.1 * sys_.r_band[2].mean() / sys_.qtq_band[2].mean()
+    if not (np.isfinite(guess) and guess > 0.0):
+        return 1.0
+    # 16**248 stays inside the 1e300 and 1e-300 limits of the bracketing.
+    return 16.0 ** int(np.clip(np.rint(np.log(guess) / np.log(16.0)), -248, 248))
+
+
 def fit(x, y, s: float | None = None) -> SplineModel:
     """Fit a natural cubic smoothing spline with residual target ``s``.
 
@@ -191,20 +204,20 @@ def fit(x, y, s: float | None = None) -> SplineModel:
 
     # Bracket the monotone residual curve around the target, then root-find
     # on the log of the penalty.
-    lo = hi = 1.0
-    r1 = residual_at(1.0)
-    if r1 < s:
+    lo = hi = start = _search_start(sys_)
+    r_start = residual_at(start)
+    if r_start < s:
         while residual_at(hi := hi * 16.0) < s:
             if hi > 1e300:
                 raise RuntimeError("penalty bracketing failed to reach the target")
         lo = hi / 16.0
-    elif r1 > s:
+    elif r_start > s:
         while residual_at(lo := lo / 16.0) > s:
             if lo < 1e-300:
                 raise RuntimeError("penalty bracketing failed to reach the target")
         hi = lo * 16.0
-    if r1 == s:
-        root = 1.0
+    if r_start == s:
+        root = start
     else:
         root = float(
             np.exp(

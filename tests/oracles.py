@@ -139,11 +139,13 @@ def exhaustive_cllr_min(targets, nontargets):
     return best
 
 
-def track_reference(audio, cfg):
+def track_reference(audio, cfg, nfft=None):
     """The pitch tracker one frame at a time; returns (values, frame_hop).
 
     Same arithmetic as ``pitch.extract_f0`` in the order it was first
-    written, so the blocked tracker must match it bit for bit.
+    written, so the blocked tracker must match it bit for bit. ``nfft``
+    overrides the FFT size, which by default is the tracker's: the smallest
+    power of two >= ``frame_len + lag_max + 2``.
     """
     sr = audio.sample_rate
     cfg.check(sr)
@@ -163,7 +165,8 @@ def track_reference(audio, cfg):
         raise ValueError("frame too short for the requested f_min")
     taus = np.arange(lag_min - 1, lag_max + 2)
     window = np.hanning(frame_len)
-    nfft = 1 << int(np.ceil(np.log2(2 * frame_len)))
+    if nfft is None:
+        nfft = 1 << int(np.ceil(np.log2(frame_len + lag_max + 2)))
     window_acf = autocorr(window, nfft)
     window_ratio = window_acf[taus] / window_acf[0]
 
@@ -192,13 +195,18 @@ def track_reference(audio, cfg):
     return values, hop / sr
 
 
-def spline_fit_reference(x, y, s=None):
+def spline_fit_reference(x, y, s=None, start=1.0):
     """The smoothing-spline fit as first written, on scipy's ``solveh_banded``.
 
     Builds fresh band arrays for every penalty, calls the validating scipy
     wrapper and repeats every solve the search asks for. Returns
     ``(fitted, penalty, achieved_residual, iterations)``; the library's
     direct LAPACK calls must match it bit for bit.
+
+    The penalty search brackets outward from ``start`` by factors of 16.
+    ``start="guess"`` starts where the library does: at the power of 16
+    nearest a tenth of mean(diag R) / mean(diag Q^T Q), or at 1 when that
+    is not finite and positive.
     """
     from scipy.linalg import solveh_banded
     from scipy.optimize import brentq
@@ -257,20 +265,23 @@ def spline_fit_reference(x, y, s=None):
         evals += 1
         return solve(penalty)[1]
 
-    lo = hi = 1.0
-    r1 = residual_at(1.0)
-    if r1 < s:
+    if start == "guess":
+        guess = 0.1 * np.mean(r_diag) / np.mean(qtq_diag)
+        start = 16.0 ** round(math.log(guess, 16)) if math.isfinite(guess) and guess > 0 else 1.0
+    lo = hi = start
+    r_start = residual_at(start)
+    if r_start < s:
         while residual_at(hi := hi * 16.0) < s:
             if hi > 1e300:
                 raise RuntimeError("penalty bracketing failed to reach the target")
         lo = hi / 16.0
-    elif r1 > s:
+    elif r_start > s:
         while residual_at(lo := lo / 16.0) > s:
             if lo < 1e-300:
                 raise RuntimeError("penalty bracketing failed to reach the target")
         hi = lo * 16.0
-    if r1 == s:
-        root = 1.0
+    if r_start == s:
+        root = start
     else:
         root = float(
             np.exp(

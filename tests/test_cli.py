@@ -400,6 +400,8 @@ class TestContract:
             ("extract", {"pitch": {"f_min": "x"}}),
             ("modify", {"modifier": {"kind": "voiced-flat"}, "input_dir": 5}),
             ("extract", {"output_dir": ["out"]}),
+            ("modify", {"modifier": {"kind": "random-walk-weak", "seed": 1, "strength": True}}),
+            ("modify", {"modifier": {"kind": "random-walk-weak", "seed": 1, "strength": 1.0}}),
         ],
     )
     def test_config_of_wrong_type_is_exit_2(self, runner, tmp_path, command, config):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_traj
 from f0priv.evaluation import (
@@ -157,6 +159,40 @@ class TestCllr:
         s = scoreset(rng.normal(50, 5, 40), rng.normal(30, 5, 40))
         assert cllr(s) > 1.0  # wildly miscalibrated as raw LLRs
         assert cllr(affine_calibrate(s)) < 1.0
+
+
+# Quarter steps on a short range, so most score sets hold ties within and
+# across the two classes.
+tied_scores = st.lists(st.integers(-8, 8).map(lambda k: 0.25 * k), min_size=1, max_size=30)
+
+
+class TestMetricProperties:
+    @settings(deadline=None)
+    @given(tar=tied_scores, non=tied_scores, data=st.data())
+    def test_eer_ignores_order(self, tar, non, data):
+        shuffled = scoreset(data.draw(st.permutations(tar)), data.draw(st.permutations(non)))
+        assert eer(shuffled) == eer(scoreset(tar, non))
+
+    @settings(deadline=None)
+    @given(tar=tied_scores, non=tied_scores, data=st.data())
+    def test_eer_ignores_increasing_transforms(self, tar, non, data):
+        # Any strictly increasing map of the observed scores: each distinct
+        # value goes to a point of an increasing sequence with random gaps.
+        distinct = np.unique(tar + non)
+        gaps = data.draw(
+            st.lists(st.floats(1e-3, 1e3), min_size=distinct.size, max_size=distinct.size)
+        )
+        image = data.draw(st.floats(-1e3, 1e3)) + np.cumsum(gaps)
+        mapped = scoreset(
+            image[np.searchsorted(distinct, tar)], image[np.searchsorted(distinct, non)]
+        )
+        assert eer(mapped) == eer(scoreset(tar, non))
+
+    @settings(deadline=None)
+    @given(tar=tied_scores, non=tied_scores)
+    def test_min_never_exceeds_affine_calibration(self, tar, non):
+        s = scoreset(tar, non)
+        assert cllr_min(s) <= cllr(affine_calibrate(s)) + 1e-9
 
 
 def two_population_stats(rng, n=500, m_enroll=10, m_trial=4):

@@ -78,6 +78,24 @@ class TestReadWav:
         assert audio.samples[0] == pytest.approx(0.0)
         assert audio.samples[1] == pytest.approx(0.25)
 
+    @pytest.mark.parametrize(
+        "audio_format, bits, scale",
+        [(1, 16, 1.0 / 32768.0), (1, 24, 1.0 / 8388608.0), (3, 32, None)],
+        ids=["pcm16", "pcm24", "float32"],
+    )
+    def test_stereo_downmix_equals_mean(self, tmp_path, audio_format, bits, scale):
+        rng = np.random.default_rng(bits)
+        if scale is None:
+            interleaved = rng.uniform(-1.2, 1.2, 2000).astype(np.float32)
+        else:
+            top = 2 ** (bits - 1)
+            interleaved = rng.integers(-top, top, 2000)
+        path = tmp_path / "st.wav"
+        path.write_bytes(wav_bytes(interleaved, audio_format=audio_format, bits=bits, channels=2))
+        mean = interleaved.astype(np.float64).reshape(-1, 2).mean(axis=1)
+        expected = np.clip(mean, -1.0, 1.0) if scale is None else mean * scale
+        assert read_wav(path).samples.tobytes() == expected.tobytes()
+
     def test_mu_law_unsupported(self, tmp_path):
         path = tmp_path / "mu.wav"
         path.write_bytes(wav_bytes(b"\x00\x01\x02\x03", audio_format=7, bits=8))
@@ -265,3 +283,22 @@ class TestBlockedTracker:
         t = np.arange(n) / 22050
         samples = 0.3 * np.sin(2 * np.pi * (90.0 + 200.0 * t) * t) + 0.1 * rng.standard_normal(n)
         self.assert_matches_reference(AudioBuffer(22050, samples), cfg)
+
+    @pytest.mark.parametrize("frame_len", [0.025, 0.04])
+    @pytest.mark.parametrize("sr", [8000, 16000, 22050, 32000, 44100, 48000, 96000])
+    def test_fft_size_does_not_wrap(self, sr, frame_len):
+        # The oracle follows the tracker's FFT size, so bit-equality with it
+        # cannot catch a size too small for the lags; compare against the
+        # size 2 * frame_len, which can never wrap.
+        cfg = PitchConfig(frame_len=frame_len)
+        n = int(0.5 * sr)
+        t = np.arange(n) / sr
+        rng = np.random.default_rng(sr)
+        samples = 0.4 * np.sin(2 * np.pi * (100.0 + 150.0 * t) * t) + 0.05 * rng.standard_normal(n)
+        audio = AudioBuffer(sr, samples)
+        wide = 1 << (2 * int(round(frame_len * sr)) - 1).bit_length()
+        values, _ = track_reference(audio, cfg, nfft=wide)
+        traj = extract_f0(audio, cfg)
+        assert np.array_equal(traj.values > 0, values > 0)
+        assert np.mean(values > 0) > 0.5
+        assert np.max(np.abs(traj.values - values)) <= 1e-9

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from f0priv.spline import _System, fit
+from f0priv.spline import _System, _search_start, fit
 from oracles import spline_fit_reference
 
 
@@ -120,12 +120,15 @@ class TestAgainstScipy:
 
 
 def assert_matches_reference(x, y, s):
+    # Bracketing from any power of 16 meets the same pair of consecutive
+    # powers, so the fit must equal the search started at 1 bit for bit; the
+    # number of solves follows the library's own start.
     model = fit(x, y, s=s)
-    fitted, penalty, residual, iterations = spline_fit_reference(x, y, s)
+    fitted, penalty, residual, _ = spline_fit_reference(x, y, s)
     assert np.array_equal(model.fitted, fitted)
     assert model.penalty == penalty
     assert model.achieved_residual == residual
-    assert model.iterations == iterations
+    assert model.iterations == spline_fit_reference(x, y, s, start="guess")[3]
     return model
 
 
@@ -133,14 +136,17 @@ class TestReferenceBitIdentity:
     @pytest.mark.parametrize("n", [4, 5, 50, 500, 3000])
     def test_both_bracket_directions(self, n):
         x, y = uneven(n, seed=n)
-        r1 = _System(x, y).solve(1.0)[1]
+        system = _System(x, y)
         line_residual = float(np.sum((y - np.polyval(np.polyfit(x, y, 1), x)) ** 2))
-        # The residual grows with the penalty: a target below r(1) searches
-        # penalties under 1, one between r(1) and the line's above 1.
-        below = assert_matches_reference(x, y, 0.5 * r1)
-        assert below.penalty < 1.0 and below.iterations > 0
-        above = assert_matches_reference(x, y, 0.5 * (r1 + line_residual))
-        assert above.penalty > 1.0 and above.iterations > 0
+        # The residual grows with the penalty: a target below r(start) searches
+        # penalties under the start, one between r(start) and the line's above
+        # it. Both directions are driven from the library's start and from 1.
+        for start in (_search_start(system), 1.0):
+            r_start = system.solve(start)[1]
+            below = assert_matches_reference(x, y, 0.5 * r_start)
+            assert below.penalty < start and below.iterations > 0
+            above = assert_matches_reference(x, y, 0.5 * (r_start + line_residual))
+            assert above.penalty > start and above.iterations > 0
 
     @pytest.mark.parametrize("n", [4, 5, 50, 500, 3000])
     def test_default_target_interpolation_and_line(self, n):
