@@ -17,7 +17,6 @@ from .evaluation import (
     cllr_min,
     eer,
     run_scenario,
-    score,
 )
 from .modifiers import ModifierSpec, apply, post_rules
 from .pitch import AudioBuffer, PitchConfig, extract_f0, read_wav
@@ -55,7 +54,6 @@ __all__ = [
     "read_f0_csv",
     "read_wav",
     "run_scenario",
-    "score",
     "stats",
     "validate",
     "voiced_mean",

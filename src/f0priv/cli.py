@@ -39,6 +39,7 @@ RUN_CONFIG_TYPES = {
     "output_dir": (str, "a string"),
 }
 PITCH_KEYS = {f.name for f in dataclasses.fields(PitchConfig)}
+SIDECAR = "sidecar.json"  # written by modify next to its outputs
 
 
 def _load_run_config(path) -> dict:
@@ -73,44 +74,47 @@ def _pitch_config(config: dict, frame_len, frame_hop, f_min, f_max, voicing_thre
     }
     merged.update({k: v for k, v in overrides.items() if v is not None})
     for name, value in merged.items():
-        if not isinstance(value, Real) or isinstance(value, bool):
-            raise click.UsageError(f"pitch {name} must be a number, got {value!r}")
+        # abs() < inf is False for NaN and, unlike isfinite, cannot overflow on a huge int.
+        if not isinstance(value, Real) or isinstance(value, bool) or not abs(value) < math.inf:
+            raise click.UsageError(f"pitch {name} must be a finite number, got {value!r}")
     return PitchConfig(**merged)
 
 
-def _modifier_spec(
-    config: dict, kind, role, seed, strength, f1, f2, target_mean, target_std,
-    per_side_roles: bool = False,
-):
+# The modifier flags shared by ``modify`` and ``eval``. Each parameter is
+# named after the ModifierSpec field it sets.
+SPEC_OPTIONS = (
+    click.option("--kind", type=click.Choice(KINDS), default=None, help="Which modification to apply."),
+    click.option("--seed", type=int, envvar="F0PRIV_SEED", default=None, help="Seed for the random-walk kinds."),
+    click.option("--strength", type=click.IntRange(1, 2), default=None, help="Random-walk strength override (1 weak, 2 strong)."),
+    click.option("--f1", "f1_hz", type=float, default=None, help="First carrier frequency override in Hz."),
+    click.option("--f2", "f2_hz", type=float, default=None, help="Second carrier frequency override in Hz."),
+    click.option("--target-mean", "target_mean_hz", type=float, default=None, help="shift-and-scale target mean in Hz."),
+    click.option("--target-std", "target_std_hz", type=float, default=None, help="shift-and-scale target std in Hz."),
+)
+
+
+def _spec_options(command):
+    for option in reversed(SPEC_OPTIONS):
+        command = option(command)
+    return command
+
+
+def _modifier_spec(config: dict, flags: dict, default_role: str | None = None):
+    """Each spec field from its flag, else the config's ``modifier``, else (seed
+    only) the config's ``seed``; ``default_role`` fills a role given nowhere.
+
+    Returns None when no kind is given anywhere.
+    """
     base = dict(config.get("modifier", {}))
-    if kind is not None:
-        base["kind"] = kind
-    if role is not None:
-        base["role"] = role
-    if seed is not None:
-        base["seed"] = seed
-    elif "seed" not in base and config.get("seed") is not None:
+    if "seed" not in base and config.get("seed") is not None:
         base["seed"] = config["seed"]
-    if strength is not None:
-        base["strength"] = strength
-    if f1 is not None:
-        base["f1_hz"] = f1
-    if f2 is not None:
-        base["f2_hz"] = f2
-    if target_mean is not None:
-        base["target_mean_hz"] = target_mean
-    if target_std is not None:
-        base["target_std_hz"] = target_std
+    base.update((field, value) for field, value in flags.items() if value is not None)
     if base.get("kind") is None:
         return None
+    if base.get("role") is None:
+        base["role"] = default_role
     try:
-        if per_side_roles and base.get("role") is None:
-            # Scenario evaluation assigns enrollment/trial roles per corpus
-            # side; validate with a placeholder but keep the spec roleless.
-            ModifierSpec.from_dict({**base, "role": "trial"})
-            spec = ModifierSpec(**base)
-        else:
-            spec = ModifierSpec.from_dict(base)
+        spec = ModifierSpec.from_dict(base)
     except SpecError as exc:
         raise click.UsageError(str(exc))
     _warn_band(spec)
@@ -158,8 +162,24 @@ def _out_dir(out, config: dict) -> Path:
     if out is None:
         out = config.get("output_dir", ".")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        click.echo(f"error: cannot create output directory {path}: {exc.strerror}", err=True)
+        sys.exit(2)
     return path
+
+
+def _refuse_shared_outputs(jobs) -> None:
+    """Exit 2 when two inputs map to one output file name; call before writing."""
+    sources: dict[str, list] = {}
+    for source, name in jobs:
+        sources.setdefault(name, []).append(str(source))
+    shared = {name: paths for name, paths in sources.items() if len(paths) > 1}
+    for name, paths in shared.items():
+        click.echo(f"error: output {name} would be written by each of {', '.join(paths)}", err=True)
+    if shared:
+        sys.exit(2)
 
 
 def _load_manifest(path) -> list[dict]:
@@ -177,6 +197,11 @@ def _load_manifest(path) -> list[dict]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or set(entry) != required:
             problems.append(f"entry {i}: must have exactly the keys {sorted(required)}")
+            continue
+        not_strings = [key for key in sorted(required) if not isinstance(entry[key], str)]
+        for key in not_strings:
+            problems.append(f"entry {i}: {key} must be a string, got {entry[key]!r}")
+        if not_strings:
             continue
         if entry["split"] not in ("enrollment", "trial"):
             problems.append(f"entry {i}: bad split {entry['split']!r}")
@@ -223,20 +248,22 @@ def cmd_extract(inputs, out, frame_len, frame_hop, f_min, f_max, voicing_thresho
     """Extract F0 trajectories from WAV files (or a manifest) to CSV."""
     run_config = _load_run_config(config)
     pitch_cfg = _pitch_config(run_config, frame_len, frame_hop, f_min, f_max, voicing_threshold)
-    out_dir = _out_dir(out, run_config)
-
     jobs: list[tuple[Path, str]] = []  # (wav path, recording id)
-    failures = 0
     for path in _resolve_inputs(inputs, run_config):
         if path.suffix.lower() == ".json":
             for entry in _load_manifest(path):
                 jobs.append((entry["path"], entry["recording_id"]))
         else:
             jobs.append((path, path.stem))
+    _refuse_shared_outputs((wav_path, f"{rid}.csv") for wav_path, rid in jobs)
+    out_dir = _out_dir(out, run_config)
 
+    failures = 0
     for wav_path, rid in jobs:
         target = out_dir / f"{rid}.csv"
         try:
+            if Path(rid).name != rid:
+                raise ValueError(f"recording id {rid!r} is not a plain file name")
             _guard_not_input(target, wav_path)
             traj = extract_f0(read_wav(wav_path), pitch_cfg, recording_id=rid)
             _atomic_write(target, format_f0_csv(traj))
@@ -251,24 +278,19 @@ def cmd_extract(inputs, out, frame_len, frame_hop, f_min, f_max, voicing_thresho
 
 @cli.command("modify")
 @click.argument("inputs", nargs=-1, required=True)
-@click.option("--kind", type=click.Choice(KINDS), default=None, help="Which modification to apply.")
+@_spec_options
 @click.option("--role", type=click.Choice(ROLES), default=None, help="Dataset role for modulated-different.")
-@click.option("--seed", type=int, envvar="F0PRIV_SEED", default=None, help="Seed for the random-walk kinds.")
-@click.option("--strength", type=click.IntRange(1, 2), default=None, help="Random-walk strength override (1 weak, 2 strong).")
-@click.option("--f1", type=float, default=None, help="First carrier frequency override in Hz.")
-@click.option("--f2", type=float, default=None, help="Second carrier frequency override in Hz.")
-@click.option("--target-mean", type=float, default=None, help="shift-and-scale target mean in Hz.")
-@click.option("--target-std", type=float, default=None, help="shift-and-scale target std in Hz.")
 @click.option("--out", type=click.Path(file_okay=False), default=None, help="Output directory.")
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
-def cmd_modify(inputs, kind, role, seed, strength, f1, f2, target_mean, target_std, out, config):
+def cmd_modify(inputs, out, config, **flags):
     """Apply one modification to trajectory CSV files."""
     run_config = _load_run_config(config)
-    spec = _modifier_spec(run_config, kind, role, seed, strength, f1, f2, target_mean, target_std)
+    spec = _modifier_spec(run_config, flags)
     if spec is None:
         raise click.UsageError("no modifier kind given (use --kind or a config file)")
-    out_dir = _out_dir(out, run_config)
     paths = _resolve_inputs(inputs, run_config)
+    _refuse_shared_outputs([("the sidecar", SIDECAR)] + [(path, path.name) for path in paths])
+    out_dir = _out_dir(out, run_config)
 
     failures = 0
     for path in paths:
@@ -290,12 +312,12 @@ def cmd_modify(inputs, kind, role, seed, strength, f1, f2, target_mean, target_s
     sidecar = {
         "tool": "f0priv",
         "tool_version": __version__,
-        "spec": spec.to_dict(),
+        "spec": dataclasses.asdict(spec),
         "seed": spec.seed,
         "inputs": [p.name for p in paths],
     }
     text = json.dumps(sidecar, indent=2, allow_nan=False) + "\n"
-    _atomic_write(out_dir / "sidecar.json", text.encode("utf-8"))
+    _atomic_write(out_dir / SIDECAR, text.encode("utf-8"))
     if failures:
         sys.exit(2)
 
@@ -346,22 +368,14 @@ def cmd_stats(inputs, out):
 @cli.command("eval")
 @click.option("--manifest", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--scenario", type=click.Choice(SCENARIOS), required=True)
-@click.option("--kind", type=click.Choice(KINDS), default=None)
-@click.option("--seed", type=int, envvar="F0PRIV_SEED", default=None)
-@click.option("--strength", type=click.IntRange(1, 2), default=None)
-@click.option("--f1", type=float, default=None)
-@click.option("--f2", type=float, default=None)
-@click.option("--target-mean", type=float, default=None)
-@click.option("--target-std", type=float, default=None)
+@_spec_options
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
-def cmd_eval(manifest, scenario, kind, seed, strength, f1, f2, target_mean, target_std, out, config):
+def cmd_eval(manifest, scenario, out, config, **flags):
     """Score a corpus under one attack scenario and report EER/Cllr."""
     run_config = _load_run_config(config)
-    spec = _modifier_spec(
-        run_config, kind, None, seed, strength, f1, f2, target_mean, target_std,
-        per_side_roles=True,
-    )
+    # run_scenario sets the role of each corpus side; "trial" only validates.
+    spec = _modifier_spec(run_config, flags, default_role="trial")
     if scenario != "OO" and spec is None:
         raise click.UsageError(f"scenario {scenario} needs a modifier (--kind ...)")
     pitch_cfg = _pitch_config(run_config, None, None, None, None, None)

@@ -14,7 +14,7 @@ Higher EER means less linkability between enrollment and trial sides.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -149,23 +149,15 @@ def _stats_matrix(stats_list: list[F0Stats]) -> np.ndarray:
     return np.array(rows).reshape(len(rows), len(F0Stats.FIELD_ORDER))
 
 
-def fit_znorm(population) -> ZNorm:
-    """Fit the normalization on a list of F0Stats, or on their stacked vectors."""
-    if len(population) == 0:
+def fit_znorm(vectors: np.ndarray) -> ZNorm:
+    """Fit the normalization on stacked statistics vectors, one row per recording."""
+    if len(vectors) == 0:
         raise ScoringError("empty enrollment population")
-    vectors = population if isinstance(population, np.ndarray) else _stats_matrix(population)
     mean = vectors.mean(axis=0)
     std = vectors.std(axis=0)
     floor = _STD_FLOOR * np.maximum(1.0, np.abs(mean))
     std = np.where(std <= floor, 1.0, std)
     return ZNorm(mean=mean, std=std)
-
-
-def score(enroll: F0Stats, trial: F0Stats, znorm: ZNorm) -> float:
-    """Negative Euclidean distance between z-normalized statistics vectors."""
-    if not enroll.complete or not trial.complete:
-        raise ScoringError("cannot score recordings with absent statistics")
-    return float(-np.linalg.norm(znorm(enroll.as_vector()) - znorm(trial.as_vector())))
 
 
 def _roc_points(scores: ScoreSet) -> tuple[np.ndarray, np.ndarray]:
@@ -318,7 +310,8 @@ def score_corpus(
     as the field-wise mean of their recordings, and the z-normalization is
     fit over all enrollment recordings so within-speaker spread enters the
     per-dimension scale. Scores come out trial by trial, speakers in sorted
-    order within each trial, as :func:`score` would give them pair by pair.
+    order within each trial. A score is the negative Euclidean distance
+    between the z-normalized speaker model and trial vectors.
     """
     speakers, owner = np.unique([spk for spk, _ in enroll], return_inverse=True)
     if speakers.size < 2:
@@ -344,7 +337,7 @@ def score_corpus(
 
 
 def _modified(recordings: list[Recording], spec: ModifierSpec, role: str) -> list[Recording]:
-    role_spec = spec.for_role(role)
+    role_spec = replace(spec, role=role)
     return [
         Recording(r.speaker_id, r.recording_id, r.split, apply(role_spec, r.trajectory))
         for r in recordings

@@ -13,7 +13,7 @@ all-flat transform is the one exception and keeps its constant everywhere.
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
@@ -112,21 +112,6 @@ class ModifierSpec:
             raise SpecError(f"strength must be 1 (weak) or 2 (strong), got {self.strength!r}")
         return self
 
-    def for_role(self, role: str) -> "ModifierSpec":
-        return replace(self, role=role)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "role": self.role,
-            "seed": self.seed,
-            "target_mean_hz": self.target_mean_hz,
-            "target_std_hz": self.target_std_hz,
-            "f1_hz": self.f1_hz,
-            "f2_hz": self.f2_hz,
-            "strength": self.strength,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ModifierSpec":
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
@@ -137,27 +122,22 @@ class ModifierSpec:
         return cls(**data).validated()
 
 
-def post_rules(traj: F0Trajectory, voiced_before: np.ndarray | None = None) -> F0Trajectory:
-    """Force impossible pitch values and previously unvoiced frames to 0.
+def post_rules(traj: F0Trajectory, voiced_values) -> F0Trajectory:
+    """``traj`` with ``voiced_values`` in its voiced frames and the post-rules applied.
 
-    ``voiced_before`` is the voicing mask prior to the modification; frames
-    unvoiced there are zeroed regardless of what the modification produced.
-    Values below 40 Hz (including negatives) become unvoiced either way.
+    ``voiced_values`` are the modified values of ``traj``'s voiced frames
+    (one per voiced frame, or one for all). Every other frame is 0, and so is
+    any new value below 40 Hz (including negatives).
     """
-    values = np.array(traj.values, copy=True)
-    if voiced_before is not None:
-        values[~np.asarray(voiced_before, dtype=bool)] = 0.0
+    values = np.zeros(traj.n_frames)
+    values[traj.voiced_mask] = voiced_values
     values[values < VOICED_MIN_HZ] = 0.0
     return traj.with_values(values)
 
 
 def flatten_voiced(traj: F0Trajectory) -> F0Trajectory:
     """Set every voiced frame to the recording's voiced F0 mean."""
-    mean = voiced_mean(traj)
-    values = np.array(traj.values, copy=True)
-    mask = traj.voiced_mask
-    values[mask] = mean
-    return post_rules(traj.with_values(values), voiced_before=mask)
+    return post_rules(traj, voiced_mean(traj))
 
 
 def flatten_all(traj: F0Trajectory) -> F0Trajectory:
@@ -186,9 +166,7 @@ def modulate(traj: F0Trajectory, f1: float, f2: float) -> F0Trajectory:
     c2 = np.sin(2.0 * np.pi * f2 * t + np.pi / 2.0)
     factor = (4.0 + 2.0 * c1 + 2.0 * c2 + c1 * c2) / 4.0
     mask = traj.voiced_mask
-    values = np.array(traj.values, copy=True)
-    values[mask] = mean + (values[mask] - mean) * factor[mask]
-    return post_rules(traj.with_values(values), voiced_before=mask)
+    return post_rules(traj, mean + (traj.values[mask] - mean) * factor[mask])
 
 
 def derive_recording_seed(seed: int, recording_id: str) -> np.random.SeedSequence:
@@ -236,9 +214,7 @@ def random_walk_modulate(traj: F0Trajectory, strength: int, seed) -> F0Trajector
         raise ValueError(f"strength must be 1 or 2, got {strength}")
     walk = generate_walk(traj.n_frames, seed)
     mask = traj.voiced_mask
-    values = np.array(traj.values, copy=True)
-    values[mask] = values[mask] * (2.0 + strength * walk[mask]) / 2.0
-    return post_rules(traj.with_values(values), voiced_before=mask)
+    return post_rules(traj, traj.values[mask] * (2.0 + strength * walk[mask]) / 2.0)
 
 
 def smoothing_spline_modifier(traj: F0Trajectory) -> F0Trajectory:
@@ -253,9 +229,7 @@ def smoothing_spline_modifier(traj: F0Trajectory) -> F0Trajectory:
         raise ValueError(f"smoothing spline needs >= 4 voiced frames, got {n_voiced}")
     times = traj.times[mask]
     model = spline.fit(times, traj.values[mask], s=float(n_voiced))
-    values = np.array(traj.values, copy=True)
-    values[mask] = model.fitted
-    return post_rules(traj.with_values(values), voiced_before=mask)
+    return post_rules(traj, model.fitted)
 
 
 def _voiced_moments(traj: F0Trajectory) -> tuple[float, float]:
@@ -276,10 +250,8 @@ def shift_and_scale(traj: F0Trajectory, target_mean_hz: float, target_std_hz: fl
     if target_mean_hz <= 0 or target_std_hz <= 0:
         raise ValueError("targets must be positive")
     src_mean, src_std = _voiced_moments(traj)
-    mask = traj.voiced_mask
-    values = np.array(traj.values, copy=True)
-    values[mask] = target_std_hz / src_std * (values[mask] - src_mean) + target_mean_hz
-    return post_rules(traj.with_values(values), voiced_before=mask)
+    voiced = traj.values[traj.voiced_mask]
+    return post_rules(traj, target_std_hz / src_std * (voiced - src_mean) + target_mean_hz)
 
 
 def invert_shift_and_scale(
@@ -294,10 +266,8 @@ def invert_shift_and_scale(
     if source_mean_hz <= 0 or source_std_hz <= 0:
         raise ValueError("source statistics must be positive")
     cur_mean, cur_std = _voiced_moments(modified)
-    mask = modified.voiced_mask
-    values = np.array(modified.values, copy=True)
-    values[mask] = source_std_hz / cur_std * (values[mask] - cur_mean) + source_mean_hz
-    return post_rules(modified.with_values(values), voiced_before=mask)
+    voiced = modified.values[modified.voiced_mask]
+    return post_rules(modified, source_std_hz / cur_std * (voiced - cur_mean) + source_mean_hz)
 
 
 def apply(spec: ModifierSpec, traj: F0Trajectory) -> F0Trajectory:

@@ -64,8 +64,11 @@ class PitchConfig:
             )
         if not 0.0 < self.voicing_threshold < 1.0:
             raise ValueError(f"voicing_threshold must be in (0, 1), got {self.voicing_threshold}")
-        if not 0.0 < self.frame_hop <= self.frame_len:
-            raise ValueError("need 0 < frame_hop <= frame_len")
+        if not 0.0 < self.frame_hop <= self.frame_len < np.inf:
+            raise ValueError(
+                f"need 0 < frame_hop <= frame_len < inf, got frame_hop={self.frame_hop}, "
+                f"frame_len={self.frame_len}"
+            )
 
 
 WAVE_FORMAT_PCM = 1

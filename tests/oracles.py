@@ -45,6 +45,17 @@ def walk_modulation_reference(values, walk, strength):
     return out
 
 
+def score(enroll, trial, znorm) -> float:
+    """Per-pair reference for ``evaluation.score_corpus``.
+
+    Negative Euclidean distance between the z-normalized statistics vectors
+    of a speaker model and a trial (both ``F0Stats``).
+    """
+    if not enroll.complete or not trial.complete:
+        raise ValueError("cannot score recordings with absent statistics")
+    return float(-np.linalg.norm(znorm(enroll.as_vector()) - znorm(trial.as_vector())))
+
+
 def _far_frr(targets, nontargets, threshold):
     far = sum(1 for s in nontargets if s >= threshold) / len(nontargets)
     frr = sum(1 for s in targets if s < threshold) / len(targets)

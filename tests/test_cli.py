@@ -83,6 +83,50 @@ class TestExtract:
         assert not (out / "nan.csv").exists()
 
 
+    def test_same_name_inputs_refused(self, runner, tmp_path):
+        for folder, freq in (("w1", 120.0), ("w2", 150.0)):
+            (tmp_path / folder).mkdir()
+            write_tone_wav(tmp_path / folder / "x.wav", freq)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            cli, ["extract", str(tmp_path / "w1" / "x.wav"), str(tmp_path / "w2" / "x.wav"),
+                  "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "error: output x.csv would be written by each of" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rid", ["../escaped", "{tmp}/escaped", "sub/x"])
+    def test_recording_id_not_a_plain_name(self, runner, tmp_path, rid):
+        rid = rid.format(tmp=tmp_path)
+        write_tone_wav(tmp_path / "bad.wav")
+        write_tone_wav(tmp_path / "good.wav")
+        entries = [
+            {"speaker_id": "s", "recording_id": rid, "split": "trial", "path": "bad.wav"},
+            {"speaker_id": "s", "recording_id": "good", "split": "trial", "path": "good.wav"},
+        ]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"entries": entries}))
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["extract", str(manifest), "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"recording id {rid!r} is not a plain file name" in result.stderr
+        assert not (tmp_path / "escaped.csv").exists()
+        assert [p.name for p in out.iterdir()] == ["good.csv"]
+
+    @pytest.mark.parametrize(
+        "flags", [["--frame-len", "inf"], ["--frame-hop", "nan"], ["--f-max", "inf"]]
+    )
+    def test_non_finite_setting_exit_2(self, runner, tmp_path, flags):
+        wav = write_tone_wav(tmp_path / "tone.wav")
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["extract", str(wav), *flags, "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "must be a finite number" in result.output
+        assert not out.exists()
+
+
 class TestModify:
     def test_voiced_flat_fixture(self, runner, tmp_path):
         src = write_fixture_csv(tmp_path / "fix.csv")
@@ -169,6 +213,27 @@ class TestModify:
         result = runner.invoke(cli, ["modify", str(src), "--config", str(config)])
         assert result.exit_code == 2
         assert "unknown keys" in result.output
+
+    def test_same_name_inputs_refused(self, runner, tmp_path):
+        for folder in ("d1", "d2"):
+            (tmp_path / folder).mkdir()
+            write_fixture_csv(tmp_path / folder / "x.csv")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            cli, ["modify", str(tmp_path / "d1" / "x.csv"), str(tmp_path / "d2" / "x.csv"),
+                  "--kind", "voiced-flat", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "error: output x.csv would be written by each of" in result.stderr
+        assert not out.exists()
+
+    def test_input_named_like_the_sidecar_refused(self, runner, tmp_path):
+        src = write_fixture_csv(tmp_path / "sidecar.json")
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["modify", str(src), "--kind", "voiced-flat", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "error: output sidecar.json would be written by each of the sidecar" in result.stderr
+        assert not out.exists()
 
     def test_time_offset_exit_2(self, runner, tmp_path):
         src = tmp_path / "late.csv"
@@ -341,6 +406,19 @@ class TestEval:
         assert result.exit_code == 2
         assert "does not exist" in result.output
 
+    @pytest.mark.parametrize(
+        "field, value", [("recording_id", ["r"]), ("path", 5), ("speaker_id", 3), ("split", None)]
+    )
+    def test_manifest_field_not_a_string(self, runner, tmp_path, field, value):
+        manifest = build_eval_manifest(tmp_path)
+        data = json.loads(manifest.read_text())
+        data["entries"][0][field] = value
+        manifest.write_text(json.dumps(data))
+        result = runner.invoke(cli, ["eval", "--manifest", str(manifest), "--scenario", "OO"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"manifest error: entry 0: {field} must be a string, got {value!r}" in result.stderr
+
     def test_manifest_entries_not_a_list(self, runner, tmp_path):
         manifest = tmp_path / "bad.json"
         manifest.write_text(json.dumps({"entries": 5}))
@@ -402,6 +480,7 @@ class TestContract:
             ("extract", {"output_dir": ["out"]}),
             ("modify", {"modifier": {"kind": "random-walk-weak", "seed": 1, "strength": True}}),
             ("modify", {"modifier": {"kind": "random-walk-weak", "seed": 1, "strength": 1.0}}),
+            ("extract", {"pitch": {"frame_len": float("inf")}}),
         ],
     )
     def test_config_of_wrong_type_is_exit_2(self, runner, tmp_path, command, config):
@@ -416,6 +495,25 @@ class TestContract:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["extract", "modify"])
+    @pytest.mark.parametrize("how", ["config", "flag"])
+    def test_output_dir_not_creatable_is_exit_2(self, runner, tmp_path, command, how):
+        if command == "extract":
+            args = [command, str(write_tone_wav(tmp_path / "tone.wav"))]
+        else:
+            args = [command, str(write_fixture_csv(tmp_path / "fix.csv")), "--kind", "voiced-flat"]
+        afile = write_fixture_csv(tmp_path / "afile")
+        if how == "config":
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"output_dir": str(afile)}))
+            args += ["--config", str(config)]
+        else:
+            args += ["--out", str(afile / "sub")]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "error: cannot create output directory" in result.stderr
 
     def test_all_exports_resolve(self):
         import f0priv

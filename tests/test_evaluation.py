@@ -19,13 +19,12 @@ from f0priv.evaluation import (
     fit_znorm,
     pav_llrs,
     run_scenario,
-    score,
     score_corpus,
 )
 from f0priv.modifiers import ModifierSpec
 from f0priv.synth import speaker_corpus
 from f0priv.trajectory import F0Stats, stats
-from oracles import brute_force_eer, cllr_reference, exhaustive_cllr_min
+from oracles import brute_force_eer, cllr_reference, exhaustive_cllr_min, score
 
 
 def scoreset(tar, non):
@@ -223,7 +222,7 @@ def reference_scores(enroll, trials):
     for speaker, st in enroll:
         by_speaker.setdefault(speaker, []).append(st.as_vector())
     models = {spk: F0Stats(*np.mean(vs, axis=0)) for spk, vs in by_speaker.items()}
-    znorm = fit_znorm([st for _, st in enroll])
+    znorm = fit_znorm(np.array([st.as_vector() for _, st in enroll]))
     target, nontarget = [], []
     for trial_speaker, st in trials:
         for speaker in sorted(models):
@@ -236,8 +235,9 @@ class TestScoring:
     def test_identical_vectors_score_zero(self):
         rng = np.random.default_rng(10)
         st = stats(make_traj(rng.uniform(100, 200, 100)))
-        znorm = fit_znorm([st])
-        assert score(st, st, znorm) == 0.0
+        other = stats(make_traj(rng.uniform(100, 200, 100)))
+        scores = score_corpus([("a", st), ("b", other)], [("a", st)])
+        assert scores.target_scores.tolist() == [0.0]
 
     def test_separated_populations_fully_ordered(self):
         rng = np.random.default_rng(11)
@@ -255,7 +255,7 @@ class TestScoring:
         good = stats(make_traj(np.full(50, 120.0)))
         bad = stats(make_traj([0.0, 0.0]))
         with pytest.raises(ScoringError, match="absent"):
-            score(good, bad, fit_znorm([good]))
+            score_corpus([("a", good), ("b", good)], [("a", bad)])
 
     def test_score_corpus_matches_per_pair_reference(self, corpus):
         rng = np.random.default_rng(13)
@@ -289,7 +289,7 @@ class TestScoring:
 
     def test_znorm_guards_zero_spread(self):
         st = stats(make_traj(np.full(60, 150.0)))
-        znorm = fit_znorm([st, st, st])
+        znorm = fit_znorm(np.array([st.as_vector()] * 3))
         assert np.all(znorm.std == 1.0)  # no spread anywhere: untouched dims
 
 

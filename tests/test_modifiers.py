@@ -1,5 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_traj
 from f0priv.modifiers import (
@@ -19,7 +24,7 @@ from f0priv.modifiers import (
     shift_and_scale,
     smoothing_spline_modifier,
 )
-from f0priv.trajectory import validate, voiced_mean
+from f0priv.trajectory import VOICED_MIN_HZ, F0Trajectory, validate, voiced_mean
 from oracles import sinusoid_modulation_reference, walk_modulation_reference
 
 
@@ -71,17 +76,20 @@ class TestFlattening:
 
 class TestPostRules:
     def test_threshold_and_negatives(self):
-        out = post_rules(make_traj([-5.0, 39.9, 40.0]))
+        out = post_rules(make_traj([100.0, 100.0, 100.0]), np.array([-5.0, 39.9, 40.0]))
         assert np.array_equal(out.values, [0.0, 0.0, 40.0])
 
     def test_identity_on_valid(self, traj_fixture):
-        out = post_rules(traj_fixture)
+        out = post_rules(traj_fixture, traj_fixture.values[traj_fixture.voiced_mask])
         assert np.array_equal(out.values, traj_fixture.values)
 
     def test_previous_mask_wins(self):
-        traj = make_traj([50.0, 100.0])
-        out = post_rules(traj, voiced_before=np.array([False, True]))
-        assert np.array_equal(out.values, [0.0, 100.0])
+        # Only voiced frames take new values; every other frame ends at +0.0,
+        # whatever it held (NaN, -0.0 and negatives included).
+        traj = make_traj([0.0, 100.0, np.nan, -0.0, -3.0])
+        out = post_rules(traj, np.array([150.0]))
+        assert np.array_equal(out.values, [0.0, 150.0, 0.0, 0.0, 0.0])
+        assert not np.signbit(out.values).any()
 
 
 class TestModulate:
@@ -333,4 +341,80 @@ class TestSpecValidation:
 
     def test_from_dict_round_trip(self):
         spec = spec_for("random-walk-strong")
-        assert ModifierSpec.from_dict(spec.to_dict()) == spec
+        assert ModifierSpec.from_dict(dataclasses.asdict(spec)) == spec
+
+
+@st.composite
+def valid_contours(draw):
+    """Valid contours with >= 4 voiced frames that are not all equal.
+
+    Unvoiced frames hold 0.0 or -0.0 (both pass validation).
+    """
+    n = draw(st.integers(4, 120))
+    voiced = draw(arrays(bool, n))
+    assume(voiced.sum() >= 4)
+    hz = draw(arrays(np.float64, n, elements=st.floats(VOICED_MIN_HZ, 1000.0)))
+    assume(np.std(hz[voiced]) > 0.0)
+    values = np.where(voiced, hz, draw(st.sampled_from([0.0, -0.0])))
+    hop = draw(st.floats(0.001, 0.05))
+    return F0Trajectory(hop, values, draw(st.text(max_size=8)))
+
+
+@st.composite
+def specs(draw, kind):
+    fields = {}
+    if kind == "modulated-different":
+        fields["role"] = draw(st.sampled_from(["enrollment", "trial"]))
+    if kind.startswith("modulated") and draw(st.booleans()):
+        f1, f2 = draw(st.lists(st.floats(0.5, 60.0), min_size=2, max_size=2, unique=True))
+        fields.update(f1_hz=f1, f2_hz=f2)
+    if kind.startswith("random-walk"):
+        fields["seed"] = draw(st.integers(0, 2**64 - 1))
+        fields["strength"] = draw(st.sampled_from([None, 1, 2]))
+    if kind == "shift-and-scale":
+        fields["target_mean_hz"] = draw(st.floats(40.0, 400.0))
+        fields["target_std_hz"] = draw(st.floats(1.0, 100.0))
+    return ModifierSpec(kind=kind, **fields).validated()
+
+
+class TestModifierProperties:
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data(), traj=valid_contours())
+    def test_grid_and_id_preserved(self, kind, data, traj):
+        out = apply(data.draw(specs(kind)), traj)
+        assert out.n_frames == traj.n_frames
+        assert out.frame_hop == traj.frame_hop
+        assert out.recording_id == traj.recording_id
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data(), traj=valid_contours())
+    def test_values_are_zero_or_at_least_40_hz(self, kind, data, traj):
+        out = apply(data.draw(specs(kind)), traj)
+        assert np.all((out.values == 0.0) | (out.values >= VOICED_MIN_HZ))
+
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k != "all-flat"])
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data(), traj=valid_contours())
+    def test_unvoiced_frames_stay_unvoiced(self, kind, data, traj):
+        out = apply(data.draw(specs(kind)), traj)
+        assert np.all(out.values[~traj.voiced_mask] == 0.0)
+
+    @settings(deadline=None)
+    @given(traj=valid_contours(), target_mean=st.floats(40.0, 400.0),
+           target_std=st.floats(1.0, 100.0))
+    def test_shift_and_scale_inverse_exact_when_nothing_clipped(
+        self, traj, target_mean, target_std
+    ):
+        # The forward map reproduces the target moments only when the source
+        # spread stands well above the rounding error of its mean. "Nothing
+        # clipped" covers both ways: a 40 Hz input may come back a rounding
+        # error below 40 Hz and be unvoiced by the inverse itself.
+        voiced = traj.values[traj.voiced_mask]
+        assume(np.std(voiced) > 1e-6 * np.mean(voiced))
+        fwd = shift_and_scale(traj, target_mean, target_std)
+        assume(np.array_equal(fwd.voiced_mask, traj.voiced_mask))
+        back = invert_shift_and_scale(fwd, float(np.mean(voiced)), float(np.std(voiced)))
+        assume(np.array_equal(back.voiced_mask, traj.voiced_mask))
+        np.testing.assert_allclose(back.values, traj.values, rtol=1e-12, atol=0)

@@ -223,6 +223,16 @@ class TestExtractF0:
         with pytest.raises(ValueError, match="frame_hop"):
             extract_f0(audio, PitchConfig(frame_hop=0.05, frame_len=0.025))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["frame_len", "frame_hop", "f_min", "f_max", "voicing_threshold"])
+    def test_non_finite_setting_refused(self, field, value):
+        # An infinite frame_len passed every comparison and overflowed in
+        # int(round(frame_len * sr)).
+        with pytest.raises(ValueError):
+            PitchConfig(**{field: value}).check(16000)
+        with pytest.raises(ValueError):
+            extract_f0(tone(150.0, 0.5), PitchConfig(**{field: value}))
+
     def test_recording_id_passthrough(self):
         traj = extract_f0(tone(150.0, 0.5), recording_id="utt1")
         assert traj.recording_id == "utt1"
