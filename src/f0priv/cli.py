@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from numbers import Real
 from pathlib import Path
 
 import click
@@ -26,6 +25,7 @@ from .modifiers import (
     ModifierSpec,
     SpecError,
     apply,
+    finite_number,
 )
 from .pitch import PitchConfig, extract_f0, read_wav
 from .plotting import trajectory_svg
@@ -47,7 +47,7 @@ def _load_run_config(path) -> dict:
         return {}
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise click.UsageError(f"config {path}: invalid JSON ({exc})")
     if not isinstance(data, dict):
         raise click.UsageError(f"config {path}: expected a JSON object")
@@ -74,8 +74,7 @@ def _pitch_config(config: dict, frame_len, frame_hop, f_min, f_max, voicing_thre
     }
     merged.update({k: v for k, v in overrides.items() if v is not None})
     for name, value in merged.items():
-        # abs() < inf is False for NaN and, unlike isfinite, cannot overflow on a huge int.
-        if not isinstance(value, Real) or isinstance(value, bool) or not abs(value) < math.inf:
+        if not finite_number(value):
             raise click.UsageError(f"pitch {name} must be a finite number, got {value!r}")
     return PitchConfig(**merged)
 
@@ -142,8 +141,21 @@ def _atomic_write(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def _write_out_file(path: Path, data: bytes) -> None:
+    """Write a one-file ``--out``; exit 2 when it cannot be written."""
+    try:
+        _atomic_write(path, data)
+    except OSError as exc:
+        click.echo(f"error: cannot write {path}: {exc.strerror}", err=True)
+        sys.exit(2)
+
+
 def _guard_not_input(out_path: Path, in_path: Path) -> None:
-    if out_path.resolve() == in_path.resolve():
+    # An output path that does not exist cannot resolve to an input that
+    # does; only the other cases need the two realpath walks.
+    if (os.path.exists(out_path) or not os.path.exists(in_path)) and (
+        out_path.resolve() == in_path.resolve()
+    ):
         raise ValueError(f"refusing to overwrite input {in_path}")
 
 
@@ -185,7 +197,7 @@ def _refuse_shared_outputs(jobs) -> None:
 def _load_manifest(path) -> list[dict]:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise click.UsageError(f"manifest {path}: invalid JSON ({exc})")
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise click.UsageError(f"manifest {path}: expected an object with an 'entries' list")
@@ -360,7 +372,7 @@ def cmd_stats(inputs, out):
     if out is None:
         click.echo(text, nl=False)
     else:
-        _atomic_write(Path(out), text.encode("utf-8"))
+        _write_out_file(Path(out), text.encode("utf-8"))
     if failures:
         sys.exit(2)
 
@@ -412,7 +424,7 @@ def cmd_eval(manifest, scenario, out, config, **flags):
     if out is None:
         click.echo(text, nl=False)
     else:
-        _atomic_write(Path(out), text.encode("utf-8"))
+        _write_out_file(Path(out), text.encode("utf-8"))
 
 
 @cli.command("plot")
@@ -441,7 +453,7 @@ def cmd_plot(inputs, out):
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    _atomic_write(Path(out), svg.encode("utf-8"))
+    _write_out_file(Path(out), svg.encode("utf-8"))
     click.echo(f"wrote {out}")
 
 

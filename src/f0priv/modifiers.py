@@ -50,6 +50,20 @@ class SpecError(ValueError):
     """Raised for invalid modifier specifications."""
 
 
+def finite_number(value) -> bool:
+    """A real number other than a bool that is finite as a float.
+
+    An integer beyond float range, as JSON allows, is not: ``abs(v) < inf``
+    holds for it, and ``math.isfinite`` raises ``OverflowError``.
+    """
+    if not isinstance(value, Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ModifierSpec:
     """Which modification to apply, with its parameters.
@@ -81,9 +95,7 @@ class ModifierSpec:
             raise SpecError(f"seed must be an integer, got {self.seed!r}")
         for name in ("target_mean_hz", "target_std_hz", "f1_hz", "f2_hz"):
             value = getattr(self, name)
-            if value is not None and not (
-                isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
-            ):
+            if value is not None and not finite_number(value):
                 raise SpecError(f"{name} must be a finite number, got {value!r}")
         if self.role is not None and self.role not in ROLES:
             raise SpecError(f"role must be one of {ROLES}, got {self.role!r}")

@@ -14,6 +14,7 @@ the number of data points. A fit yields the spline's values at the data
 abscissae, which is all the smoothing modifier needs.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -75,10 +76,10 @@ class _System:
         h = np.diff(x)
         n = len(x) - 2
         # Q columns j = 0..m-3 touch rows j, j+1, j+2.
-        self.qp = 1.0 / h[:-1]
-        self.qq = -1.0 / h[:-1] - 1.0 / h[1:]
-        self.qr = 1.0 / h[1:]
-        p, q, r = self.qp, self.qq, self.qr
+        inv_h = 1.0 / h
+        p = self.qp = inv_h[:-1]
+        r = self.qr = inv_h[1:]
+        q = self.qq = -p - r
         # Upper band storage (row 2 the diagonal) of the roughness matrix R
         # (tridiagonal) and of Q^T Q (pentadiagonal), both of order m-2.
         self.r_band = np.zeros((3, n), order="F")
@@ -89,8 +90,10 @@ class _System:
         self.qtq_band[1, 1:] = q[:-1] * p[1:] + r[:-1] * q[1:]
         self.qtq_band[0, 2:] = r[:-2] * p[2:]
         self.qty = p * y[:-2] + q * y[1:-1] + r * y[2:]
-        # Work buffer that pbsv factors in place.
+        # Work buffers: pbsv factors ``ab`` in place; ``term`` holds one
+        # column term of Q gamma at a time.
         self.ab = np.empty((3, n), order="F")
+        self.term = np.empty(n)
         self.pbsv = _pbsv()
         # Every band entry is p * QtQ + R or R / p + QtQ with a factor of at
         # most 1, so it is bounded by max|QtQ| + max|R|; only when that bound
@@ -100,10 +103,13 @@ class _System:
         self.solved: dict[float, tuple[np.ndarray, float]] = {}
 
     def q_times(self, gamma: np.ndarray) -> np.ndarray:
+        # Row i sums its column terms in the order 0, qp, qq, qr.
         out = np.zeros(len(self.y))
-        out[:-2] += self.qp * gamma
-        out[1:-1] += self.qq * gamma
-        out[2:] += self.qr * gamma
+        first, middle, last = out[:-2], out[1:-1], out[2:]
+        term = self.term
+        first += np.multiply(self.qp, gamma, out=term)
+        middle += np.multiply(self.qq, gamma, out=term)
+        last += np.multiply(self.qr, gamma, out=term)
         return out
 
     def _solve_banded(self) -> np.ndarray:
@@ -114,7 +120,7 @@ class _System:
         return x
 
     def solve(self, penalty: float) -> tuple[np.ndarray, float]:
-        """Fitted values and residual for one penalty.
+        """Residuals ``y - g`` and their sum of squares for one penalty.
 
         The system is solved for the interior curvatures gamma, or for
         ``penalty * gamma`` when the penalty is above 1, which keeps the
@@ -131,8 +137,8 @@ class _System:
             np.multiply(self.r_band, 1.0 / penalty, out=self.ab)
             self.ab += self.qtq_band
             scaled = self._solve_banded()
-        err = self.q_times(scaled)  # y - g
-        found = self.solved[penalty] = (self.y - err, float(np.dot(err, err)))
+        err = self.q_times(scaled)
+        found = self.solved[penalty] = (err, float(np.dot(err, err)))
         return found
 
 
@@ -140,6 +146,70 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     coeffs = np.polynomial.polynomial.polyfit(x, y, 1)
     g = coeffs[0] + coeffs[1] * x
     return g, float(np.sum((y - g) ** 2))
+
+
+def _line_residual(x: np.ndarray, y: np.ndarray) -> float:
+    # The least-squares line's residual from centred sums, without polyfit.
+    dx = x - x.mean()
+    dy = y - y.mean()
+    err = dy - (np.dot(dx, dy) / np.dot(dx, dx)) * dx
+    return float(np.dot(err, err))
+
+
+def _brentq(f, xpre: float, xcur: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of ``f`` between ``xpre`` and ``xcur`` by Brent's method.
+
+    A step-for-step port of scipy.optimize.brentq (its C ``brentq``, after
+    Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4)
+    that returns the same root bits and raises the same errors, without
+    importing scipy.optimize.
+    """
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf  # C divides to an inf or NaN step, which bisects
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _search_start(sys_: _System) -> float:
@@ -152,7 +222,7 @@ def _search_start(sys_: _System) -> float:
     if not (np.isfinite(guess) and guess > 0.0):
         return 1.0
     # 16**248 stays inside the 1e300 and 1e-300 limits of the bracketing.
-    return 16.0 ** int(np.clip(np.rint(np.log(guess) / np.log(16.0)), -248, 248))
+    return 16.0 ** int(min(max(np.rint(np.log(guess) / np.log(16.0)), -248), 248))
 
 
 def fit(x, y, s: float | None = None) -> SplineModel:
@@ -175,12 +245,12 @@ def fit(x, y, s: float | None = None) -> SplineModel:
     m = len(x)
     if m < 4:
         raise ValueError(f"need at least 4 points, got {m}")
-    if np.any(np.diff(x) <= 0):
+    if (np.diff(x) <= 0).any():
         raise ValueError("abscissae must be strictly increasing (duplicates not allowed)")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("non-finite input")
-    if s is None:
-        s = float(m)
+    # A Python float keeps the root search in float arithmetic.
+    s = float(m if s is None else s)
     if s < 0:
         raise ValueError(f"residual target must be >= 0, got {s}")
 
@@ -188,11 +258,15 @@ def fit(x, y, s: float | None = None) -> SplineModel:
         # The natural interpolating spline passes through every point.
         return SplineModel(y, penalty=0.0, achieved_residual=0.0, iterations=0)
 
-    g_line, line_residual = _line_fit(x, y)
-    if line_residual <= s:
-        return SplineModel(g_line, penalty=np.inf, achieved_residual=line_residual, iterations=0)
-
-    from scipy.optimize import brentq
+    # A closed-form line residual clearly above s goes straight to the search.
+    # Otherwise polyfit's line and residual decide and are returned, as
+    # always; the margin is far wider than the rounding of either residual.
+    line_residual = _line_residual(x, y)
+    margin = 1e-6 * s + 1e-9 * float(np.dot(y, y))
+    if not (np.isfinite(line_residual) and line_residual > s + margin):
+        g_line, line_residual = _line_fit(x, y)
+        if line_residual <= s:
+            return SplineModel(g_line, penalty=np.inf, achieved_residual=line_residual, iterations=0)
 
     sys_ = _System(x, y)
     evals = 0
@@ -219,24 +293,21 @@ def fit(x, y, s: float | None = None) -> SplineModel:
     if r_start == s:
         root = start
     else:
-        root = float(
-            np.exp(
-                brentq(
-                    lambda u: residual_at(np.exp(u)) - s,
-                    np.log(lo),
-                    np.log(hi),
-                    xtol=1e-12,
-                    rtol=1e-14,
-                    maxiter=60,
-                )
-            )
+        log_root = _brentq(
+            lambda u: residual_at(np.exp(u)) - s,
+            float(np.log(lo)),
+            float(np.log(hi)),
+            xtol=1e-12,
+            rtol=1e-14,
+            maxiter=60,
         )
+        root = float(np.exp(log_root))
 
-    g, residual = sys_.solve(root)
+    err, residual = sys_.solve(root)
     # The root search lands within float noise of the target; the contract is
     # an upper bound, so step down the penalty until the feasible side.
     while residual > s:
         root *= 1.0 - 1e-7
         evals += 1
-        g, residual = sys_.solve(root)
-    return SplineModel(g, penalty=root, achieved_residual=residual, iterations=evals)
+        err, residual = sys_.solve(root)
+    return SplineModel(y - err, penalty=root, achieved_residual=residual, iterations=evals)

@@ -7,6 +7,7 @@ back to unvoiced by the modifier post-rules).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -191,14 +192,34 @@ def stats(traj: F0Trajectory) -> F0Stats:
     )
 
 
+@lru_cache(maxsize=8)
+def _template_slot(frame_hop: float) -> list:
+    # Holds the hop's (template, row ends) for the longest contour so far.
+    return [None]
+
+
+def _csv_template(frame_hop: float, n: int) -> str:
+    """The CSV of an n-frame contour with a "%.6f" slot for each value.
+
+    Row i's time i * hop does not depend on n, so one template per hop
+    serves every shorter contour as a prefix. Hops that are not positive
+    are never cached: 0.0 and -0.0, or two NaNs, would share a slot but not
+    their time columns.
+    """
+    slot = _template_slot(frame_hop) if frame_hop > 0 else [None]
+    found = slot[0]
+    if found is None or len(found[1]) <= n:
+        rows = ["%.6f,%%.6f\n" % t for t in (np.arange(n) * frame_hop).tolist()]
+        ends = np.cumsum([len(CSV_HEADER) + 1] + [len(row) for row in rows])
+        found = slot[0] = (CSV_HEADER + "\n" + "".join(rows), ends)
+    template, ends = found
+    return template[: ends[n]]
+
+
 def format_f0_csv(traj: F0Trajectory) -> bytes:
     """``time_s,f0_hz`` rows, 6 decimals, LF endings, UTF-8."""
-    n = traj.n_frames
-    rows = np.empty((n, 2))
-    rows[:, 0] = np.arange(n) * traj.frame_hop
-    rows[:, 1] = traj.values
-    body = ("%.6f,%.6f\n" * n) % tuple(rows.ravel().tolist())
-    return (CSV_HEADER + "\n" + body).encode("utf-8")
+    template = _csv_template(traj.frame_hop, traj.n_frames)
+    return (template % tuple(traj.values.tolist())).encode("utf-8")
 
 
 def write_f0_csv(traj: F0Trajectory, path) -> None:

@@ -193,6 +193,28 @@ class TestModify:
         assert result.exit_code == 2
         assert "refusing" in result.output
 
+    def test_refuses_output_that_links_to_input(self, runner, tmp_path):
+        src = write_fixture_csv(tmp_path / "fix.csv")
+        before = src.read_bytes()
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "fix.csv").symlink_to(src)
+        result = runner.invoke(cli, ["modify", str(src), "--kind", "voiced-flat", "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"refusing to overwrite input {src}" in result.output
+        assert src.read_bytes() == before
+        assert (out / "fix.csv").is_symlink()
+
+    def test_refuses_missing_input_under_its_output_path(self, runner, tmp_path):
+        out = tmp_path / "out"
+        missing = out / "gone.csv"
+        result = runner.invoke(
+            cli, ["modify", str(missing), "--kind", "voiced-flat", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert f"refusing to overwrite input {missing}" in result.output
+        assert not missing.exists()
+
     def test_config_file_with_flag_override(self, runner, tmp_path):
         src = write_fixture_csv(tmp_path / "fix.csv")
         config = tmp_path / "run.json"
@@ -481,6 +503,14 @@ class TestContract:
             ("modify", {"modifier": {"kind": "random-walk-weak", "seed": 1, "strength": True}}),
             ("modify", {"modifier": {"kind": "random-walk-weak", "seed": 1, "strength": 1.0}}),
             ("extract", {"pitch": {"frame_len": float("inf")}}),
+            # Valid JSON numbers that no float holds.
+            ("extract", {"pitch": {"frame_len": 10**400}}),
+            ("modify", {"modifier": {"kind": "shift-and-scale", "target_mean_hz": 10**400,
+                                     "target_std_hz": 20.0}}),
+            ("modify", {"modifier": {"kind": "shift-and-scale", "target_mean_hz": 150.0,
+                                     "target_std_hz": 10**400}}),
+            ("modify", {"modifier": {"kind": "modulated-same-1", "f1_hz": 10**400, "f2_hz": 11.0}}),
+            ("modify", {"modifier": {"kind": "modulated-same-1", "f1_hz": 5.0, "f2_hz": 10**400}}),
         ],
     )
     def test_config_of_wrong_type_is_exit_2(self, runner, tmp_path, command, config):
@@ -515,6 +545,31 @@ class TestContract:
         assert isinstance(result.exception, SystemExit)
         assert "error: cannot create output directory" in result.stderr
 
+    @pytest.mark.parametrize("command", ["stats", "eval", "plot"])
+    def test_out_file_in_missing_directory_is_exit_2(self, runner, tmp_path, command):
+        if command == "eval":
+            args = ["eval", "--manifest", str(build_eval_manifest(tmp_path)), "--scenario", "OO"]
+        else:
+            args = [command, str(write_fixture_csv(tmp_path / "fix.csv"))]
+        out = tmp_path / "nodir" / "result"
+        result = runner.invoke(cli, [*args, "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: cannot write {out}: No such file or directory" in result.stderr
+        assert not out.parent.exists()
+
+    def test_config_integer_too_long_to_read_is_exit_2(self, runner, tmp_path):
+        # json.loads raises a plain ValueError, not JSONDecodeError, here.
+        config = tmp_path / "run.json"
+        config.write_text('{"modifier": {"kind": "voiced-flat"}, "seed": 1%s}' % ("0" * 5000))
+        src = write_fixture_csv(tmp_path / "fix.csv")
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["modify", str(src), "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid JSON" in result.output
+        assert not out.exists()
+
     def test_all_exports_resolve(self):
         import f0priv
 
@@ -526,19 +581,31 @@ class TestContract:
         result = runner.invoke(cli, ["modify", str(src), "--kind", "sparkle"])
         assert result.exit_code == 2
 
-    def test_import_loads_no_scipy(self):
+    def test_import_loads_no_scipy(self, tmp_path):
         # scipy costs about half a second to import; only spline fitting and
-        # the eval metrics need it, and they import it themselves.
-        code = (
-            "import sys, f0priv.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
+        # the eval metrics need it, and they import it themselves. The spline
+        # fit needs only scipy.linalg's LAPACK wrapper; the eval metrics
+        # alone load scipy.optimize.
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "[]"
+
+        def scipy_modules_after(statement):
+            code = (
+                f"import sys, f0priv.cli\n{statement}\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            return out.stdout.splitlines()[-1]  # after what the command printed
+
+        assert scipy_modules_after("") == "[]"
+        csv = write_fixture_csv(tmp_path / "fix.csv", (100.0, 112.0, 104.0, 0.0, 121.0, 109.0, 118.0))
+        args = ["modify", str(csv), "--kind", "smoothing-spline", "--out", str(tmp_path / "out")]
+        loaded = scipy_modules_after(f"f0priv.cli.cli.main({args!r}, standalone_mode=False)")
+        assert "'scipy.linalg'" in loaded
+        assert "scipy.optimize" not in loaded
+        assert (tmp_path / "out" / "fix.csv").exists()
 
     def test_version(self, runner):
         result = runner.invoke(cli, ["--version"])

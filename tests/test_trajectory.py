@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import skew as scipy_skew
 
 from conftest import make_traj
+from f0priv import trajectory
 from f0priv.trajectory import (
     CsvFormatError,
     F0Trajectory,
@@ -301,6 +302,47 @@ class TestCsvProperties:
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         path.write_bytes(text.encode("utf-8"))
         assert outcome(read_f0_csv, path) == outcome(read_f0_csv_reference, path)
+
+
+# Decimal-tie hops (k / 16000 s for odd k) put the time column on rounding
+# ties; 1/3 s has no finite decimal expansion.
+TEMPLATE_HOPS = (0.01, 0.005, 1 / 3, 1 / 16000, 13 / 16000, 161 / 16000, 949 / 16000)
+
+
+class TestCsvTemplates:
+    def test_every_length_matches_reference_with_hops_alternating(self):
+        values = np.round(np.random.default_rng(11).uniform(0.0, 400.0, 2000), 6)
+        # The reference formats row by row, so its n-row text is a prefix.
+        reference = {
+            hop: format_f0_csv_reference(hop, values).split(b"\n") for hop in TEMPLATE_HOPS
+        }
+        # Shuffled lengths both grow and slice each hop's template, and every
+        # call switches hop.
+        lengths = np.random.default_rng(12).permutation(np.arange(1, 2001))
+        for i, n in enumerate(lengths.tolist()):
+            hop = TEMPLATE_HOPS[i % len(TEMPLATE_HOPS)]
+            expected = b"\n".join(reference[hop][: n + 1]) + b"\n"
+            assert format_f0_csv(make_traj(values[:n], hop=hop)) == expected
+        for hop in TEMPLATE_HOPS:
+            assert format_f0_csv(make_traj(values, hop=hop)) == b"\n".join(reference[hop])
+
+    def test_empty_and_non_positive_hops_match_reference(self):
+        for hop in (0.01, 0.0, -0.0, -0.01, float("nan")):
+            for values in ([], [120.0, 0.0, 130.5]):
+                traj = F0Trajectory(hop, values)
+                assert format_f0_csv(traj) == format_f0_csv_reference(hop, traj.values)
+
+    def test_cache_bounded_by_hops_not_lengths(self):
+        slots = trajectory._template_slot
+        slots.cache_clear()
+        for n in np.random.default_rng(3).permutation(np.arange(1, 5001)).tolist():
+            trajectory._csv_template(0.01, n)
+        template, ends = slots(0.01)[0]
+        assert slots.cache_info().currsize == 1
+        assert len(ends) == 5001 and len(template) == ends[-1]
+        for k in range(1, 40):
+            format_f0_csv(make_traj([120.0] * k, hop=k / 1000))
+        assert slots.cache_info().currsize == slots.cache_info().maxsize
 
 
 class TestImmutability:
