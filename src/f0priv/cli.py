@@ -6,6 +6,7 @@ plots are SVG. Commands never mutate their inputs and write outputs
 atomically, so reruns with the same flags and seed are byte-identical.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -20,7 +21,6 @@ from . import __version__
 from .evaluation import SCENARIOS, Recording, SpeakerCorpus, run_scenario
 from .modifiers import (
     KINDS,
-    MODULATION_BAND_HZ,
     ROLES,
     ModifierSpec,
     SpecError,
@@ -31,7 +31,7 @@ from .pitch import PitchConfig, extract_f0, read_wav
 from .plotting import trajectory_svg
 from .trajectory import format_f0_csv, read_f0_csv, stats, validate
 
-RUN_CONFIG_KEYS = {"modifier", "seed", "input_dir", "output_dir", "pitch"}
+RUN_CONFIG_KEYS = {"modifier", "input_dir", "output_dir", "pitch"}
 RUN_CONFIG_TYPES = {
     "modifier": (dict, "an object"),
     "pitch": (dict, "an object"),
@@ -84,9 +84,6 @@ def _pitch_config(config: dict, frame_len, frame_hop, f_min, f_max, voicing_thre
 SPEC_OPTIONS = (
     click.option("--kind", type=click.Choice(KINDS), default=None, help="Which modification to apply."),
     click.option("--seed", type=int, envvar="F0PRIV_SEED", default=None, help="Seed for the random-walk kinds."),
-    click.option("--strength", type=click.IntRange(1, 2), default=None, help="Random-walk strength override (1 weak, 2 strong)."),
-    click.option("--f1", "f1_hz", type=float, default=None, help="First carrier frequency override in Hz."),
-    click.option("--f2", "f2_hz", type=float, default=None, help="Second carrier frequency override in Hz."),
     click.option("--target-mean", "target_mean_hz", type=float, default=None, help="shift-and-scale target mean in Hz."),
     click.option("--target-std", "target_std_hz", type=float, default=None, help="shift-and-scale target std in Hz."),
 )
@@ -99,50 +96,36 @@ def _spec_options(command):
 
 
 def _modifier_spec(config: dict, flags: dict, default_role: str | None = None):
-    """Each spec field from its flag, else the config's ``modifier``, else (seed
-    only) the config's ``seed``; ``default_role`` fills a role given nowhere.
+    """Each spec field from its flag, else the config's ``modifier``;
+    ``default_role`` fills a role given nowhere.
 
     Returns None when no kind is given anywhere.
     """
     base = dict(config.get("modifier", {}))
-    if "seed" not in base and config.get("seed") is not None:
-        base["seed"] = config["seed"]
     base.update((field, value) for field, value in flags.items() if value is not None)
     if base.get("kind") is None:
         return None
     if base.get("role") is None:
         base["role"] = default_role
     try:
-        spec = ModifierSpec.from_dict(base)
+        return ModifierSpec.from_dict(base)
     except SpecError as exc:
         raise click.UsageError(str(exc))
-    _warn_band(spec)
-    return spec
-
-
-def _warn_band(spec: ModifierSpec) -> None:
-    if spec.f1_hz is None:
-        return
-    lo, hi = MODULATION_BAND_HZ
-    f1, f2 = spec.f1_hz, spec.f2_hz
-    checks = {"f1": f1, "f2": f2, "f1+f2": f1 + f2, "|f1-f2|": abs(f1 - f2)}
-    for name, value in checks.items():
-        if not lo <= value <= hi:
-            click.echo(
-                f"warning: {name} = {value:g} Hz is outside the {lo:g}-{hi:g} Hz band "
-                "most tied to speaker identity",
-                err=True,
-            )
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_name(f".tmp-{path.name}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def _write_out_file(path: Path, data: bytes) -> None:
-    """Write a one-file ``--out``; exit 2 when it cannot be written."""
+    """Write one output file (an ``--out`` or the sidecar); exit 2 when it cannot be written."""
     try:
         _atomic_write(path, data)
     except OSError as exc:
@@ -329,7 +312,7 @@ def cmd_modify(inputs, out, config, **flags):
         "inputs": [p.name for p in paths],
     }
     text = json.dumps(sidecar, indent=2, allow_nan=False) + "\n"
-    _atomic_write(out_dir / SIDECAR, text.encode("utf-8"))
+    _write_out_file(out_dir / SIDECAR, text.encode("utf-8"))
     if failures:
         sys.exit(2)
 

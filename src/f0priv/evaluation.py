@@ -14,7 +14,7 @@ Higher EER means less linkability between enrollment and trial sides.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -115,19 +115,7 @@ class ScenarioReport:
     notes: str = _REPORT_NOTES
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "scenario": self.scenario,
-                "eer_percent": self.eer_percent,
-                "cllr_bits": self.cllr_bits,
-                "cllr_min_bits": self.cllr_min_bits,
-                "n_target": self.n_target,
-                "n_nontarget": self.n_nontarget,
-                "notes": self.notes,
-            },
-            indent=2,
-            allow_nan=False,
-        )
+        return json.dumps(asdict(self), indent=2, allow_nan=False)
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,6 @@ DIFFERENT_FREQS = {"enrollment": SAME_1_FREQS, "trial": SAME_2_FREQS}
 
 WALK_STRENGTHS = {"random-walk-weak": 1, "random-walk-strong": 2}
 
-MODULATION_BAND_HZ = (3.0, 50.0)
-
 
 class SpecError(ValueError):
     """Raised for invalid modifier specifications."""
@@ -71,10 +69,9 @@ class ModifierSpec:
     ``role`` is consumed only by ``modulated-different`` (enrollment and
     trial halves of a corpus get different carrier pairs). ``seed`` is
     required for the random-walk kinds. ``target_mean_hz``/``target_std_hz``
-    are required for ``shift-and-scale``. ``f1_hz``/``f2_hz`` override the
-    built-in carrier pair of the modulated kinds and ``strength`` the walk
-    strength; both exist for command-line experimentation and default to the
-    published values.
+    are required for ``shift-and-scale``. Carrier pairs and walk strengths
+    are fixed by the kind; :func:`modulate` and :func:`random_walk_modulate`
+    take other values directly.
     """
 
     kind: str
@@ -82,9 +79,6 @@ class ModifierSpec:
     seed: int | None = None
     target_mean_hz: float | None = None
     target_std_hz: float | None = None
-    f1_hz: float | None = None
-    f2_hz: float | None = None
-    strength: int | None = None
 
     def validated(self) -> "ModifierSpec":
         if self.kind not in KINDS:
@@ -93,7 +87,7 @@ class ModifierSpec:
             not isinstance(self.seed, Integral) or isinstance(self.seed, bool)
         ):
             raise SpecError(f"seed must be an integer, got {self.seed!r}")
-        for name in ("target_mean_hz", "target_std_hz", "f1_hz", "f2_hz"):
+        for name in ("target_mean_hz", "target_std_hz"):
             value = getattr(self, name)
             if value is not None and not finite_number(value):
                 raise SpecError(f"{name} must be a finite number, got {value!r}")
@@ -111,17 +105,6 @@ class ModifierSpec:
                 raise SpecError("kind 'shift-and-scale' requires target_mean_hz and target_std_hz")
             if self.target_mean_hz <= 0 or self.target_std_hz <= 0:
                 raise SpecError("shift-and-scale targets must be positive")
-        if (self.f1_hz is None) != (self.f2_hz is None):
-            raise SpecError("f1_hz and f2_hz must be given together")
-        if self.f1_hz is not None:
-            if self.f1_hz <= 0 or self.f2_hz <= 0 or self.f1_hz == self.f2_hz:
-                raise SpecError("carrier frequencies must be positive and distinct")
-        if self.strength is not None and (
-            not isinstance(self.strength, Integral)
-            or isinstance(self.strength, bool)
-            or self.strength not in (1, 2)
-        ):
-            raise SpecError(f"strength must be 1 (weak) or 2 (strong), got {self.strength!r}")
         return self
 
     @classmethod
@@ -301,20 +284,15 @@ def apply(spec: ModifierSpec, traj: F0Trajectory) -> F0Trajectory:
         return flatten_all(traj)
     if kind == "smoothing-spline":
         return smoothing_spline_modifier(traj)
-    if kind in ("modulated-same-1", "modulated-same-2", "modulated-different"):
-        if spec.f1_hz is not None:
-            f1, f2 = spec.f1_hz, spec.f2_hz
-        elif kind == "modulated-same-1":
-            f1, f2 = SAME_1_FREQS
-        elif kind == "modulated-same-2":
-            f1, f2 = SAME_2_FREQS
-        else:
-            f1, f2 = DIFFERENT_FREQS[spec.role]
-        return modulate(traj, f1, f2)
+    if kind == "modulated-same-1":
+        return modulate(traj, *SAME_1_FREQS)
+    if kind == "modulated-same-2":
+        return modulate(traj, *SAME_2_FREQS)
+    if kind == "modulated-different":
+        return modulate(traj, *DIFFERENT_FREQS[spec.role])
     if kind in WALK_STRENGTHS:
-        strength = spec.strength if spec.strength is not None else WALK_STRENGTHS[kind]
         seed = derive_recording_seed(spec.seed, traj.recording_id)
-        return random_walk_modulate(traj, strength, seed)
+        return random_walk_modulate(traj, WALK_STRENGTHS[kind], seed)
     if kind == "shift-and-scale":
         return shift_and_scale(traj, spec.target_mean_hz, spec.target_std_hz)
     raise SpecError(f"unhandled kind {kind!r}")

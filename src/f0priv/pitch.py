@@ -69,6 +69,11 @@ class PitchConfig:
                 f"need 0 < frame_hop <= frame_len < inf, got frame_hop={self.frame_hop}, "
                 f"frame_len={self.frame_len}"
             )
+        if round(self.frame_hop * sample_rate) < 1:
+            raise ValueError(
+                f"frame_hop={self.frame_hop} s rounds to 0 samples at sample_rate={sample_rate}; "
+                f"the minimum is one sample, frame_hop={1 / sample_rate:g} s"
+            )
 
 
 WAVE_FORMAT_PCM = 1

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -126,6 +127,17 @@ class TestExtract:
         assert "must be a finite number" in result.output
         assert not out.exists()
 
+    def test_hop_under_one_sample_exit_2(self, runner, tmp_path):
+        wav = write_tone_wav(tmp_path / "tone.wav", sr=8000)
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["extract", str(wav), "--frame-hop", "0.00005", "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"error: {wav}: frame_hop=5e-05 s rounds to 0 samples at sample_rate=8000; "
+            "the minimum is one sample, frame_hop=0.000125 s\n"
+        )
+        assert list(out.iterdir()) == []
+
 
 class TestModify:
     def test_voiced_flat_fixture(self, runner, tmp_path):
@@ -218,7 +230,7 @@ class TestModify:
     def test_config_file_with_flag_override(self, runner, tmp_path):
         src = write_fixture_csv(tmp_path / "fix.csv")
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"modifier": {"kind": "all-flat"}, "seed": 7}))
+        config.write_text(json.dumps({"modifier": {"kind": "all-flat", "seed": 7}}))
         out = tmp_path / "out"
         result = runner.invoke(
             cli,
@@ -266,17 +278,27 @@ class TestModify:
         assert "line 2: time column starts at 1 s, not 0" in result.output
         assert not (out / "late.csv").exists()
 
-    def test_band_warning_for_custom_frequencies(self, runner, tmp_path):
+    def test_sidecar_that_cannot_be_written_is_exit_2(self, runner, tmp_path):
         src = write_fixture_csv(tmp_path / "fix.csv")
         out = tmp_path / "out"
+        (out / "sidecar.json").mkdir(parents=True)
+        result = runner.invoke(cli, ["modify", str(src), "--kind", "voiced-flat", "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: cannot write {out / 'sidecar.json'}: Is a directory" in result.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["fix.csv", "sidecar.json"]
+
+    def test_failed_write_leaves_no_temp_file(self, runner, tmp_path):
+        src = write_fixture_csv(tmp_path / "fix.csv")
+        other = write_fixture_csv(tmp_path / "other.csv")
+        out = tmp_path / "out"
+        (out / "fix.csv").mkdir(parents=True)
         result = runner.invoke(
-            cli,
-            ["modify", str(src), "--kind", "modulated-same-1", "--f1", "30", "--f2", "45",
-             "--out", str(out)],
+            cli, ["modify", str(src), str(other), "--kind", "voiced-flat", "--out", str(out)]
         )
-        assert result.exit_code == 0, result.output
-        assert "outside" in result.output  # 30+45 leaves the band; warn, not fail
-        assert (out / "fix.csv").exists()
+        assert result.exit_code == 2
+        assert f"error: {src}: [Errno 21] Is a directory" in result.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["fix.csv", "other.csv", "sidecar.json"]
 
 
 class TestStats:
@@ -496,12 +518,14 @@ class TestContract:
             ("modify", {"modifier": {"kind": "random-walk-weak", "seed": "abc"}}),
             ("modify", {"modifier": {"kind": "shift-and-scale", "target_mean_hz": "x",
                                      "target_std_hz": 20.0}}),
-            ("modify", {"modifier": {"kind": "modulated-same-1", "f1_hz": "5", "f2_hz": 11.0}}),
+            # Lines marked "unknown key": the kind fixes the carriers and the
+            # walk strength, and the seed belongs to the modifier.
+            ("modify", {"modifier": {"kind": "random-walk-weak", "seed": 1, "strength": 2}}),  # unknown key
             ("extract", {"pitch": {"f_min": "x"}}),
             ("modify", {"modifier": {"kind": "voiced-flat"}, "input_dir": 5}),
             ("extract", {"output_dir": ["out"]}),
-            ("modify", {"modifier": {"kind": "random-walk-weak", "seed": 1, "strength": True}}),
-            ("modify", {"modifier": {"kind": "random-walk-weak", "seed": 1, "strength": 1.0}}),
+            ("modify", {"modifier": {"kind": "modulated-same-1", "f1_hz": 4, "f2_hz": 9}}),  # unknown key
+            ("modify", {"modifier": {"kind": "random-walk-weak"}, "seed": 1}),  # unknown key
             ("extract", {"pitch": {"frame_len": float("inf")}}),
             # Valid JSON numbers that no float holds.
             ("extract", {"pitch": {"frame_len": 10**400}}),
@@ -509,8 +533,8 @@ class TestContract:
                                      "target_std_hz": 20.0}}),
             ("modify", {"modifier": {"kind": "shift-and-scale", "target_mean_hz": 150.0,
                                      "target_std_hz": 10**400}}),
-            ("modify", {"modifier": {"kind": "modulated-same-1", "f1_hz": 10**400, "f2_hz": 11.0}}),
-            ("modify", {"modifier": {"kind": "modulated-same-1", "f1_hz": 5.0, "f2_hz": 10**400}}),
+            ("modify", {"modifier": {"kind": "random-walk-strong", "seed": 1, "strength": 2}}),  # unknown key
+            ("modify", {"modifier": {"kind": "modulated-same-2", "f1_hz": 3.0, "f2_hz": 7.0}}),  # unknown key
         ],
     )
     def test_config_of_wrong_type_is_exit_2(self, runner, tmp_path, command, config):
@@ -525,6 +549,35 @@ class TestContract:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["modify", "eval"])
+    def test_carrier_flag_is_exit_2(self, runner, tmp_path, command):
+        src = str(write_fixture_csv(tmp_path / "fix.csv"))
+        args = [src, "--kind", "modulated-same-1"] if command == "modify" else ["--scenario", "OO"]
+        result = runner.invoke(cli, [command, *args, "--f1", "4"])
+        assert result.exit_code == 2
+        assert "No such option '--f1'" in result.stderr
+
+    def test_option_names(self):
+        # Every flag is a contract; adding or dropping one is a deliberate edit here.
+        options = {
+            name: sorted(opt for p in command.params if isinstance(p, click.Option) for opt in p.opts)
+            for name, command in cli.commands.items()
+        }
+        assert options == {
+            "extract": ["--config", "--f-max", "--f-min", "--frame-hop", "--frame-len", "--out",
+                        "--voicing-threshold"],
+            "modify": ["--config", "--kind", "--out", "--role", "--seed", "--target-mean",
+                       "--target-std"],
+            "stats": ["--out"],
+            "eval": ["--config", "--kind", "--manifest", "--out", "--scenario", "--seed",
+                     "--target-mean", "--target-std"],
+            "plot": ["--out"],
+        }
+        envvars = {
+            p.envvar for command in cli.commands.values() for p in command.params if p.envvar
+        }
+        assert envvars == {"F0PRIV_SEED"}
 
     @pytest.mark.parametrize("command", ["extract", "modify"])
     @pytest.mark.parametrize("how", ["config", "flag"])
@@ -561,7 +614,7 @@ class TestContract:
     def test_config_integer_too_long_to_read_is_exit_2(self, runner, tmp_path):
         # json.loads raises a plain ValueError, not JSONDecodeError, here.
         config = tmp_path / "run.json"
-        config.write_text('{"modifier": {"kind": "voiced-flat"}, "seed": 1%s}' % ("0" * 5000))
+        config.write_text('{"modifier": {"kind": "voiced-flat", "seed": 1%s}}' % ("0" * 5000))
         src = write_fixture_csv(tmp_path / "fix.csv")
         out = tmp_path / "out"
         result = runner.invoke(cli, ["modify", str(src), "--config", str(config), "--out", str(out)])

@@ -306,11 +306,6 @@ class TestApply:
         with pytest.raises(ValueError, match="invalid trajectory"):
             apply(ModifierSpec(kind="voiced-flat"), make_traj([35.0, 100.0]))
 
-    def test_frequency_override(self, traj_fixture):
-        spec = ModifierSpec(kind="modulated-same-1", f1_hz=4.0, f2_hz=9.0)
-        out = apply(spec, traj_fixture)
-        assert np.array_equal(out.values, modulate(traj_fixture, 4.0, 9.0).values)
-
 
 class TestSpecValidation:
     def test_unknown_kind(self):
@@ -330,10 +325,6 @@ class TestSpecValidation:
             ModifierSpec(kind="shift-and-scale").validated()
         with pytest.raises(SpecError, match="positive"):
             ModifierSpec(kind="shift-and-scale", target_mean_hz=-1.0, target_std_hz=10.0).validated()
-
-    def test_partial_frequency_override(self):
-        with pytest.raises(SpecError, match="together"):
-            ModifierSpec(kind="modulated-same-1", f1_hz=4.0).validated()
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(SpecError, match="unknown modifier keys"):
@@ -365,12 +356,8 @@ def specs(draw, kind):
     fields = {}
     if kind == "modulated-different":
         fields["role"] = draw(st.sampled_from(["enrollment", "trial"]))
-    if kind.startswith("modulated") and draw(st.booleans()):
-        f1, f2 = draw(st.lists(st.floats(0.5, 60.0), min_size=2, max_size=2, unique=True))
-        fields.update(f1_hz=f1, f2_hz=f2)
     if kind.startswith("random-walk"):
         fields["seed"] = draw(st.integers(0, 2**64 - 1))
-        fields["strength"] = draw(st.sampled_from([None, 1, 2]))
     if kind == "shift-and-scale":
         fields["target_mean_hz"] = draw(st.floats(40.0, 400.0))
         fields["target_std_hz"] = draw(st.floats(1.0, 100.0))
@@ -400,6 +387,26 @@ class TestModifierProperties:
     def test_unvoiced_frames_stay_unvoiced(self, kind, data, traj):
         out = apply(data.draw(specs(kind)), traj)
         assert np.all(out.values[~traj.voiced_mask] == 0.0)
+
+    @staticmethod
+    def assert_post_rules_hold(out, traj):
+        assert (out.n_frames, out.frame_hop, out.recording_id) == (
+            traj.n_frames, traj.frame_hop, traj.recording_id
+        )
+        assert np.all((out.values == 0.0) | (out.values >= VOICED_MIN_HZ))
+        assert np.all(out.values[~traj.voiced_mask] == 0.0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(traj=valid_contours(),
+           carriers=st.lists(st.floats(0.5, 60.0), min_size=2, max_size=2, unique=True))
+    def test_modulate_with_any_carriers(self, traj, carriers):
+        self.assert_post_rules_hold(modulate(traj, *carriers), traj)
+
+    @settings(deadline=None, max_examples=60)
+    @given(traj=valid_contours(), strength=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2**64 - 1))
+    def test_random_walk_modulate_with_either_strength(self, traj, strength, seed):
+        self.assert_post_rules_hold(random_walk_modulate(traj, strength, seed), traj)
 
     @settings(deadline=None)
     @given(traj=valid_contours(), target_mean=st.floats(40.0, 400.0),

@@ -223,6 +223,16 @@ class TestExtractF0:
         with pytest.raises(ValueError, match="frame_hop"):
             extract_f0(audio, PitchConfig(frame_hop=0.05, frame_len=0.025))
 
+    def test_hop_under_one_sample_refused(self):
+        # 0.5 sample rounds to 0, 0.6 to 1; a zero hop is a zero slice step.
+        PitchConfig(frame_hop=0.6 / 8000).check(8000)
+        with pytest.raises(ValueError) as info:
+            PitchConfig(frame_hop=0.5 / 8000).check(8000)
+        assert str(info.value) == (
+            "frame_hop=6.25e-05 s rounds to 0 samples at sample_rate=8000; "
+            "the minimum is one sample, frame_hop=0.000125 s"
+        )
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("field", ["frame_len", "frame_hop", "f_min", "f_max", "voicing_threshold"])
     def test_non_finite_setting_refused(self, field, value):
