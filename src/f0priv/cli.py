@@ -154,15 +154,15 @@ def _resolve_inputs(inputs, config: dict) -> list[Path]:
 
 
 def _out_dir(out, config: dict) -> Path:
-    if out is None:
-        out = config.get("output_dir", ".")
-    path = Path(out)
+    return Path(config.get("output_dir", ".") if out is None else out)
+
+
+def _make_dir(path: Path) -> None:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         click.echo(f"error: cannot create output directory {path}: {exc.strerror}", err=True)
         sys.exit(2)
-    return path
 
 
 def _refuse_shared_outputs(jobs) -> None:
@@ -175,6 +175,46 @@ def _refuse_shared_outputs(jobs) -> None:
         click.echo(f"error: output {name} would be written by each of {', '.join(paths)}", err=True)
     if shared:
         sys.exit(2)
+
+
+def _refuse_overwriting_inputs(jobs) -> None:
+    """Exit 2 when one job's output file is another job's input; call before writing.
+
+    ``jobs`` holds (input, output) pairs. A job whose output is its own
+    input is left to ``_guard_not_input``, which fails that job alone.
+    """
+    jobs = list(jobs)
+    # As in _guard_not_input: only an output that exists, or an input that
+    # does not, can resolve to an input, so a fresh run walks no realpath.
+    if not any(os.path.exists(target) for _, target in jobs) and all(
+        os.path.exists(source) for source, _ in jobs
+    ):
+        return
+    readers: dict[Path, list] = {}
+    for i, (source, _) in enumerate(jobs):
+        readers.setdefault(Path(source).resolve(), []).append(i)
+    clashes = [
+        (writer, target, jobs[j][0])
+        for i, (writer, target) in enumerate(jobs)
+        for j in readers.get(target.resolve(), ())
+        if j != i
+    ]
+    for writer, target, reader in clashes:
+        click.echo(f"error: {writer} -> {target} would overwrite the input {reader}", err=True)
+    if clashes:
+        sys.exit(2)
+
+
+def _refuse_out_over_inputs(out, inputs) -> None:
+    """Exit 2 when an ``--out`` file resolves to one of the command's inputs."""
+    if out is None:  # the output goes to stdout
+        return
+    for path in inputs:
+        try:
+            _guard_not_input(Path(out), Path(path))
+        except ValueError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
 
 
 def _load_manifest(path) -> list[dict]:
@@ -224,6 +264,19 @@ def _load_trajectory(path: Path, pitch_cfg: PitchConfig, recording_id: str):
     return read_f0_csv(path, recording_id=recording_id)
 
 
+def _track(wav_path: Path, rid: str, target: Path, pitch_cfg: PitchConfig):
+    """One ``extract`` job, run on a pool thread: the CSV bytes, or the
+    OSError/ValueError that stopped it."""
+    try:
+        if Path(rid).name != rid:
+            raise ValueError(f"recording id {rid!r} is not a plain file name")
+        _guard_not_input(target, wav_path)
+        return format_f0_csv(extract_f0(read_wav(wav_path), pitch_cfg, recording_id=rid))
+    except (OSError, ValueError) as exc:
+        # Its traceback would keep the job's audio alive until the result is written.
+        return exc.with_traceback(None)
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="f0priv")
 def cli():
@@ -252,21 +305,38 @@ def cmd_extract(inputs, out, frame_len, frame_hop, f_min, f_max, voicing_thresho
             jobs.append((path, path.stem))
     _refuse_shared_outputs((wav_path, f"{rid}.csv") for wav_path, rid in jobs)
     out_dir = _out_dir(out, run_config)
+    targets = [out_dir / f"{rid}.csv" for _, rid in jobs]
+    # A job whose id is not a plain name, or holds a NUL, never writes its output.
+    _refuse_overwriting_inputs(
+        (wav_path, target)
+        for (wav_path, rid), target in zip(jobs, targets)
+        if Path(rid).name == rid and "\0" not in rid
+    )
+    _make_dir(out_dir)
 
+    from concurrent.futures import ThreadPoolExecutor  # here, so other commands never load it
+
+    # numpy's FFTs release the GIL, so the tracking runs on one thread per
+    # CPU this process may use. Only this thread writes and reports, in input
+    # order, so files, output lines and the exit code do not depend on the count.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    pool = ThreadPoolExecutor(max_workers=max(1, min(len(jobs), cpus)))
     failures = 0
-    for wav_path, rid in jobs:
-        target = out_dir / f"{rid}.csv"
-        try:
-            if Path(rid).name != rid:
-                raise ValueError(f"recording id {rid!r} is not a plain file name")
-            _guard_not_input(target, wav_path)
-            traj = extract_f0(read_wav(wav_path), pitch_cfg, recording_id=rid)
-            _atomic_write(target, format_f0_csv(traj))
-        except (OSError, ValueError) as exc:
-            click.echo(f"error: {wav_path}: {exc}", err=True)
-            failures += 1
-            continue
-        click.echo(f"{wav_path} -> {target}")
+    try:
+        results = pool.map(lambda job, target: _track(*job, target, pitch_cfg), jobs, targets)
+        for (wav_path, _), target, result in zip(jobs, targets, results):
+            try:
+                if isinstance(result, Exception):
+                    raise result
+                _atomic_write(target, result)
+            except (OSError, ValueError) as exc:
+                click.echo(f"error: {wav_path}: {exc}", err=True)
+                failures += 1
+                continue
+            click.echo(f"{wav_path} -> {target}")
+    finally:
+        # After Ctrl-C or a traceback, the jobs not yet started never run.
+        pool.shutdown(cancel_futures=True)
     if failures:
         sys.exit(2)
 
@@ -286,6 +356,7 @@ def cmd_modify(inputs, out, config, **flags):
     paths = _resolve_inputs(inputs, run_config)
     _refuse_shared_outputs([("the sidecar", SIDECAR)] + [(path, path.name) for path in paths])
     out_dir = _out_dir(out, run_config)
+    _make_dir(out_dir)
 
     failures = 0
     for path in paths:
@@ -308,7 +379,6 @@ def cmd_modify(inputs, out, config, **flags):
         "tool": "f0priv",
         "tool_version": __version__,
         "spec": dataclasses.asdict(spec),
-        "seed": spec.seed,
         "inputs": [p.name for p in paths],
     }
     text = json.dumps(sidecar, indent=2, allow_nan=False) + "\n"
@@ -322,6 +392,7 @@ def cmd_modify(inputs, out, config, **flags):
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write JSON here instead of stdout.")
 def cmd_stats(inputs, out):
     """Per-recording speaker-identifying statistics as JSON (null = undefined)."""
+    _refuse_out_over_inputs(out, inputs)
     reports = []
     failures = 0
     for item in inputs:
@@ -376,6 +447,8 @@ def cmd_eval(manifest, scenario, out, config, **flags):
     pitch_cfg = _pitch_config(run_config, None, None, None, None, None)
 
     entries = _load_manifest(Path(manifest))
+    inputs = [manifest, *([config] if config else []), *(entry["path"] for entry in entries)]
+    _refuse_out_over_inputs(out, inputs)
     recordings = []
     failures = 0
     for entry in entries:
@@ -415,6 +488,7 @@ def cmd_eval(manifest, scenario, out, config, **flags):
 @click.option("--out", type=click.Path(dir_okay=False), default="plot.svg", help="Output SVG path.")
 def cmd_plot(inputs, out):
     """Overlay trajectories in a self-contained SVG (unvoiced frames = gaps)."""
+    _refuse_out_over_inputs(out, inputs)
     named = []
     for item in inputs:
         path = Path(item)

@@ -1,7 +1,10 @@
+import concurrent.futures
 import json
 import os
+import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import click
@@ -10,6 +13,8 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import make_traj
+from f0priv import __version__
+from f0priv import cli as cli_module
 from f0priv.cli import cli
 from f0priv.trajectory import read_f0_csv, write_f0_csv
 from test_pitch import wav_bytes
@@ -139,6 +144,174 @@ class TestExtract:
         assert list(out.iterdir()) == []
 
 
+    def test_output_over_another_jobs_input_refused(self, runner, tmp_path):
+        # x's output o/x.csv is y's input, a WAV that writing x would destroy.
+        write_tone_wav(tmp_path / "a.wav", 150.0)
+        out = tmp_path / "o"
+        out.mkdir()
+        wav = write_tone_wav(out / "x.csv", 220.0)
+        before = wav.read_bytes()
+        entries = [
+            {"speaker_id": "s", "recording_id": "x", "split": "trial", "path": "a.wav"},
+            {"speaker_id": "s", "recording_id": "y", "split": "trial", "path": "o/x.csv"},
+        ]
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"entries": entries}))
+        result = runner.invoke(cli, ["extract", str(manifest), "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == (
+            f"error: {tmp_path / 'a.wav'} -> {out / 'x.csv'} would overwrite the input {wav}\n"
+        )
+        assert result.stdout == ""
+        assert wav.read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["x.csv"]
+
+    def test_recording_id_with_nul_fails_alone_on_a_rerun(self, runner, tmp_path):
+        # An existing output makes the overwrite check resolve paths, which a
+        # NUL byte cannot go through; the entry still fails on its own.
+        write_tone_wav(tmp_path / "a.wav")
+        entries = [
+            {"speaker_id": "s", "recording_id": "a\0b", "split": "trial", "path": "a.wav"},
+            {"speaker_id": "s", "recording_id": "c", "split": "trial", "path": "a.wav"},
+        ]
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"entries": entries}))
+        out = tmp_path / "out"
+        (out / "c.csv").parent.mkdir()
+        (out / "c.csv").write_text("stale")
+        result = runner.invoke(cli, ["extract", str(manifest), "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {tmp_path / 'a.wav'}: embedded null byte\n"
+        assert read_f0_csv(out / "c.csv").n_frames > 0
+
+    def test_pool_size_does_not_change_outputs(self, runner, tmp_path, monkeypatch):
+        entries = []
+        for i in range(7):
+            path = tmp_path / f"w{i}.wav"
+            if i == 2:
+                path.write_bytes(b"RIFX not a wave file")
+            else:
+                # Lengths and hops vary, so the threads share the CSV template cache.
+                write_tone_wav(path, 110.0 + 25.0 * i, duration=0.3 + 0.1 * i,
+                               sr=22050 if i == 5 else 16000)
+            rid = "sub/w4" if i == 4 else f"w{i}"
+            entries.append({"speaker_id": "s", "recording_id": rid, "split": "trial", "path": path.name})
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"entries": entries}))
+        track = cli_module.extract_f0
+        runs = {}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # thread switches as often as possible
+        try:
+            for cpus in (1, 3):
+                threads = set()
+
+                def recorded(*args, **kwargs):
+                    threads.add(threading.get_ident())
+                    return track(*args, **kwargs)
+
+                monkeypatch.setattr(cli_module, "extract_f0", recorded)
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+                monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+                out = tmp_path / "out"
+                # Relative paths into one directory, so both runs print the same lines.
+                monkeypatch.chdir(tmp_path)
+                result = runner.invoke(cli, ["extract", manifest.name, "--out", out.name])
+                files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                shutil.rmtree(out)
+                runs[cpus] = (files, result.stdout, result.stderr, result.exit_code)
+                assert threading.get_ident() not in threads
+                assert 1 <= len(threads) <= cpus
+        finally:
+            sys.setswitchinterval(switch)
+        assert runs[1] == runs[3]
+        files, stdout, stderr, code = runs[3]
+        assert code == 2
+        assert sorted(files) == ["w0.csv", "w1.csv", "w3.csv", "w5.csv", "w6.csv"]
+        assert files["w5.csv"].split(b"\n")[2].startswith(b"0.009977,")  # 220 samples at 22,050 Hz
+        assert stdout.splitlines() == [f"w{i}.wav -> out/w{i}.csv" for i in (0, 1, 3, 5, 6)]
+        assert stderr.splitlines() == [
+            "error: w2.wav: w2.wav: not a RIFF/WAVE file",
+            "error: w4.wav: recording id 'sub/w4' is not a plain file name",
+        ]
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, n_wavs, workers",
+        [(3, 3, 7, 3), (8, 8, 2, 2), (None, 5, 7, 5), (None, None, 4, 1), (1, 4, 3, 1)],
+    )
+    def test_pool_size(self, runner, tmp_path, monkeypatch, affinity, cpu_count, n_wavs, workers):
+        # One thread per usable CPU, never more than there are jobs.
+        sizes = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        wavs = [str(write_tone_wav(tmp_path / f"w{i}.wav", duration=0.1)) for i in range(n_wavs)]
+        result = runner.invoke(cli, ["extract", *wavs, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert sizes == [workers]
+
+    def test_no_worker_thread_outlives_the_command(self, runner, tmp_path):
+        before = set(threading.enumerate())
+        wavs = [str(write_tone_wav(tmp_path / f"w{i}.wav", duration=0.2)) for i in range(5)]
+        wavs.insert(2, str(tmp_path / "missing.wav"))
+        result = runner.invoke(cli, ["extract", *wavs, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("where", ["job", "main"])
+    def test_interrupt_cancels_the_queued_jobs(self, runner, tmp_path, monkeypatch, where):
+        # A traceback in a job, or Ctrl-C while this thread writes, ends the
+        # run with exit 1, and the jobs still queued are never tracked. w1
+        # waits until the pool is shut down, so only the cancellation can keep
+        # w2..w5 from running.
+        track = cli_module.extract_f0
+        released = threading.Event()
+        tracked = []
+
+        def tracking(audio, cfg, recording_id):
+            tracked.append(recording_id)
+            if recording_id == "w0" and where == "job":
+                raise RuntimeError("tracker bug")
+            if recording_id != "w0":
+                released.wait(timeout=10)
+            return track(audio, cfg, recording_id=recording_id)
+
+        def interrupted(path, data):
+            raise KeyboardInterrupt
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                released.set()
+                super().shutdown(wait=wait)
+
+        monkeypatch.setattr(cli_module, "extract_f0", tracking)
+        monkeypatch.setattr(cli_module, "_atomic_write", interrupted)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        before = set(threading.enumerate())
+        wavs = [str(write_tone_wav(tmp_path / f"w{i}.wav", duration=0.2)) for i in range(6)]
+        result = runner.invoke(cli, ["extract", *wavs, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        if where == "job":
+            assert isinstance(result.exception, RuntimeError)
+        else:
+            assert "Aborted!" in result.stderr
+        assert tracked in (["w0"], ["w0", "w1"])
+        assert set(threading.enumerate()) <= before
+
+
 class TestModify:
     def test_voiced_flat_fixture(self, runner, tmp_path):
         src = write_fixture_csv(tmp_path / "fix.csv")
@@ -152,6 +325,31 @@ class TestModify:
         sidecar = json.loads((out / "sidecar.json").read_text())
         assert sidecar["spec"]["kind"] == "voiced-flat"
         assert sidecar["tool_version"]
+
+    def test_sidecar_bytes(self, runner, tmp_path):
+        # The seed is written once, as spec.seed.
+        src = write_fixture_csv(tmp_path / "fix.csv")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            cli, ["modify", str(src), "--kind", "random-walk-weak", "--seed", "5", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert (out / "sidecar.json").read_text() == (
+            "{\n"
+            '  "tool": "f0priv",\n'
+            f'  "tool_version": "{__version__}",\n'
+            '  "spec": {\n'
+            '    "kind": "random-walk-weak",\n'
+            '    "role": null,\n'
+            '    "seed": 5,\n'
+            '    "target_mean_hz": null,\n'
+            '    "target_std_hz": null\n'
+            "  },\n"
+            '  "inputs": [\n'
+            '    "fix.csv"\n'
+            "  ]\n"
+            "}\n"
+        )
 
     def test_modulated_different_requires_role(self, runner, tmp_path):
         src = write_fixture_csv(tmp_path / "fix.csv")
@@ -611,6 +809,30 @@ class TestContract:
         assert f"error: cannot write {out}: No such file or directory" in result.stderr
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize(
+        "command, overwritten",
+        [("stats", "input"), ("plot", "input"), ("eval", "manifest"), ("eval", "entry"),
+         ("eval", "config")],
+    )
+    def test_out_over_an_input_is_exit_2(self, runner, tmp_path, command, overwritten):
+        if command == "eval":
+            manifest = build_eval_manifest(tmp_path)
+            config = tmp_path / "run.json"
+            config.write_text("{}")
+            target = {"manifest": manifest, "entry": tmp_path / "s0r1.csv", "config": config}[overwritten]
+            args = ["eval", "--manifest", str(manifest), "--scenario", "OO", "--config", str(config)]
+        else:
+            target = write_fixture_csv(tmp_path / "fix.csv")
+            other = write_fixture_csv(tmp_path / "other.csv")
+            args = [command, str(other), str(target)]
+        before = target.read_bytes()
+        result = runner.invoke(cli, [*args, "--out", str(target)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: refusing to overwrite input {target}\n"
+        assert result.stdout == ""
+        assert target.read_bytes() == before
+
     def test_config_integer_too_long_to_read_is_exit_2(self, runner, tmp_path):
         # json.loads raises a plain ValueError, not JSONDecodeError, here.
         config = tmp_path / "run.json"
@@ -659,6 +881,16 @@ class TestContract:
         assert "'scipy.linalg'" in loaded
         assert "scipy.optimize" not in loaded
         assert (tmp_path / "out" / "fix.csv").exists()
+
+    def test_import_loads_no_thread_pool(self):
+        # concurrent.futures costs about 5 ms to import; only extract needs it.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, f0priv.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "[]\n"
 
     def test_version(self, runner):
         result = runner.invoke(cli, ["--version"])
