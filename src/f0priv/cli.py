@@ -133,13 +133,24 @@ def _write_out_file(path: Path, data: bytes) -> None:
         sys.exit(2)
 
 
+def _realpath(path) -> Path | None:
+    """``path`` resolved, or None for a path that cannot be: a symlink loop or a NUL byte.
+
+    Such a path matches no input; reading or writing it reports the fault.
+    """
+    try:
+        return Path(path).resolve()
+    except (OSError, RuntimeError, ValueError):
+        return None
+
+
 def _guard_not_input(out_path: Path, in_path: Path) -> None:
     # An output path that does not exist cannot resolve to an input that
     # does; only the other cases need the two realpath walks.
-    if (os.path.exists(out_path) or not os.path.exists(in_path)) and (
-        out_path.resolve() == in_path.resolve()
-    ):
-        raise ValueError(f"refusing to overwrite input {in_path}")
+    if os.path.exists(out_path) or not os.path.exists(in_path):
+        real = _realpath(out_path)
+        if real is not None and real == _realpath(in_path):
+            raise ValueError(f"refusing to overwrite input {in_path}")
 
 
 def _resolve_inputs(inputs, config: dict) -> list[Path]:
@@ -177,26 +188,25 @@ def _refuse_shared_outputs(jobs) -> None:
         sys.exit(2)
 
 
-def _refuse_overwriting_inputs(jobs) -> None:
+def _refuse_overwriting_inputs(sources, writes) -> None:
     """Exit 2 when one job's output file is another job's input; call before writing.
 
-    ``jobs`` holds (input, output) pairs. A job whose output is its own
-    input is left to ``_guard_not_input``, which fails that job alone.
+    ``sources`` holds every job's input, ``writes`` the (job index, output)
+    pairs of the jobs that may write. A job whose output is its own input is
+    left to ``_guard_not_input``, which fails that job alone.
     """
-    jobs = list(jobs)
     # As in _guard_not_input: only an output that exists, or an input that
     # does not, can resolve to an input, so a fresh run walks no realpath.
-    if not any(os.path.exists(target) for _, target in jobs) and all(
-        os.path.exists(source) for source, _ in jobs
-    ):
+    if not any(os.path.exists(target) for _, target in writes) and all(map(os.path.exists, sources)):
         return
     readers: dict[Path, list] = {}
-    for i, (source, _) in enumerate(jobs):
-        readers.setdefault(Path(source).resolve(), []).append(i)
+    for j, source in enumerate(sources):
+        readers.setdefault(_realpath(source), []).append(j)
+    readers.pop(None, None)
     clashes = [
-        (writer, target, jobs[j][0])
-        for i, (writer, target) in enumerate(jobs)
-        for j in readers.get(target.resolve(), ())
+        (sources[i], target, sources[j])
+        for i, target in writes
+        for j in readers.get(_realpath(target), ())
         if j != i
     ]
     for writer, target, reader in clashes:
@@ -306,11 +316,10 @@ def cmd_extract(inputs, out, frame_len, frame_hop, f_min, f_max, voicing_thresho
     _refuse_shared_outputs((wav_path, f"{rid}.csv") for wav_path, rid in jobs)
     out_dir = _out_dir(out, run_config)
     targets = [out_dir / f"{rid}.csv" for _, rid in jobs]
-    # A job whose id is not a plain name, or holds a NUL, never writes its output.
+    # A job whose id is not a plain name never writes, but its input can still be overwritten.
     _refuse_overwriting_inputs(
-        (wav_path, target)
-        for (wav_path, rid), target in zip(jobs, targets)
-        if Path(rid).name == rid and "\0" not in rid
+        [wav_path for wav_path, _ in jobs],
+        [(i, target) for i, ((_, rid), target) in enumerate(zip(jobs, targets)) if Path(rid).name == rid],
     )
     _make_dir(out_dir)
 

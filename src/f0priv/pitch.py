@@ -112,7 +112,13 @@ def read_wav(path) -> AudioBuffer:
     downmixed by averaging; float samples are clipped into [-1, 1], and a
     NaN or infinite float sample is an error naming its index.
     """
+    # Returning frees the file bytes before AudioBuffer copies the samples.
+    return AudioBuffer(*_wav_samples(path))
+
+
+def _wav_samples(path) -> tuple[int, np.ndarray]:
     raw = Path(path).read_bytes()
+    view = memoryview(raw)  # its slices copy nothing
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise WavReadError(f"{path}: not a RIFF/WAVE file")
 
@@ -122,7 +128,7 @@ def read_wav(path) -> AudioBuffer:
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
         (size,) = struct.unpack("<I", raw[pos + 4 : pos + 8])
-        body = raw[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise WavReadError(f"{path}: truncated {chunk_id!r} chunk")
         if chunk_id == b"fmt ":
@@ -159,21 +165,23 @@ def read_wav(path) -> AudioBuffer:
     if len(data) % frame_bytes:
         raise WavReadError(f"{path}: data chunk is not a whole number of frames")
 
-    if bits == 24:
-        samples = _pcm24(data).astype(np.float64)
-    else:
-        samples = np.frombuffer(data, dtype="<i2" if bits == 16 else "<f4").astype(np.float64)
+    pcm = _pcm24(data) if bits == 24 else np.frombuffer(data, dtype="<i2" if bits == 16 else "<f4")
     if channels == 2:
-        # Same bits as reshape(-1, 2).mean(axis=1), without the reduction.
-        samples = (samples[0::2] + samples[1::2]) / 2.0
+        # Same bits as reshape(-1, 2).mean(axis=1), with no stereo float64 copy:
+        # each channel widens exactly, and the sum and halving happen in place.
+        samples = pcm[0::2].astype(np.float64)
+        samples += pcm[1::2]
+        samples /= 2.0
+    else:
+        samples = pcm.astype(np.float64)
     if scale is not None:
-        samples = samples * scale
+        samples *= scale
     else:
         bad = np.flatnonzero(~np.isfinite(samples))  # np.clip would keep NaN
         if bad.size:
             raise WavReadError(f"{path}: non-finite float sample at index {bad[0]}")
-        samples = np.clip(samples, -1.0, 1.0)
-    return AudioBuffer(sample_rate=sample_rate, samples=samples)
+        np.clip(samples, -1.0, 1.0, out=samples)
+    return sample_rate, samples
 
 
 def _autocorr(signal: np.ndarray, nfft: int) -> np.ndarray:

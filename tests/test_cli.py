@@ -144,8 +144,10 @@ class TestExtract:
         assert list(out.iterdir()) == []
 
 
-    def test_output_over_another_jobs_input_refused(self, runner, tmp_path):
-        # x's output o/x.csv is y's input, a WAV that writing x would destroy.
+    @pytest.mark.parametrize("rid", ["y", "sub/y"])
+    def test_output_over_another_jobs_input_refused(self, runner, tmp_path, rid):
+        # x's output o/x.csv is y's input, a WAV that writing x would destroy,
+        # also when y itself would fail on its recording id.
         write_tone_wav(tmp_path / "a.wav", 150.0)
         out = tmp_path / "o"
         out.mkdir()
@@ -153,7 +155,7 @@ class TestExtract:
         before = wav.read_bytes()
         entries = [
             {"speaker_id": "s", "recording_id": "x", "split": "trial", "path": "a.wav"},
-            {"speaker_id": "s", "recording_id": "y", "split": "trial", "path": "o/x.csv"},
+            {"speaker_id": "s", "recording_id": rid, "split": "trial", "path": "o/x.csv"},
         ]
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"entries": entries}))
@@ -166,6 +168,22 @@ class TestExtract:
         assert result.stdout == ""
         assert wav.read_bytes() == before
         assert [p.name for p in out.iterdir()] == ["x.csv"]
+
+    def test_output_that_is_a_symlink_loop_is_replaced_on_a_rerun(self, runner, tmp_path):
+        # An existing output makes the overwrite check resolve every output,
+        # and a symlink loop cannot be resolved; it still matches no input.
+        a = write_tone_wav(tmp_path / "a.wav")
+        b = write_tone_wav(tmp_path / "b.wav")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "a.csv").write_text("stale")
+        (out / "b.csv").symlink_to(out / "b.csv")
+        result = runner.invoke(cli, ["extract", str(a), str(b), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        assert not (out / "b.csv").is_symlink()
+        assert read_f0_csv(out / "a.csv").n_frames > 0
+        assert read_f0_csv(out / "b.csv").n_frames > 0
 
     def test_recording_id_with_nul_fails_alone_on_a_rerun(self, runner, tmp_path):
         # An existing output makes the overwrite check resolve paths, which a
@@ -832,6 +850,19 @@ class TestContract:
         assert result.stderr == f"error: refusing to overwrite input {target}\n"
         assert result.stdout == ""
         assert target.read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["stats", "plot"])
+    def test_looping_input_with_out_is_reported(self, runner, tmp_path, command):
+        # The out-over-input check cannot resolve a symlink loop; reading it
+        # reports the fault instead.
+        loop = tmp_path / "loop.csv"
+        loop.symlink_to(loop)
+        out = tmp_path / "result"
+        result = runner.invoke(cli, [command, str(loop), "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: {loop}: ")
+        assert loop.is_symlink()
 
     def test_config_integer_too_long_to_read_is_exit_2(self, runner, tmp_path):
         # json.loads raises a plain ValueError, not JSONDecodeError, here.

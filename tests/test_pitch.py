@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,23 @@ class TestReadWav:
         mean = interleaved.astype(np.float64).reshape(-1, 2).mean(axis=1)
         expected = np.clip(mean, -1.0, 1.0) if scale is None else mean * scale
         assert read_wav(path).samples.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "audio_format, bits", [(1, 16), (1, 24), (3, 32)], ids=["pcm16", "pcm24", "float32"]
+    )
+    def test_stereo_read_peaks_under_three_times_the_samples(self, tmp_path, audio_format, bits):
+        # The file bytes and the mono float64 samples, then AudioBuffer's copy
+        # of them; no stereo float64 array or copy of the data chunk.
+        interleaved = np.zeros(400_000) if bits == 32 else np.zeros(400_000, dtype=np.int64)
+        path = tmp_path / "st.wav"
+        path.write_bytes(wav_bytes(interleaved, audio_format=audio_format, bits=bits, channels=2))
+        tracemalloc.start()
+        try:
+            audio = read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * audio.samples.nbytes
 
     def test_mu_law_unsupported(self, tmp_path):
         path = tmp_path / "mu.wav"

@@ -1,11 +1,10 @@
 """Alternating parent/change pairs of the benchmark, written to one BENCH file.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_name.json \
-        [--workload extract-wav --workload modify-eval] [--pairs 10] [--first-seed 301] \
-        [--rss-runs 5]
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_name.json
 
-PARENT_DIR and CHANGE_DIR are checkout roots. Pair k runs
-``perfbench/run.py --workload W --seed first-seed+k --seconds S --trace 0``
+PARENT_DIR and CHANGE_DIR are checkout roots. For each workload in
+``BENCHMARK.json``, pair k (k = 0..PAIRS-1) runs
+``perfbench/run.py --workload W --seed FIRST_SEED+k --seconds S --trace 0``
 in both, for ``S`` from ``BENCHMARK.json``; the parent runs first in even
 pairs and second in odd ones. The file keeps every run's end-to-end metrics
 and, per metric, each side's median and quartiles and the number of pairs
@@ -14,8 +13,8 @@ the change won.
 ``perfbench/run.py`` reads peak RSS from ``os.wait4`` on children it forks
 from itself, and a forked child counts the benchmark's own pages from before
 ``exec``. So the file also records the ``extract`` process's own peak RSS:
-each sample runs ``extract`` over the ``extract-wav`` inputs of the first
-seed from a small launcher interpreter whose own pages stay below it, and
+each of RSS_RUNS samples runs ``extract`` over the ``extract-wav`` inputs of
+FIRST_SEED from a small launcher interpreter whose own pages stay below it, and
 ``floor_mb`` is what the same launcher reports for an empty child.
 """
 
@@ -34,6 +33,9 @@ from pathlib import Path
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 METRICS = ("setup_s", "commands_s", "peak_rss_mb")  # all lower-is-better
+PAIRS = 10
+FIRST_SEED = 301
+RSS_RUNS = 5
 LAUNCHER = (
     "import os, subprocess, sys\n"
     "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
@@ -83,14 +85,14 @@ def summary(pairs: list) -> dict:
     return out
 
 
-def own_peak_rss(roots: dict, seed: int, runs: int) -> dict:
-    """The extract process's own peak RSS in MB, ``runs`` samples per side."""
+def own_peak_rss(roots: dict) -> dict:
+    """The extract process's own peak RSS in MB, RSS_RUNS samples per side."""
     sys.path.insert(0, str(roots["parent"] / "perfbench"))
     import inputs  # perfbench's generator: the same WAVs extract-wav tracks
 
     samples: dict = {side: [] for side in roots}
     with tempfile.TemporaryDirectory() as tmp:
-        wavs = [str(w.path) for w in inputs.make_wavs(Path(tmp) / "in", seed).wavs]
+        wavs = [str(w.path) for w in inputs.make_wavs(Path(tmp) / "in", FIRST_SEED).wavs]
 
         def launch(argv, env):
             out = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], env=env,
@@ -103,13 +105,13 @@ def own_peak_rss(roots: dict, seed: int, runs: int) -> dict:
         base = {k: v for k, v in os.environ.items() if not k.startswith(("F0PRIV_", "PYTHON"))}
         base.update(dict.fromkeys(THREAD_VARS, "1"))
         floor = launch([sys.executable, "-c", "pass"], base)
-        for _ in range(runs):
+        for _ in range(RSS_RUNS):
             for side, root in roots.items():
                 env = {**base, "PYTHONPATH": str(root / "src")}
                 argv = [sys.executable, "-c", "from f0priv.cli import main; main()",
                         "extract", "--out", str(Path(tmp) / side), *wavs]
                 samples[side].append(launch(argv, env))
-    return {"seed": seed, "files": len(wavs), "floor_mb": floor, **samples}
+    return {"seed": FIRST_SEED, "files": len(wavs), "floor_mb": floor, **samples}
 
 
 def host() -> dict:
@@ -131,23 +133,20 @@ def main() -> None:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workload", action="append", dest="workloads")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=301)
-    parser.add_argument("--rss-runs", type=int, default=5)
     args = parser.parse_args()
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seconds = json.loads((roots["change"] / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     doc = {
         "host": host(),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "src_sha256": {side: src_digest(root) for side, root in roots.items()},
         "workloads": {},
     }
-    for workload in args.workloads or ["extract-wav", "modify-eval"]:
+    for workload in (w["name"] for w in benchmark["workloads"]):
         pairs = []
-        for k in range(args.pairs):
-            seed = args.first_seed + k
+        for k in range(PAIRS):
+            seed = FIRST_SEED + k
             order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
@@ -155,7 +154,7 @@ def main() -> None:
             pairs.append(pair)
             print(json.dumps({"workload": workload, **pair}), flush=True)
         doc["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}
-    doc["extract_own_peak_rss_mb"] = own_peak_rss(roots, args.first_seed, args.rss_runs)
+    doc["extract_own_peak_rss_mb"] = own_peak_rss(roots)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
