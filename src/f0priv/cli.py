@@ -113,14 +113,21 @@ def _modifier_spec(config: dict, flags: dict, default_role: str | None = None):
         raise click.UsageError(str(exc))
 
 
+def _staging(path) -> str:
+    """Where ``_atomic_write`` puts ``path``'s bytes before renaming them into place."""
+    head, name = os.path.split(path)
+    return os.path.join(head, f".tmp-{name}")
+
+
 def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(f".tmp-{path.name}")
+    tmp = _staging(path)
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as f:
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
-            tmp.unlink()
+            os.unlink(tmp)
         raise
 
 
@@ -144,13 +151,61 @@ def _realpath(path) -> Path | None:
         return None
 
 
-def _guard_not_input(out_path: Path, in_path: Path) -> None:
-    # An output path that does not exist cannot resolve to an input that
-    # does; only the other cases need the two realpath walks.
-    if os.path.exists(out_path) or not os.path.exists(in_path):
-        real = _realpath(out_path)
-        if real is not None and real == _realpath(in_path):
-            raise ValueError(f"refusing to overwrite input {in_path}")
+def _plan_writes(jobs, out_dir: Path | None = None) -> set[int]:
+    """Check a command's (source, target) jobs before any of them is read or written.
+
+    A job whose source is None only writes (the sidecar, an ``--out`` file);
+    one whose target is None only reads (``--config``, a manifest, an entry
+    that cannot write). Each target's staging file is a target too. Exits 2
+    when two jobs share a target or a target resolves to another job's
+    source, then makes ``out_dir``. Returns the indices of the jobs whose
+    target is their own source; each of those fails alone.
+    """
+    writes = [
+        (i, path) for i, (_, target) in enumerate(jobs) if target is not None
+        for path in (os.fspath(target), _staging(target))  # str: a Path costs more to hash
+    ]
+    writers: dict[str, list] = {}
+    for i, path in writes:
+        source = jobs[i][0]  # of the writers without one, only the sidecar can share a target
+        writers.setdefault(path, []).append("the sidecar" if source is None else str(source))
+    shared = {key: names for key, names in writers.items() if len(names) > 1}
+    for key, names in shared.items():
+        click.echo(f"error: output {os.path.basename(key)} would be written by each of {', '.join(names)}",
+                   err=True)
+    if shared:
+        sys.exit(2)
+    own = set()
+    sources = [(j, source) for j, (source, _) in enumerate(jobs) if source is not None]
+    # A target that does not exist cannot resolve to a source that does, so
+    # a fresh run walks no realpath.
+    if writes and (any(os.path.exists(path) for _, path in writes)
+                   or not all(os.path.exists(source) for _, source in sources)):
+        readers: dict[Path, list] = {}
+        for j, source in sources:
+            readers.setdefault(_realpath(source), []).append(j)
+        readers.pop(None, None)
+        clashes = []
+        for i, path in writes:
+            for j in readers.get(_realpath(path), ()):
+                writer, reader = jobs[i][0], jobs[j][0]
+                if i == j:
+                    own.add(i)
+                elif writer is None:
+                    clashes.append(f"refusing to overwrite input {reader}")
+                else:
+                    clashes.append(f"{writer} -> {path} would overwrite the input {reader}")
+        for clash in dict.fromkeys(clashes):  # an input named twice is reported once
+            click.echo(f"error: {clash}", err=True)
+        if clashes:
+            sys.exit(2)
+    if out_dir is not None:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            click.echo(f"error: cannot create output directory {out_dir}: {exc.strerror}", err=True)
+            sys.exit(2)
+    return own
 
 
 def _resolve_inputs(inputs, config: dict) -> list[Path]:
@@ -162,69 +217,6 @@ def _resolve_inputs(inputs, config: dict) -> list[Path]:
             p = Path(root) / p
         paths.append(p)
     return paths
-
-
-def _out_dir(out, config: dict) -> Path:
-    return Path(config.get("output_dir", ".") if out is None else out)
-
-
-def _make_dir(path: Path) -> None:
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        click.echo(f"error: cannot create output directory {path}: {exc.strerror}", err=True)
-        sys.exit(2)
-
-
-def _refuse_shared_outputs(jobs) -> None:
-    """Exit 2 when two inputs map to one output file name; call before writing."""
-    sources: dict[str, list] = {}
-    for source, name in jobs:
-        sources.setdefault(name, []).append(str(source))
-    shared = {name: paths for name, paths in sources.items() if len(paths) > 1}
-    for name, paths in shared.items():
-        click.echo(f"error: output {name} would be written by each of {', '.join(paths)}", err=True)
-    if shared:
-        sys.exit(2)
-
-
-def _refuse_overwriting_inputs(sources, writes) -> None:
-    """Exit 2 when one job's output file is another job's input; call before writing.
-
-    ``sources`` holds every job's input, ``writes`` the (job index, output)
-    pairs of the jobs that may write. A job whose output is its own input is
-    left to ``_guard_not_input``, which fails that job alone.
-    """
-    # As in _guard_not_input: only an output that exists, or an input that
-    # does not, can resolve to an input, so a fresh run walks no realpath.
-    if not any(os.path.exists(target) for _, target in writes) and all(map(os.path.exists, sources)):
-        return
-    readers: dict[Path, list] = {}
-    for j, source in enumerate(sources):
-        readers.setdefault(_realpath(source), []).append(j)
-    readers.pop(None, None)
-    clashes = [
-        (sources[i], target, sources[j])
-        for i, target in writes
-        for j in readers.get(_realpath(target), ())
-        if j != i
-    ]
-    for writer, target, reader in clashes:
-        click.echo(f"error: {writer} -> {target} would overwrite the input {reader}", err=True)
-    if clashes:
-        sys.exit(2)
-
-
-def _refuse_out_over_inputs(out, inputs) -> None:
-    """Exit 2 when an ``--out`` file resolves to one of the command's inputs."""
-    if out is None:  # the output goes to stdout
-        return
-    for path in inputs:
-        try:
-            _guard_not_input(Path(out), Path(path))
-        except ValueError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
 
 
 def _load_manifest(path) -> list[dict]:
@@ -274,13 +266,14 @@ def _load_trajectory(path: Path, pitch_cfg: PitchConfig, recording_id: str):
     return read_f0_csv(path, recording_id=recording_id)
 
 
-def _track(wav_path: Path, rid: str, target: Path, pitch_cfg: PitchConfig):
+def _track(wav_path: Path, rid: str, target: Path | None, overwrites_input: bool, pitch_cfg: PitchConfig):
     """One ``extract`` job, run on a pool thread: the CSV bytes, or the
     OSError/ValueError that stopped it."""
     try:
-        if Path(rid).name != rid:
+        if target is None:
             raise ValueError(f"recording id {rid!r} is not a plain file name")
-        _guard_not_input(target, wav_path)
+        if overwrites_input:
+            raise ValueError(f"refusing to overwrite input {wav_path}")
         return format_f0_csv(extract_f0(read_wav(wav_path), pitch_cfg, recording_id=rid))
     except (OSError, ValueError) as exc:
         # Its traceback would keep the job's audio alive until the result is written.
@@ -307,21 +300,19 @@ def cmd_extract(inputs, out, frame_len, frame_hop, f_min, f_max, voicing_thresho
     run_config = _load_run_config(config)
     pitch_cfg = _pitch_config(run_config, frame_len, frame_hop, f_min, f_max, voicing_threshold)
     jobs: list[tuple[Path, str]] = []  # (wav path, recording id)
+    reads = [config] if config else []  # read, never written
     for path in _resolve_inputs(inputs, run_config):
         if path.suffix.lower() == ".json":
+            reads.append(path)
             for entry in _load_manifest(path):
                 jobs.append((entry["path"], entry["recording_id"]))
         else:
             jobs.append((path, path.stem))
-    _refuse_shared_outputs((wav_path, f"{rid}.csv") for wav_path, rid in jobs)
-    out_dir = _out_dir(out, run_config)
-    targets = [out_dir / f"{rid}.csv" for _, rid in jobs]
-    # A job whose id is not a plain name never writes, but its input can still be overwritten.
-    _refuse_overwriting_inputs(
-        [wav_path for wav_path, _ in jobs],
-        [(i, target) for i, ((_, rid), target) in enumerate(zip(jobs, targets)) if Path(rid).name == rid],
-    )
-    _make_dir(out_dir)
+    out_dir = Path(run_config.get("output_dir", ".") if out is None else out)
+    # A job whose id is not a plain name writes nothing, but its input can still be overwritten.
+    targets = [out_dir / f"{rid}.csv" if Path(rid).name == rid else None for _, rid in jobs]
+    own = _plan_writes([*((wav_path, target) for (wav_path, _), target in zip(jobs, targets)),
+                        *((path, None) for path in reads)], out_dir)
 
     from concurrent.futures import ThreadPoolExecutor  # here, so other commands never load it
 
@@ -332,7 +323,7 @@ def cmd_extract(inputs, out, frame_len, frame_hop, f_min, f_max, voicing_thresho
     pool = ThreadPoolExecutor(max_workers=max(1, min(len(jobs), cpus)))
     failures = 0
     try:
-        results = pool.map(lambda job, target: _track(*job, target, pitch_cfg), jobs, targets)
+        results = pool.map(lambda i: _track(*jobs[i], targets[i], i in own, pitch_cfg), range(len(jobs)))
         for (wav_path, _), target, result in zip(jobs, targets, results):
             try:
                 if isinstance(result, Exception):
@@ -363,15 +354,15 @@ def cmd_modify(inputs, out, config, **flags):
     if spec is None:
         raise click.UsageError("no modifier kind given (use --kind or a config file)")
     paths = _resolve_inputs(inputs, run_config)
-    _refuse_shared_outputs([("the sidecar", SIDECAR)] + [(path, path.name) for path in paths])
-    out_dir = _out_dir(out, run_config)
-    _make_dir(out_dir)
+    out_dir = Path(run_config.get("output_dir", ".") if out is None else out)
+    jobs = [(None, out_dir / SIDECAR), *((path, out_dir / path.name) for path in paths)]
+    own = _plan_writes(jobs + ([(config, None)] if config else []), out_dir)
 
     failures = 0
-    for path in paths:
-        target = out_dir / path.name
+    for i, (path, target) in enumerate(jobs[1:], 1):
         try:
-            _guard_not_input(target, path)
+            if i in own:
+                raise ValueError(f"refusing to overwrite input {path}")
             traj = read_f0_csv(path)
             modified = apply(spec, traj)
             problems = validate(modified)
@@ -401,11 +392,11 @@ def cmd_modify(inputs, out, config, **flags):
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write JSON here instead of stdout.")
 def cmd_stats(inputs, out):
     """Per-recording speaker-identifying statistics as JSON (null = undefined)."""
-    _refuse_out_over_inputs(out, inputs)
+    paths = [Path(item) for item in inputs]
+    _plan_writes([(path, None) for path in paths] + ([(None, Path(out))] if out is not None else []))
     reports = []
     failures = 0
-    for item in inputs:
-        path = Path(item)
+    for path in paths:
         try:
             traj = read_f0_csv(path)
             problems = validate(traj)
@@ -456,8 +447,8 @@ def cmd_eval(manifest, scenario, out, config, **flags):
     pitch_cfg = _pitch_config(run_config, None, None, None, None, None)
 
     entries = _load_manifest(Path(manifest))
-    inputs = [manifest, *([config] if config else []), *(entry["path"] for entry in entries)]
-    _refuse_out_over_inputs(out, inputs)
+    reads = [manifest, *([config] if config else []), *(entry["path"] for entry in entries)]
+    _plan_writes([(Path(path), None) for path in reads] + ([(None, Path(out))] if out is not None else []))
     recordings = []
     failures = 0
     for entry in entries:
@@ -497,10 +488,10 @@ def cmd_eval(manifest, scenario, out, config, **flags):
 @click.option("--out", type=click.Path(dir_okay=False), default="plot.svg", help="Output SVG path.")
 def cmd_plot(inputs, out):
     """Overlay trajectories in a self-contained SVG (unvoiced frames = gaps)."""
-    _refuse_out_over_inputs(out, inputs)
+    paths = [Path(item) for item in inputs]
+    _plan_writes([(path, None) for path in paths] + [(None, Path(out))])
     named = []
-    for item in inputs:
-        path = Path(item)
+    for path in paths:
         try:
             traj = read_f0_csv(path)
         except (OSError, ValueError) as exc:

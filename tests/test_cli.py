@@ -443,6 +443,25 @@ class TestModify:
         assert f"refusing to overwrite input {missing}" in result.output
         assert not missing.exists()
 
+    def test_output_over_another_inputs_link_refused(self, runner, tmp_path):
+        # link.csv reads o/a.csv, which writing x/a.csv's output would replace first.
+        (tmp_path / "x").mkdir()
+        out = tmp_path / "o"
+        out.mkdir()
+        src = write_fixture_csv(tmp_path / "x" / "a.csv")
+        old = write_fixture_csv(out / "a.csv", values=(200.0, 210.0, 220.0))
+        link = tmp_path / "link.csv"
+        link.symlink_to(old)
+        before = {path: path.read_bytes() for path in (src, old)}
+        result = runner.invoke(
+            cli, ["modify", str(src), str(link), "--kind", "voiced-flat", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {src} -> {old} would overwrite the input {link}\n"
+        assert {path: path.read_bytes() for path in before} == before
+        assert [p.name for p in out.iterdir()] == ["a.csv"]
+
     def test_config_file_with_flag_override(self, runner, tmp_path):
         src = write_fixture_csv(tmp_path / "fix.csv")
         config = tmp_path / "run.json"
@@ -851,6 +870,14 @@ class TestContract:
         assert result.stdout == ""
         assert target.read_bytes() == before
 
+    def test_out_over_an_input_named_twice_is_reported_once(self, runner, tmp_path):
+        src = write_fixture_csv(tmp_path / "fix.csv")
+        before = src.read_bytes()
+        result = runner.invoke(cli, ["stats", str(src), str(src), "--out", str(src)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: refusing to overwrite input {src}\n"
+        assert src.read_bytes() == before
+
     @pytest.mark.parametrize("command", ["stats", "plot"])
     def test_looping_input_with_out_is_reported(self, runner, tmp_path, command):
         # The out-over-input check cannot resolve a symlink loop; reading it
@@ -863,6 +890,69 @@ class TestContract:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith(f"error: {loop}: ")
         assert loop.is_symlink()
+
+    @pytest.mark.parametrize("command", ["extract", "modify"])
+    def test_config_at_an_output_path_is_exit_2(self, runner, tmp_path, command):
+        out = tmp_path / "o"
+        out.mkdir()
+        if command == "extract":
+            args = ["extract", str(write_tone_wav(tmp_path / "a.wav"))]
+        else:
+            args = ["modify", str(write_fixture_csv(tmp_path / "a.csv")), "--kind", "voiced-flat"]
+        config = out / "a.csv"
+        config.write_text("{}")
+        result = runner.invoke(cli, [*args, "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {args[1]} -> {config} would overwrite the input {config}\n"
+        assert config.read_text() == "{}"
+        assert [p.name for p in out.iterdir()] == ["a.csv"]
+
+    @pytest.mark.parametrize("command", ["stats", "modify"])
+    def test_input_at_an_outputs_staging_path_is_exit_2(self, runner, tmp_path, command):
+        # An output is first written to .tmp-<its name>, then renamed into place.
+        out = tmp_path / "o"
+        out.mkdir()
+        staged = write_fixture_csv(out / ".tmp-a.csv")
+        before = staged.read_bytes()
+        if command == "stats":
+            args = ["stats", str(staged), "--out", str(out / "a.csv")]
+            error = f"error: refusing to overwrite input {staged}\n"
+        else:
+            src = write_fixture_csv(tmp_path / "a.csv")
+            args = ["modify", str(src), str(staged), "--kind", "voiced-flat", "--out", str(out)]
+            error = f"error: output .tmp-a.csv would be written by each of {src}, {staged}\n"
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == error
+        assert result.stdout == ""
+        assert staged.read_bytes() == before
+        assert [p.name for p in out.iterdir()] == [".tmp-a.csv"]
+
+    @pytest.mark.parametrize("command", ["extract", "modify", "stats", "eval", "plot"])
+    def test_fresh_run_resolves_no_path(self, runner, tmp_path, monkeypatch, command):
+        # An output that does not exist yet cannot be an input that does, so
+        # checking the writes of a fresh run needs no realpath walk.
+        def resolve(path):
+            raise AssertionError(f"resolved {path}")
+
+        monkeypatch.setattr(cli_module, "_realpath", resolve)
+        config = tmp_path / "run.json"
+        config.write_text("{}")
+        out = str(tmp_path / "out")
+        csv = str(write_fixture_csv(tmp_path / "fix.csv"))
+        if command == "extract":
+            args = ["extract", str(write_tone_wav(tmp_path / "tone.wav")), "--config", str(config)]
+        elif command == "modify":
+            args = ["modify", csv, "--kind", "voiced-flat", "--config", str(config)]
+        elif command == "eval":
+            manifest = str(build_eval_manifest(tmp_path))
+            args = ["eval", "--manifest", manifest, "--scenario", "OO", "--config", str(config)]
+        else:
+            args = [command, csv]
+        result = runner.invoke(cli, [*args, "--out", out])
+        assert result.exit_code == 0, result.output
 
     def test_config_integer_too_long_to_read_is_exit_2(self, runner, tmp_path):
         # json.loads raises a plain ValueError, not JSONDecodeError, here.
