@@ -31,14 +31,14 @@ from .pitch import PitchConfig, extract_f0, read_wav
 from .plotting import trajectory_svg
 from .trajectory import format_f0_csv, read_f0_csv, stats, validate
 
-RUN_CONFIG_KEYS = {"modifier", "input_dir", "output_dir", "pitch"}
 RUN_CONFIG_TYPES = {
     "modifier": (dict, "an object"),
     "pitch": (dict, "an object"),
     "input_dir": (str, "a string"),
     "output_dir": (str, "a string"),
 }
-PITCH_KEYS = {f.name for f in dataclasses.fields(PitchConfig)}
+RUN_CONFIG_KEYS = set(RUN_CONFIG_TYPES)
+PITCH_KEYS = tuple(f.name for f in dataclasses.fields(PitchConfig))
 SIDECAR = "sidecar.json"  # written by modify next to its outputs
 
 
@@ -57,22 +57,22 @@ def _load_run_config(path) -> dict:
     for key, (kind, noun) in RUN_CONFIG_TYPES.items():
         if key in data and not isinstance(data[key], kind):
             raise click.UsageError(f"config {path}: {key!r} must be {noun}")
-    bad = set(data.get("pitch", {})) - PITCH_KEYS
+    bad = data.get("pitch", {}).keys() - PITCH_KEYS
     if bad:
         raise click.UsageError(f"config {path}: unknown pitch keys {sorted(bad)}")
     return data
 
 
-def _pitch_config(config: dict, frame_len, frame_hop, f_min, f_max, voicing_threshold) -> PitchConfig:
-    merged = dict(config.get("pitch", {}))
-    overrides = {
-        "frame_len": frame_len,
-        "frame_hop": frame_hop,
-        "f_min": f_min,
-        "f_max": f_max,
-        "voicing_threshold": voicing_threshold,
-    }
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+def _settings(config: dict, key: str, flags: dict) -> dict:
+    """The config's ``key`` object with each flag that was given (not None) laid over it."""
+    merged = dict(config.get(key, {}))
+    merged.update((name, value) for name, value in flags.items() if value is not None)
+    return merged
+
+
+def _pitch_config(config: dict, flags: dict) -> PitchConfig:
+    # In field order, so the first bad value reported does not depend on the flags' order.
+    merged = _settings(config, "pitch", {name: flags.get(name) for name in PITCH_KEYS})
     for name, value in merged.items():
         if not finite_number(value):
             raise click.UsageError(f"pitch {name} must be a finite number, got {value!r}")
@@ -101,8 +101,7 @@ def _modifier_spec(config: dict, flags: dict, default_role: str | None = None):
 
     Returns None when no kind is given anywhere.
     """
-    base = dict(config.get("modifier", {}))
-    base.update((field, value) for field, value in flags.items() if value is not None)
+    base = _settings(config, "modifier", flags)
     if base.get("kind") is None:
         return None
     if base.get("role") is None:
@@ -209,14 +208,8 @@ def _plan_writes(jobs, out_dir: Path | None = None) -> set[int]:
 
 
 def _resolve_inputs(inputs, config: dict) -> list[Path]:
-    root = config.get("input_dir")
-    paths = []
-    for item in inputs:
-        p = Path(item)
-        if root and not p.is_absolute():
-            p = Path(root) / p
-        paths.append(p)
-    return paths
+    # An absolute input replaces the config's input_dir.
+    return [Path(config.get("input_dir", ""), item) for item in inputs]
 
 
 def _load_manifest(path) -> list[dict]:
@@ -295,10 +288,10 @@ def cli():
 @click.option("--f-max", type=float, default=None, help="Highest trackable F0 in Hz.")
 @click.option("--voicing-threshold", type=float, default=None, help="Peak correlation needed to call a frame voiced.")
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
-def cmd_extract(inputs, out, frame_len, frame_hop, f_min, f_max, voicing_threshold, config):
+def cmd_extract(inputs, out, config, **flags):
     """Extract F0 trajectories from WAV files (or a manifest) to CSV."""
     run_config = _load_run_config(config)
-    pitch_cfg = _pitch_config(run_config, frame_len, frame_hop, f_min, f_max, voicing_threshold)
+    pitch_cfg = _pitch_config(run_config, flags)
     jobs: list[tuple[Path, str]] = []  # (wav path, recording id)
     reads = [config] if config else []  # read, never written
     for path in _resolve_inputs(inputs, run_config):
@@ -444,7 +437,7 @@ def cmd_eval(manifest, scenario, out, config, **flags):
     spec = _modifier_spec(run_config, flags, default_role="trial")
     if scenario != "OO" and spec is None:
         raise click.UsageError(f"scenario {scenario} needs a modifier (--kind ...)")
-    pitch_cfg = _pitch_config(run_config, None, None, None, None, None)
+    pitch_cfg = _pitch_config(run_config, {})
 
     entries = _load_manifest(Path(manifest))
     reads = [manifest, *([config] if config else []), *(entry["path"] for entry in entries)]

@@ -129,11 +129,13 @@ class ZNorm:
         return (vector - self.mean) / self.std
 
 
-def _stats_matrix(stats_list: list[F0Stats]) -> np.ndarray:
-    # One row per recording, columns in F0Stats.FIELD_ORDER.
-    if not all(st.complete for st in stats_list):
-        raise ScoringError("cannot score recordings with absent statistics")
-    rows = [st.as_vector() for st in stats_list]
+def _stats_matrix(pairs: list[tuple[str, F0Stats]]) -> np.ndarray:
+    # One row per (speaker, stats) pair, columns in F0Stats.FIELD_ORDER.
+    for speaker, st in pairs:
+        if not st.complete:
+            raise ScoringError(f"recording of speaker {speaker!r} has absent statistics "
+                               "(fewer than 3 voiced frames)")
+    rows = [st.as_vector() for _, st in pairs]
     return np.array(rows).reshape(len(rows), len(F0Stats.FIELD_ORDER))
 
 
@@ -301,11 +303,11 @@ def score_corpus(
     order within each trial. A score is the negative Euclidean distance
     between the z-normalized speaker model and trial vectors.
     """
+    enroll_vectors = _stats_matrix(enroll)
+    trial_vectors = _stats_matrix(trials)
     speakers, owner = np.unique([spk for spk, _ in enroll], return_inverse=True)
     if speakers.size < 2:
         raise ScoringError("need at least 2 enrolled speakers for nontarget pairs")
-    enroll_vectors = _stats_matrix([st for _, st in enroll])
-    trial_vectors = _stats_matrix([st for _, st in trials])
     sums = np.zeros((speakers.size, enroll_vectors.shape[1]))
     np.add.at(sums, owner, enroll_vectors)
     models = sums / np.bincount(owner)[:, None]
@@ -358,13 +360,6 @@ def run_scenario(
 
     enroll_stats = [(r.speaker_id, stats(r.trajectory)) for r in enroll_recs]
     trial_stats = [(r.speaker_id, stats(r.trajectory)) for r in trial_recs]
-    for speaker, st in enroll_stats + trial_stats:
-        if not st.complete:
-            raise ScoringError(
-                f"recording of speaker {speaker!r} has absent statistics "
-                "(fewer than 3 voiced frames)"
-            )
-
     scores = score_corpus(enroll_stats, trial_stats)
     return ScenarioReport(
         scenario=scenario,

@@ -21,18 +21,6 @@ import numpy as np
 from . import spline
 from .trajectory import VOICED_MIN_HZ, F0Trajectory, validate, voiced_mean
 
-KINDS = (
-    "voiced-flat",
-    "all-flat",
-    "smoothing-spline",
-    "modulated-same-1",
-    "modulated-same-2",
-    "modulated-different",
-    "random-walk-weak",
-    "random-walk-strong",
-    "shift-and-scale",
-)
-
 ROLES = ("enrollment", "trial")
 
 # Prime carrier pairs; sums and differences stay inside the 3-50 Hz band
@@ -260,9 +248,27 @@ def invert_shift_and_scale(
     """
     if source_mean_hz <= 0 or source_std_hz <= 0:
         raise ValueError("source statistics must be positive")
-    cur_mean, cur_std = _voiced_moments(modified)
-    voiced = modified.values[modified.voiced_mask]
-    return post_rules(modified, source_std_hz / cur_std * (voiced - cur_mean) + source_mean_hz)
+    return shift_and_scale(modified, source_mean_hz, source_std_hz)
+
+
+def _walk(spec: ModifierSpec, traj: F0Trajectory) -> F0Trajectory:
+    seed = derive_recording_seed(spec.seed, traj.recording_id)
+    return random_walk_modulate(traj, WALK_STRENGTHS[spec.kind], seed)
+
+
+# Every kind, in the order the CLI lists them, with its transform of (spec, trajectory).
+_TRANSFORMS = {
+    "voiced-flat": lambda spec, traj: flatten_voiced(traj),
+    "all-flat": lambda spec, traj: flatten_all(traj),
+    "smoothing-spline": lambda spec, traj: smoothing_spline_modifier(traj),
+    "modulated-same-1": lambda spec, traj: modulate(traj, *SAME_1_FREQS),
+    "modulated-same-2": lambda spec, traj: modulate(traj, *SAME_2_FREQS),
+    "modulated-different": lambda spec, traj: modulate(traj, *DIFFERENT_FREQS[spec.role]),
+    "random-walk-weak": _walk,
+    "random-walk-strong": _walk,
+    "shift-and-scale": lambda spec, traj: shift_and_scale(traj, spec.target_mean_hz, spec.target_std_hz),
+}
+KINDS = tuple(_TRANSFORMS)
 
 
 def apply(spec: ModifierSpec, traj: F0Trajectory) -> F0Trajectory:
@@ -276,23 +282,4 @@ def apply(spec: ModifierSpec, traj: F0Trajectory) -> F0Trajectory:
     problems = validate(traj)
     if problems:
         raise ValueError(f"invalid trajectory {traj.recording_id!r}: " + "; ".join(problems))
-
-    kind = spec.kind
-    if kind == "voiced-flat":
-        return flatten_voiced(traj)
-    if kind == "all-flat":
-        return flatten_all(traj)
-    if kind == "smoothing-spline":
-        return smoothing_spline_modifier(traj)
-    if kind == "modulated-same-1":
-        return modulate(traj, *SAME_1_FREQS)
-    if kind == "modulated-same-2":
-        return modulate(traj, *SAME_2_FREQS)
-    if kind == "modulated-different":
-        return modulate(traj, *DIFFERENT_FREQS[spec.role])
-    if kind in WALK_STRENGTHS:
-        seed = derive_recording_seed(spec.seed, traj.recording_id)
-        return random_walk_modulate(traj, WALK_STRENGTHS[kind], seed)
-    if kind == "shift-and-scale":
-        return shift_and_scale(traj, spec.target_mean_hz, spec.target_std_hz)
-    raise SpecError(f"unhandled kind {kind!r}")
+    return _TRANSFORMS[spec.kind](spec, traj)

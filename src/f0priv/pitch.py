@@ -43,10 +43,6 @@ class AudioBuffer:
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class PitchConfig:

@@ -5,7 +5,6 @@ down to the byte.
 """
 
 import numpy as np
-from scipy.stats import skewnorm
 
 from .evaluation import Recording, SpeakerCorpus
 from .pitch import AudioBuffer
@@ -69,12 +68,15 @@ def random_trajectory(
 
 
 def _standardized_skewnorm(rng: np.random.Generator, shape: float, size: int) -> np.ndarray:
-    # Zero-mean unit-variance skew-normal samples with shape parameter a.
+    # Zero-mean unit-variance skew-normal samples with shape parameter a, drawn
+    # as scipy.stats.skewnorm draws them: the same values and generator state.
     delta = shape / np.sqrt(1.0 + shape**2)
     mean = delta * np.sqrt(2.0 / np.pi)
     std = np.sqrt(1.0 - 2.0 * delta**2 / np.pi)
-    raw = skewnorm.rvs(shape, size=size, random_state=rng)
-    return (raw - mean) / std
+    u0 = rng.normal(size=size)
+    v = rng.normal(size=size)
+    u1 = delta * u0 + v * np.sqrt(1.0 - delta**2)
+    return (np.where(u0 >= 0, u1, -u1) - mean) / std
 
 
 def speaker_corpus(

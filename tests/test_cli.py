@@ -16,7 +16,9 @@ from conftest import make_traj
 from f0priv import __version__
 from f0priv import cli as cli_module
 from f0priv.cli import cli
-from f0priv.trajectory import read_f0_csv, write_f0_csv
+from f0priv.evaluation import Recording, SpeakerCorpus, run_scenario
+from f0priv.pitch import PitchConfig, extract_f0, read_wav
+from f0priv.trajectory import format_f0_csv, read_f0_csv, write_f0_csv
 from test_pitch import wav_bytes
 
 
@@ -35,6 +37,13 @@ def write_tone_wav(path, freq=180.0, duration=0.6, sr=16000):
     samples = (0.45 * np.sin(2 * np.pi * freq * t) * 32767).astype(np.int16)
     path.write_bytes(wav_bytes(samples, sample_rate=sr))
     return path
+
+
+def usage_error(command, message):
+    """What click prints to stderr for a ``click.UsageError`` raised by ``command``."""
+    args = "[OPTIONS]" if command == "eval" else "[OPTIONS] INPUTS..."
+    return (f"Usage: cli {command} {args}\nTry 'cli {command} --help' for help.\n\n"
+            f"Error: {message}\n")
 
 
 class TestExtract:
@@ -131,6 +140,15 @@ class TestExtract:
         assert isinstance(result.exception, SystemExit)
         assert "must be a finite number" in result.output
         assert not out.exists()
+
+    def test_first_non_finite_setting_in_field_order(self, runner, tmp_path):
+        # frame_len comes before f_max in PitchConfig, whatever the flag order.
+        wav = write_tone_wav(tmp_path / "tone.wav")
+        result = runner.invoke(
+            cli, ["extract", str(wav), "--f-max", "inf", "--frame-len", "nan", "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2
+        assert result.stderr == usage_error("extract", "pitch frame_len must be a finite number, got nan")
 
     def test_hop_under_one_sample_exit_2(self, runner, tmp_path):
         wav = write_tone_wav(tmp_path / "tone.wav", sr=8000)
@@ -329,6 +347,31 @@ class TestExtract:
         assert tracked in (["w0"], ["w0", "w1"])
         assert set(threading.enumerate()) <= before
 
+    def test_config_pitch_with_one_flag_override(self, runner, tmp_path):
+        wav = write_tone_wav(tmp_path / "a.wav")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"pitch": {"frame_hop": 0.02, "f_min": 100.0}}))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            cli, ["extract", str(wav), "--config", str(config), "--frame-hop", "0.005", "--out", str(out)]
+        )
+        assert (result.exit_code, result.stdout, result.stderr) == (0, f"{wav} -> {out / 'a.csv'}\n", "")
+        expected = extract_f0(read_wav(wav), PitchConfig(frame_hop=0.005, f_min=100.0), recording_id="a")
+        assert (out / "a.csv").read_bytes() == format_f0_csv(expected)
+
+    def test_wav_at_its_own_output_path_fails_alone(self, runner, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        own = write_tone_wav(out / "a.csv")
+        good = write_tone_wav(tmp_path / "good.wav", 150.0)
+        before = own.read_bytes()
+        result = runner.invoke(cli, ["extract", str(own), str(good), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {own}: refusing to overwrite input {own}\n"
+        assert result.stdout == f"{good} -> {out / 'good.csv'}\n"
+        assert own.read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["a.csv", "good.csv"]
+
 
 class TestModify:
     def test_voiced_flat_fixture(self, runner, tmp_path):
@@ -461,6 +504,32 @@ class TestModify:
         assert result.stderr == f"error: {src} -> {old} would overwrite the input {link}\n"
         assert {path: path.read_bytes() for path in before} == before
         assert [p.name for p in out.iterdir()] == ["a.csv"]
+
+    def test_input_dir_joins_relative_inputs_only(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for folder in ("sub", "elsewhere"):
+            (tmp_path / folder).mkdir()
+        write_fixture_csv(tmp_path / "sub" / "x.csv")
+        absolute = write_fixture_csv(tmp_path / "elsewhere" / "a0.csv")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"input_dir": "sub"}))
+        result = runner.invoke(
+            cli, ["modify", "x.csv", str(absolute), "--config", str(config), "--kind", "voiced-flat",
+                  "--out", "o"]
+        )
+        assert result.exit_code == 0
+        assert result.stdout == f"sub/x.csv -> o/x.csv\n{absolute} -> o/a0.csv\n"
+        assert result.stderr == ""
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["a0.csv", "sidecar.json", "x.csv"]
+
+    def test_no_kind_is_exit_2(self, runner, tmp_path):
+        src = write_fixture_csv(tmp_path / "fix.csv")
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["modify", str(src), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == usage_error("modify", "no modifier kind given (use --kind or a config file)")
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, runner, tmp_path):
         src = write_fixture_csv(tmp_path / "fix.csv")
@@ -611,6 +680,32 @@ def build_eval_manifest(tmp_path, n_speakers=6, n_rec=4):
     return manifest
 
 
+def write_manifest(tmp_path, recordings):
+    """A manifest of (speaker, split, values) CSVs, recording ids r0, r1, ..."""
+    entries = []
+    for i, (speaker, split, values) in enumerate(recordings):
+        path = write_fixture_csv(tmp_path / f"r{i}.csv", values)
+        entries.append({"speaker_id": speaker, "recording_id": f"r{i}", "split": split,
+                        "path": path.name})
+    manifest = tmp_path / "corpus.json"
+    manifest.write_text(json.dumps({"entries": entries}))
+    return manifest
+
+
+def contour(base, n=60):
+    return tuple(base + 10.0 * np.sin(np.arange(n) / 4.0))
+
+
+TWO_VOICED = (0.0, 120.0, 0.0, 130.0, 0.0, 0.0)
+
+
+def vibrato_wav(path, center_hz, sr=16000, duration=0.6):
+    t = np.arange(int(sr * duration)) / sr
+    phase = 2 * np.pi * (center_hz * t - 12.0 / (2 * np.pi * 3.0) * np.cos(2 * np.pi * 3.0 * t))
+    path.write_bytes(wav_bytes((0.45 * np.sin(phase) * 32767).astype(np.int16), sample_rate=sr))
+    return path
+
+
 class TestEval:
     def test_oo_report(self, runner, tmp_path):
         manifest = build_eval_manifest(tmp_path)
@@ -704,6 +799,96 @@ class TestEval:
         result = runner.invoke(cli, ["eval", "--manifest", str(manifest), "--scenario", "OO"])
         assert result.exit_code == 2
         assert "expected an object with an 'entries' list" in result.output
+
+    @pytest.mark.parametrize("a_trial, speakers, args, error", [
+        (TWO_VOICED, "ab", ["--scenario", "OO"],
+         "recording of speaker 'a' has absent statistics (fewer than 3 voiced frames)"),
+        (TWO_VOICED, "ab", ["--scenario", "AA", "--kind", "smoothing-spline"],
+         "smoothing spline needs >= 4 voiced frames, got 2"),
+        (contour(125.0), "a", ["--scenario", "OO"], "need at least 2 enrolled speakers for nontarget pairs"),
+    ])
+    def test_scoring_error_is_exit_2(self, runner, tmp_path, a_trial, speakers, args, error):
+        recordings = [("a", "enrollment", contour(120.0)), ("a", "trial", a_trial)]
+        if "b" in speakers:
+            recordings += [("b", "enrollment", contour(180.0)), ("b", "trial", contour(180.0))]
+        manifest = write_manifest(tmp_path, recordings)
+        result = runner.invoke(cli, ["eval", "--manifest", str(manifest), *args])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {error}\n"
+
+    def test_entry_that_fails_to_load_is_exit_2(self, runner, tmp_path):
+        manifest = build_eval_manifest(tmp_path)
+        bad = tmp_path / "s1r0.csv"
+        bad.write_text("time,f0\n0.0,100.0\n")
+        result = runner.invoke(cli, ["eval", "--manifest", str(manifest), "--scenario", "OO"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {bad}: line 1: expected header 'time_s,f0_hz', got 'time,f0'\n"
+        )
+
+    def test_wav_entries_are_tracked_with_the_config_pitch(self, runner, tmp_path):
+        pitch = PitchConfig(f_min=80.0, voicing_threshold=0.5)
+        entries, recordings = [], []
+        for i, (speaker, split, hz) in enumerate(
+            [("a", "enrollment", 120.0), ("a", "trial", 124.0),
+             ("b", "enrollment", 190.0), ("b", "trial", 186.0),
+             ("c", "enrollment", 150.0), ("c", "trial", 153.0)]
+        ):
+            wav = vibrato_wav(tmp_path / f"r{i}.wav", hz)
+            entries.append({"speaker_id": speaker, "recording_id": f"r{i}", "split": split,
+                            "path": wav.name})
+            traj = extract_f0(read_wav(wav), pitch, recording_id=f"r{i}")
+            recordings.append(Recording(speaker, f"r{i}", split, traj))
+        manifest = tmp_path / "wavs.json"
+        manifest.write_text(json.dumps({"entries": entries}))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"pitch": {"f_min": 80.0, "voicing_threshold": 0.5}}))
+        result = runner.invoke(
+            cli, ["eval", "--manifest", str(manifest), "--scenario", "OO", "--config", str(config)]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        expected = run_scenario(SpeakerCorpus(tuple(recordings)), None, "OO")
+        assert result.stdout == expected.to_json() + "\n"
+        assert expected.n_target == 3
+
+    def test_manifest_invalid_json(self, runner, tmp_path):
+        manifest = tmp_path / "bad.json"
+        manifest.write_text("{entries: []}")
+        result = runner.invoke(cli, ["eval", "--manifest", str(manifest), "--scenario", "OO"])
+        assert result.exit_code == 2
+        assert result.stderr == usage_error(
+            "eval", f"manifest {manifest}: invalid JSON "
+            "(Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"
+        )
+
+    def test_manifest_entry_with_wrong_keys(self, runner, tmp_path):
+        manifest = build_eval_manifest(tmp_path)
+        data = json.loads(manifest.read_text())
+        data["entries"][2]["file"] = data["entries"][2].pop("path")
+        manifest.write_text(json.dumps(data))
+        result = runner.invoke(cli, ["eval", "--manifest", str(manifest), "--scenario", "OO"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "manifest error: entry 2: must have exactly the keys "
+            "['path', 'recording_id', 'speaker_id', 'split']\n"
+        )
+
+    def test_manifest_bad_split_and_duplicate_id_both_listed(self, runner, tmp_path):
+        manifest = build_eval_manifest(tmp_path)
+        data = json.loads(manifest.read_text())
+        data["entries"][3].update(split="dev", recording_id=data["entries"][0]["recording_id"])
+        manifest.write_text(json.dumps(data))
+        result = runner.invoke(cli, ["eval", "--manifest", str(manifest), "--scenario", "OO"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "manifest error: entry 3: bad split 'dev'\n"
+            "manifest error: entry 3: duplicate recording_id 's0r0'\n"
+        )
 
 
 class TestPlot:
@@ -964,6 +1149,23 @@ class TestContract:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "invalid JSON" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, error", [
+        ("modify", '[{"modifier": {"kind": "voiced-flat"}}]', "expected a JSON object"),
+        ("extract", '{"pitch": {"hop": 0.01, "f_min": 80.0}}', "unknown pitch keys ['hop']"),
+    ])
+    def test_config_error_message(self, runner, tmp_path, command, text, error):
+        if command == "extract":
+            src = write_tone_wav(tmp_path / "a.wav")
+        else:
+            src = write_fixture_csv(tmp_path / "a.csv")
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        result = runner.invoke(cli, [command, str(src), "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == usage_error(command, f"config {config}: {error}")
         assert not out.exists()
 
     def test_all_exports_resolve(self):
