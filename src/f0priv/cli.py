@@ -83,7 +83,7 @@ def _pitch_config(config: dict, flags: dict) -> PitchConfig:
 # named after the ModifierSpec field it sets.
 SPEC_OPTIONS = (
     click.option("--kind", type=click.Choice(KINDS), default=None, help="Which modification to apply."),
-    click.option("--seed", type=int, envvar="F0PRIV_SEED", default=None, help="Seed for the random-walk kinds."),
+    click.option("--seed", type=int, default=None, help="Seed for the random-walk kinds."),
     click.option("--target-mean", "target_mean_hz", type=float, default=None, help="shift-and-scale target mean in Hz."),
     click.option("--target-std", "target_std_hz", type=float, default=None, help="shift-and-scale target std in Hz."),
 )
@@ -112,16 +112,14 @@ def _modifier_spec(config: dict, flags: dict, default_role: str | None = None):
         raise click.UsageError(str(exc))
 
 
-def _staging(path) -> str:
-    """Where ``_atomic_write`` puts ``path``'s bytes before renaming them into place."""
-    head, name = os.path.split(path)
-    return os.path.join(head, f".tmp-{name}")
-
-
 def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = _staging(path)
+    # Staged under a fresh name, created exclusively, so the staging file
+    # never opens, truncates or follows an existing file or link. A name
+    # already taken fails this write with FileExistsError.
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
+    f = open(tmp, "xb")
     try:
-        with open(tmp, "wb") as f:
+        with f:
             f.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -155,15 +153,13 @@ def _plan_writes(jobs, out_dir: Path | None = None) -> set[int]:
 
     A job whose source is None only writes (the sidecar, an ``--out`` file);
     one whose target is None only reads (``--config``, a manifest, an entry
-    that cannot write). Each target's staging file is a target too. Exits 2
-    when two jobs share a target or a target resolves to another job's
-    source, then makes ``out_dir``. Returns the indices of the jobs whose
-    target is their own source; each of those fails alone.
+    that cannot write). Exits 2 when two jobs share a target or a target
+    resolves to another job's source, then makes ``out_dir``. Returns the
+    indices of the jobs whose target is their own source; each of those
+    fails alone.
     """
-    writes = [
-        (i, path) for i, (_, target) in enumerate(jobs) if target is not None
-        for path in (os.fspath(target), _staging(target))  # str: a Path costs more to hash
-    ]
+    # Targets as str: a Path costs more to hash.
+    writes = [(i, os.fspath(target)) for i, (_, target) in enumerate(jobs) if target is not None]
     writers: dict[str, list] = {}
     for i, path in writes:
         source = jobs[i][0]  # of the writers without one, only the sidecar can share a target
@@ -267,7 +263,10 @@ def _track(wav_path: Path, rid: str, target: Path | None, overwrites_input: bool
             raise ValueError(f"recording id {rid!r} is not a plain file name")
         if overwrites_input:
             raise ValueError(f"refusing to overwrite input {wav_path}")
-        return format_f0_csv(extract_f0(read_wav(wav_path), pitch_cfg, recording_id=rid))
+        traj = extract_f0(read_wav(wav_path), pitch_cfg, recording_id=rid)
+        if traj.n_frames < 2:  # read_f0_csv infers the frame hop from the first two rows
+            raise ValueError("audio holds only one frame; a contour CSV needs 2 to give its frame hop")
+        return format_f0_csv(traj)
     except (OSError, ValueError) as exc:
         # Its traceback would keep the job's audio alive until the result is written.
         return exc.with_traceback(None)
@@ -484,13 +483,17 @@ def cmd_plot(inputs, out):
     paths = [Path(item) for item in inputs]
     _plan_writes([(path, None) for path in paths] + [(None, Path(out))])
     named = []
+    failures = 0
     for path in paths:
         try:
             traj = read_f0_csv(path)
         except (OSError, ValueError) as exc:
             click.echo(f"error: {path}: {exc}", err=True)
-            sys.exit(2)
+            failures += 1
+            continue
         named.append((path.stem, traj))
+    if failures:
+        sys.exit(2)
 
     hops = {round(traj.frame_hop, 9) for _, traj in named}
     if len(hops) > 1:

@@ -6,7 +6,7 @@ A trajectory is a uniformly sampled pitch contour in Hz. The in-band value
 back to unvoiced by the modifier post-rules).
 """
 
-from dataclasses import dataclass
+import dataclasses
 from functools import lru_cache
 from pathlib import Path
 
@@ -32,7 +32,7 @@ class CsvFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class F0Trajectory:
     """Uniformly sampled pitch contour; 0.0 encodes unvoiced frames.
 
@@ -67,7 +67,7 @@ class F0Trajectory:
         return F0Trajectory(self.frame_hop, values, self.recording_id)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class F0Stats:
     """Speaker-identifying statistics of one recording.
 
@@ -85,15 +85,6 @@ class F0Stats:
     rise_rate_hz_s: float | None
     voiced_fraction: float
 
-    FIELD_ORDER = (
-        "voiced_mean_hz",
-        "log_f0_mean",
-        "log_f0_var",
-        "log_f0_skew",
-        "rise_rate_hz_s",
-        "voiced_fraction",
-    )
-
     @property
     def complete(self) -> bool:
         return all(getattr(self, name) is not None for name in self.FIELD_ORDER)
@@ -106,6 +97,10 @@ class F0Stats:
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.FIELD_ORDER}
+
+
+# The order of the statistics in a vector and in the stats JSON.
+F0Stats.FIELD_ORDER = tuple(f.name for f in dataclasses.fields(F0Stats))
 
 
 def validate(traj: F0Trajectory) -> list[str]:

@@ -17,6 +17,7 @@ from f0priv import __version__
 from f0priv import cli as cli_module
 from f0priv.cli import cli
 from f0priv.evaluation import Recording, SpeakerCorpus, run_scenario
+from f0priv.modifiers import ModifierSpec, apply
 from f0priv.pitch import PitchConfig, extract_f0, read_wav
 from f0priv.trajectory import format_f0_csv, read_f0_csv, write_f0_csv
 from test_pitch import wav_bytes
@@ -359,6 +360,19 @@ class TestExtract:
         expected = extract_f0(read_wav(wav), PitchConfig(frame_hop=0.005, f_min=100.0), recording_id="a")
         assert (out / "a.csv").read_bytes() == format_f0_csv(expected)
 
+    def test_one_frame_wav_fails_alone(self, runner, tmp_path):
+        # 400 samples at 16 kHz are exactly one 25 ms frame; a one-row CSV
+        # would give read_f0_csv no frame hop.
+        short = write_tone_wav(tmp_path / "short.wav", duration=0.025)
+        good = write_tone_wav(tmp_path / "good.wav")
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["extract", str(short), str(good), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == (f"error: {short}: audio holds only one frame; "
+                                 "a contour CSV needs 2 to give its frame hop\n")
+        assert result.stdout == f"{good} -> {out / 'good.csv'}\n"
+        assert [p.name for p in out.iterdir()] == ["good.csv"]
+
     def test_wav_at_its_own_output_path_fails_alone(self, runner, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -442,19 +456,6 @@ class TestModify:
                 (out / "sidecar.json").read_bytes()
             ]
         assert outputs["a"] == outputs["b"] == outputs["c"]
-
-    def test_env_seed_fallback(self, runner, tmp_path):
-        src = write_fixture_csv(tmp_path / "fix.csv", values=(90.0, 100.0, 110.0, 95.0, 105.0))
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        r1 = runner.invoke(
-            cli, ["modify", str(src), "--kind", "random-walk-weak", "--out", str(out1)],
-            env={"F0PRIV_SEED": "1234"},
-        )
-        r2 = runner.invoke(
-            cli, ["modify", str(src), "--kind", "random-walk-weak", "--seed", "1234", "--out", str(out2)],
-        )
-        assert r1.exit_code == 0 and r2.exit_code == 0
-        assert (out1 / "fix.csv").read_bytes() == (out2 / "fix.csv").read_bytes()
 
     def test_refuses_overwriting_input(self, runner, tmp_path):
         src = write_fixture_csv(tmp_path / "fix.csv")
@@ -913,6 +914,22 @@ class TestPlot:
         assert result.exit_code == 0
         assert out.read_text().count('class="trajectory"') == 1
 
+    def test_every_unreadable_input_is_reported(self, runner, tmp_path):
+        bad = tmp_path / "b.csv"
+        bad.write_text("time_s,f0_hz\n0.000000,abc\n")
+        missing = tmp_path / "nope.csv"
+        good = write_fixture_csv(tmp_path / "a.csv")
+        out = tmp_path / "plot.svg"
+        result = runner.invoke(cli, ["plot", str(bad), str(missing), str(good), "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        errors = result.stderr.splitlines()
+        assert len(errors) == 2
+        assert errors[0].startswith(f"error: {bad}: ")
+        assert errors[1].startswith(f"error: {missing}: ")
+        assert result.stdout == ""
+        assert not out.exists()
+
     def test_mismatched_hop_warns(self, runner, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -997,7 +1014,7 @@ class TestContract:
         envvars = {
             p.envvar for command in cli.commands.values() for p in command.params if p.envvar
         }
-        assert envvars == {"F0PRIV_SEED"}
+        assert envvars == set()
 
     @pytest.mark.parametrize("command", ["extract", "modify"])
     @pytest.mark.parametrize("how", ["config", "flag"])
@@ -1094,26 +1111,76 @@ class TestContract:
         assert [p.name for p in out.iterdir()] == ["a.csv"]
 
     @pytest.mark.parametrize("command", ["stats", "modify"])
-    def test_input_at_an_outputs_staging_path_is_exit_2(self, runner, tmp_path, command):
-        # An output is first written to .tmp-<its name>, then renamed into place.
+    def test_input_named_like_a_staging_file_survives(self, runner, tmp_path, command):
+        # Outputs are staged under fresh random names, so an input named
+        # .tmp-<an output's name> is an input like any other.
         out = tmp_path / "o"
         out.mkdir()
         staged = write_fixture_csv(out / ".tmp-a.csv")
         before = staged.read_bytes()
         if command == "stats":
-            args = ["stats", str(staged), "--out", str(out / "a.csv")]
-            error = f"error: refusing to overwrite input {staged}\n"
+            result = runner.invoke(cli, ["stats", str(staged), "--out", str(out / "a.csv")])
+            assert (result.exit_code, result.stderr) == (0, "")
+            written = [".tmp-a.csv", "a.csv"]
         else:
             src = write_fixture_csv(tmp_path / "a.csv")
-            args = ["modify", str(src), str(staged), "--kind", "voiced-flat", "--out", str(out)]
-            error = f"error: output .tmp-a.csv would be written by each of {src}, {staged}\n"
-        result = runner.invoke(cli, args)
+            result = runner.invoke(
+                cli, ["modify", str(src), str(staged), "--kind", "voiced-flat", "--out", str(out)]
+            )
+            assert result.exit_code == 2
+            assert result.stderr == f"error: {staged}: refusing to overwrite input {staged}\n"
+            assert result.stdout == f"{src} -> {out / 'a.csv'}\n"
+            written = [".tmp-a.csv", "a.csv", "sidecar.json"]
+        assert staged.read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == written
+
+    def test_outputs_x_and_tmp_x_are_both_written(self, runner, tmp_path):
+        src = tmp_path / "in"
+        src.mkdir()
+        inputs = [write_fixture_csv(src / "x.csv"), write_fixture_csv(src / ".tmp-x.csv", (0.0, 90.0, 95.0))]
+        out = tmp_path / "o"
+        result = runner.invoke(cli, ["modify", *map(str, inputs), "--kind", "voiced-flat", "--out", str(out)])
+        assert (result.exit_code, result.stderr) == (0, "")
+        for path in inputs:
+            expected = apply(ModifierSpec("voiced-flat"), read_f0_csv(path))
+            assert (out / path.name).read_bytes() == format_f0_csv(expected)
+        assert sorted(p.name for p in out.iterdir()) == [".tmp-x.csv", "sidecar.json", "x.csv"]
+
+    def test_hard_link_to_an_input_beside_the_output_keeps_the_input(self, runner, tmp_path):
+        # The staging file never opens an existing name, so no write goes
+        # through a link that shares an input's bytes.
+        (tmp_path / "in").mkdir()
+        src = write_fixture_csv(tmp_path / "in" / "a.csv")
+        before = src.read_bytes()
+        out = tmp_path / "o"
+        out.mkdir()
+        os.link(src, out / ".tmp-r.json")
+        result = runner.invoke(cli, ["stats", str(src), "--out", str(out / "r.json")])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert src.read_bytes() == before
+        assert [report["recording_id"] for report in json.loads((out / "r.json").read_text())] == ["a"]
+
+    @pytest.mark.parametrize("taken_by", ["file", "symlink"])
+    def test_staging_name_taken_fails_the_write(self, runner, tmp_path, monkeypatch, taken_by):
+        src = write_fixture_csv(tmp_path / "a.csv")
+        before = src.read_bytes()
+        out = tmp_path / "o"
+        out.mkdir()
+        taken = out / f".tmp-{'00' * 8}"
+        if taken_by == "file":
+            taken.write_bytes(b"someone else's\n")
+        else:
+            taken.symlink_to(src)
+        kept = taken.read_bytes()
+        monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+        result = runner.invoke(cli, ["stats", str(src), "--out", str(out / "r.json")])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-        assert result.stderr == error
-        assert result.stdout == ""
-        assert staged.read_bytes() == before
-        assert [p.name for p in out.iterdir()] == [".tmp-a.csv"]
+        assert result.stderr == f"error: cannot write {out / 'r.json'}: File exists\n"
+        assert taken.read_bytes() == kept
+        assert taken.is_symlink() == (taken_by == "symlink")
+        assert src.read_bytes() == before
+        assert [p.name for p in out.iterdir()] == [taken.name]
 
     @pytest.mark.parametrize("command", ["extract", "modify", "stats", "eval", "plot"])
     def test_fresh_run_resolves_no_path(self, runner, tmp_path, monkeypatch, command):

@@ -8,7 +8,10 @@ PARENT_DIR and CHANGE_DIR are checkout roots. For each workload in
 in both, for ``S`` from ``BENCHMARK.json``; the parent runs first in even
 pairs and second in odd ones. The file keeps every run's end-to-end metrics
 and, per metric, each side's median and quartiles and the number of pairs
-the change won.
+the change won. Each side's ``src_sha256`` is the one its runs report in
+their context lines, and the script exits non-zero when a run imported
+``f0priv`` from outside its side's ``src/`` or its source changed between
+runs, so that a pair never times one tree twice.
 
 ``perfbench/run.py`` reads peak RSS from ``os.wait4`` on children it forks
 from itself, and a forked child counts the benchmark's own pages from before
@@ -19,7 +22,6 @@ FIRST_SEED from a small launcher interpreter whose own pages stay below it, and
 """
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -44,21 +46,20 @@ LAUNCHER = (
 )
 
 
-def src_digest(root: Path) -> str:
-    # As perfbench/run.py records it in its context lines.
-    digest = hashlib.sha256()
-    for path in sorted((root / "src" / "f0priv").glob("*.py")):
-        digest.update(path.name.encode() + path.read_bytes())
-    return digest.hexdigest()
-
-
-def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(root: Path, workload: str, seed: int, seconds: float, digests: dict) -> dict:
+    """One run's end-to-end metrics; ``digests`` keeps each root's src_sha256."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=True,
     )
-    result = json.loads(out.stdout.splitlines()[-1])
+    # run.py prints its context object, then the result on the last line.
+    *context_lines, result_line = out.stdout.splitlines()
+    context, result = json.loads("\n".join(context_lines)), json.loads(result_line)
+    if not Path(context["f0priv_file"]).resolve().is_relative_to(root / "src"):
+        raise SystemExit(f"error: the run in {root} imported {context['f0priv_file']}, not its own src/")
+    if digests.setdefault(root, context["src_sha256"]) != context["src_sha256"]:
+        raise SystemExit(f"error: {root / 'src'} changed between runs")
     row = {name: result["metrics"][name]["value"] for name in METRICS}
     row.update(attempted=result["attempted"], failed=result["failed"], correct=result["correct"])
     return row
@@ -137,10 +138,10 @@ def main() -> None:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
+    digests: dict = {}
     doc = {
         "host": host(),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
-        "src_sha256": {side: src_digest(root) for side, root in roots.items()},
         "workloads": {},
     }
     for workload in (w["name"] for w in benchmark["workloads"]):
@@ -150,10 +151,11 @@ def main() -> None:
             order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = bench_run(roots[side], workload, seed, seconds)
+                pair[side] = bench_run(roots[side], workload, seed, seconds, digests)
             pairs.append(pair)
             print(json.dumps({"workload": workload, **pair}), flush=True)
         doc["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}
+    doc["src_sha256"] = {side: digests[root] for side, root in roots.items()}
     doc["extract_own_peak_rss_mb"] = own_peak_rss(roots)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
