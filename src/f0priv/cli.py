@@ -234,13 +234,8 @@ def _load_manifest(path) -> list[dict]:
         if entry["recording_id"] in seen_ids:
             problems.append(f"entry {i}: duplicate recording_id {entry['recording_id']!r}")
         seen_ids.add(entry["recording_id"])
-        file_path = Path(entry["path"])
-        if not file_path.is_absolute():
-            file_path = root / file_path
-        if not file_path.exists():
-            problems.append(f"entry {i}: path does not exist: {file_path}")
         entry = dict(entry)
-        entry["path"] = file_path
+        entry["path"] = root / entry["path"]  # an absolute path replaces root
         entries[i] = entry
     if problems:
         for p in problems:
@@ -447,7 +442,8 @@ def cmd_eval(manifest, scenario, out, config, **flags):
         try:
             traj = _load_trajectory(entry["path"], pitch_cfg, entry["recording_id"])
         except (OSError, ValueError) as exc:
-            click.echo(f"error: {entry['path']}: {exc}", err=True)
+            reason = "path does not exist" if isinstance(exc, FileNotFoundError) else exc
+            click.echo(f"error: {entry['path']}: {reason}", err=True)
             failures += 1
             continue
         recordings.append(

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from ._scipy import _scipy_extension
 from .modifiers import ModifierSpec, apply
 from .trajectory import F0Stats, F0Trajectory, stats
 
@@ -204,8 +205,6 @@ def pav_llrs(scores: ScoreSet) -> ScoreSet:
     :func:`cllr` because a block containing a target can never be all
     nontargets and vice versa.
     """
-    from scipy.optimize import isotonic_regression  # scipy loads only where used
-
     scores.require_valid()
     tar, non = scores.target_scores, scores.nontarget_scores
     pooled = np.concatenate([tar, non])
@@ -214,10 +213,11 @@ def pav_llrs(scores: ScoreSet) -> ScoreSet:
     tar_per_group = np.bincount(inverse, weights=labels, minlength=uniq.size)
     count_per_group = np.bincount(inverse, minlength=uniq.size).astype(float)
 
-    # Tied scores share a group, so the fit is a function of the score.
-    posterior = isotonic_regression(
-        tar_per_group / count_per_group, weights=count_per_group
-    ).x
+    # Tied scores share a group, so the fit is a function of the score. The
+    # arrays are those scipy.optimize.isotonic_regression hands its PAV.
+    pava = _scipy_extension("optimize", "_pava_pybind").pava
+    block_starts = np.full(uniq.size + 1, -1, np.intp)
+    posterior = pava(tar_per_group / count_per_group, count_per_group, block_starts)[0]
     prior_log_odds = np.log(tar.size / non.size)
     with np.errstate(divide="ignore"):
         llr_per_group = np.log(posterior) - np.log1p(-posterior) - prior_log_odds
@@ -240,11 +240,11 @@ def affine_calibrate(scores: ScoreSet) -> ScoreSet:
     """Affine logistic calibration a*s + b minimizing Cllr, fit on the scores.
 
     The slope is constrained nonnegative so the calibrated cost can never
-    undercut the monotone-recalibration optimum.
+    undercut the monotone-recalibration optimum. The fit is L-BFGS-B run as
+    ``scipy.optimize.minimize`` runs it, and stops by its default
+    tolerances, so its Cllr can sit about 1e-8 relative above the exact
+    optimum; the benchmark's frozen reference reports rely on those bits.
     """
-    from scipy.optimize import minimize
-    from scipy.special import expit
-
     scores.require_valid()
     tar, non = scores.target_scores, scores.nontarget_scores
     pooled = np.concatenate([tar, non])
@@ -254,6 +254,7 @@ def affine_calibrate(scores: ScoreSet) -> ScoreSet:
         return ScoreSet(np.zeros(tar.size), np.zeros(non.size))
     st = (tar - center) / spread
     sn = (non - center) / spread
+    expit = _scipy_extension("special", "_special_ufuncs").expit
 
     def cost_grad(params):
         a, b = params
@@ -268,14 +269,31 @@ def affine_calibrate(scores: ScoreSet) -> ScoreSet:
         db = 0.5 * (np.mean(gt) + np.mean(gn))
         return value, np.array([da, db])
 
-    result = minimize(
-        cost_grad,
-        x0=np.array([1.0, 0.0]),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(0.0, None), (None, None)],
-    )
-    a, b = result.x
+    # minimize's L-BFGS-B loop with its defaults: m = 10 corrections,
+    # factr = ftol / eps = 1e7, pgtol 1e-5, 20 line-search steps, and 15000
+    # each of iterations and evaluations. a has the lower bound 0 (nbd 1), b none.
+    setulb = _scipy_extension("optimize", "_lbfgsb").setulb
+    m, n = 10, 2
+    x, nbd = np.array([1.0, 0.0]), np.array([1, 0], np.int32)
+    lower = upper = np.zeros(n)  # only a's lower bound is read
+    value, grad = 0.0, np.zeros(n)
+    wa, iwa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    iterations = evaluations = 0
+    while True:
+        setulb(m, x, lower, upper, nbd, value, grad, 1e7, 1e-5, wa, iwa, task,
+               lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # evaluate at x
+            value, grad = cost_grad(x)
+            evaluations += 1
+        elif task[0] == 1:  # an iteration ended
+            iterations += 1
+            if iterations >= 15000 or evaluations > 15000:
+                task[:] = 5, 504  # stop, as minimize does at either cap
+        else:
+            break
+    a, b = x
     return ScoreSet(a * st + b, a * sn + b)
 
 

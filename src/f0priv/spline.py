@@ -16,9 +16,10 @@ abscissae, which is all the smoothing modifier needs.
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
+
+from ._scipy import _scipy_extension
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,10 @@ class SplineModel:
         object.__setattr__(self, "fitted", arr)
 
 
-@cache
 def _pbsv():
-    # LAPACK's banded positive-definite solver, looked up on first use so
-    # importing f0priv loads no scipy.
-    from scipy.linalg import get_lapack_funcs
-
-    return get_lapack_funcs("pbsv", (np.empty(0),))
+    # LAPACK's banded positive-definite solver, the routine
+    # scipy.linalg.get_lapack_funcs("pbsv") gives for float64 arrays.
+    return _scipy_extension("linalg", "_flapack").dpbsv
 
 
 def _check_solved(info: int) -> None:

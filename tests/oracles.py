@@ -150,6 +150,64 @@ def exhaustive_cllr_min(targets, nontargets):
     return best
 
 
+
+def pav_llrs_reference(targets, nontargets):
+    """``evaluation.pav_llrs`` as first written, on scipy's public ``isotonic_regression``.
+
+    Returns the recalibrated (target LLRs, nontarget LLRs); the library's
+    direct call of scipy's compiled PAV must match them bit for bit.
+    """
+    from scipy.optimize import isotonic_regression
+
+    tar, non = np.asarray(targets, dtype=np.float64), np.asarray(nontargets, dtype=np.float64)
+    pooled = np.concatenate([tar, non])
+    labels = np.concatenate([np.ones(tar.size), np.zeros(non.size)])
+    uniq, inverse = np.unique(pooled, return_inverse=True)
+    tar_per_group = np.bincount(inverse, weights=labels, minlength=uniq.size)
+    count_per_group = np.bincount(inverse, minlength=uniq.size).astype(float)
+    posterior = isotonic_regression(tar_per_group / count_per_group, weights=count_per_group).x
+    prior_log_odds = np.log(tar.size / non.size)
+    with np.errstate(divide="ignore"):
+        llr_per_group = np.log(posterior) - np.log1p(-posterior) - prior_log_odds
+    llrs = llr_per_group[inverse]
+    return llrs[: tar.size], llrs[tar.size :]
+
+
+def affine_calibrate_reference(targets, nontargets):
+    """``evaluation.affine_calibrate`` as first written, on ``scipy.optimize.minimize``.
+
+    Fits a*s + b (a >= 0) to the standardized scores by L-BFGS-B with
+    scipy's public ``expit``; returns the calibrated (targets, nontargets),
+    which the library's own L-BFGS-B loop must match bit for bit.
+    """
+    from scipy.optimize import minimize
+    from scipy.special import expit
+
+    tar, non = np.asarray(targets, dtype=np.float64), np.asarray(nontargets, dtype=np.float64)
+    pooled = np.concatenate([tar, non])
+    center = float(np.mean(pooled))
+    spread = float(np.std(pooled))
+    if spread == 0.0:
+        return np.zeros(tar.size), np.zeros(non.size)
+    st = (tar - center) / spread
+    sn = (non - center) / spread
+
+    def cost_grad(params):
+        a, b = params
+        ut = a * st + b
+        un = a * sn + b
+        value = 0.5 * (np.mean(np.logaddexp(0.0, -ut)) + np.mean(np.logaddexp(0.0, un)))
+        gt = -expit(-ut)
+        gn = expit(un)
+        da = 0.5 * (np.mean(gt * st) + np.mean(gn * sn))
+        db = 0.5 * (np.mean(gt) + np.mean(gn))
+        return value, np.array([da, db])
+
+    result = minimize(cost_grad, x0=np.array([1.0, 0.0]), jac=True, method="L-BFGS-B",
+                      bounds=[(0.0, None), (None, None)])
+    a, b = result.x
+    return a * st + b, a * sn + b
+
 def track_reference(audio, cfg, nfft=None):
     """The pitch tracker one frame at a time; returns (values, frame_hop).
 

@@ -81,6 +81,18 @@ class TestExtract:
         assert result.exit_code == 2
         assert (out / "good.csv").exists()
 
+    def test_missing_manifest_entry_fails_alone(self, runner, tmp_path):
+        wav = write_tone_wav(tmp_path / "good.wav")
+        entries = [{"speaker_id": "s", "recording_id": rid, "split": "trial", "path": name}
+                   for rid, name in (("gone", "gone.wav"), ("good", wav.name))]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"entries": entries}))
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["extract", str(manifest), "--out", str(out)])
+        assert result.exit_code == 2
+        assert str(tmp_path / "gone.wav") in result.stderr
+        assert (out / "good.csv").exists() and not (out / "gone.csv").exists()
+
     def test_codec_error_exit_2(self, runner, tmp_path):
         bad = tmp_path / "mu.wav"
         bad.write_bytes(wav_bytes(b"\x00\x01", audio_format=7, bits=8))
@@ -781,6 +793,16 @@ class TestEval:
         assert result.exit_code == 2
         assert "does not exist" in result.output
 
+    def test_missing_entry_is_one_line_and_no_report(self, runner, tmp_path):
+        manifest = build_eval_manifest(tmp_path)
+        (tmp_path / "s1r0.csv").unlink()
+        out = tmp_path / "report.json"
+        result = runner.invoke(cli, ["eval", "--manifest", str(manifest), "--scenario", "OO",
+                                     "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {tmp_path / 's1r0.csv'}: path does not exist\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field, value", [("recording_id", ["r"]), ("path", 5), ("speaker_id", 3), ("split", None)]
     )
@@ -1247,16 +1269,16 @@ class TestContract:
         assert result.exit_code == 2
 
     def test_import_loads_no_scipy(self, tmp_path):
-        # scipy costs about half a second to import; only spline fitting and
-        # the eval metrics need it, and they import it themselves. The spline
-        # fit needs only scipy.linalg's LAPACK wrapper; the eval metrics
-        # alone load scipy.optimize.
+        # scipy.linalg and scipy.optimize cost about 300 ms each to import.
+        # Importing f0priv loads no scipy; the spline fit and the eval
+        # metrics load only the compiled routines they call, not one of
+        # scipy's subpackages.
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
-        def scipy_modules_after(statement):
+        def scipy_modules_after(args):
             code = (
-                f"import sys, f0priv.cli\n{statement}\n"
+                f"import sys, f0priv.cli\nf0priv.cli.cli.main({args!r}, standalone_mode=False)\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
             )
             out = subprocess.run(
@@ -1264,13 +1286,26 @@ class TestContract:
             )
             return out.stdout.splitlines()[-1]  # after what the command printed
 
-        assert scipy_modules_after("") == "[]"
+        def assert_no_subpackage(loaded):
+            for package in ("scipy.linalg", "scipy.optimize", "scipy.special"):
+                assert f"'{package}'" not in loaded
+
+        assert scipy_modules_after(["--version"]) == "[]"
         csv = write_fixture_csv(tmp_path / "fix.csv", (100.0, 112.0, 104.0, 0.0, 121.0, 109.0, 118.0))
-        args = ["modify", str(csv), "--kind", "smoothing-spline", "--out", str(tmp_path / "out")]
-        loaded = scipy_modules_after(f"f0priv.cli.cli.main({args!r}, standalone_mode=False)")
-        assert "'scipy.linalg'" in loaded
-        assert "scipy.optimize" not in loaded
+        loaded = scipy_modules_after(["modify", str(csv), "--kind", "smoothing-spline",
+                                      "--out", str(tmp_path / "out")])
+        assert "'scipy.linalg._flapack'" in loaded
+        assert_no_subpackage(loaded)
         assert (tmp_path / "out" / "fix.csv").exists()
+        (tmp_path / "corpus").mkdir()
+        manifest = build_eval_manifest(tmp_path / "corpus")
+        loaded = scipy_modules_after(["eval", "--manifest", str(manifest), "--scenario", "AA",
+                                      "--kind", "smoothing-spline", "--out", str(tmp_path / "report.json")])
+        for module in ("linalg._flapack", "optimize._lbfgsb", "optimize._pava_pybind",
+                       "special._special_ufuncs"):
+            assert f"'scipy.{module}'" in loaded
+        assert_no_subpackage(loaded)
+        assert json.loads((tmp_path / "report.json").read_text())["scenario"] == "AA"
 
     def test_import_loads_no_thread_pool(self):
         # concurrent.futures costs about 5 ms to import; only extract needs it.

@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_traj
+from f0priv._scipy import _scipy_extension
 from f0priv.evaluation import (
     Recording,
     ScoreSet,
@@ -24,7 +26,14 @@ from f0priv.evaluation import (
 from f0priv.modifiers import ModifierSpec
 from f0priv.synth import speaker_corpus
 from f0priv.trajectory import F0Stats, stats
-from oracles import brute_force_eer, cllr_reference, exhaustive_cllr_min, score
+from oracles import (
+    affine_calibrate_reference,
+    brute_force_eer,
+    cllr_reference,
+    exhaustive_cllr_min,
+    pav_llrs_reference,
+    score,
+)
 
 
 def scoreset(tar, non):
@@ -192,6 +201,59 @@ class TestMetricProperties:
     def test_min_never_exceeds_affine_calibration(self, tar, non):
         s = scoreset(tar, non)
         assert cllr_min(s) <= cllr(affine_calibrate(s)) + 1e-9
+
+
+def slope_bound_scoreset():
+    # Targets below nontargets: the best slope is negative, so the affine
+    # fit stops on its bound a = 0.
+    rng = np.random.default_rng(31)
+    return scoreset(rng.normal(-2.0, 1.0, 40), rng.normal(2.0, 1.0, 60))
+
+
+def reference_score_sets():
+    """Score sets on which the compiled scipy routines must match public scipy."""
+    rng = np.random.default_rng(30)
+    sets = [random_scoreset(rng, separation=rng.uniform(0.0, 3.0)) for _ in range(30)]
+    # Quarter steps: most scores tie within and across the classes.
+    sets += [scoreset(0.25 * rng.integers(-6, 7, rng.integers(1, 40)),
+                      0.25 * rng.integers(-8, 5, rng.integers(1, 40))) for _ in range(10)]
+    # Fully separable: PAV gives +/- infinite LLRs.
+    sets += [scoreset(rng.uniform(1.0, 2.0, 20), rng.uniform(-2.0, -1.0, 30)),
+             scoreset([1.0, 3.0], [0.0]), scoreset(rng.uniform(5.0, 6.0, 80), [0.0, 1.0])]
+    return sets + [scoreset([2.5, 2.5], [2.5, 2.5, 2.5]), slope_bound_scoreset()]
+
+
+class TestCompiledScipy:
+    @pytest.mark.parametrize("s", reference_score_sets())
+    def test_matches_public_scipy(self, s):
+        tar, non = list(s.target_scores), list(s.nontarget_scores)
+        for got, expected in [(pav_llrs(s), pav_llrs_reference(tar, non)),
+                              (affine_calibrate(s), affine_calibrate_reference(tar, non))]:
+            assert np.array_equal(got.target_scores, expected[0])
+            assert np.array_equal(got.nontarget_scores, expected[1])
+
+    def test_slope_bound_is_reached(self):
+        calibrated = affine_calibrate(slope_bound_scoreset())
+        assert np.unique(np.concatenate([calibrated.target_scores, calibrated.nontarget_scores])).size == 1
+
+    # Each routine as scipy's own modules reach it.
+    @pytest.mark.parametrize("subpackage, stem, name, public", [
+        ("linalg", "_flapack", "dpbsv", lambda scipy: scipy.linalg.get_lapack_funcs("pbsv", (np.empty(0),))),
+        ("optimize", "_lbfgsb", "setulb", lambda scipy: scipy.optimize._lbfgsb_py._lbfgsb.setulb),
+        ("optimize", "_pava_pybind", "pava", lambda scipy: scipy.optimize._isotonic.pava),
+        ("special", "_special_ufuncs", "expit", lambda scipy: scipy.special.expit),
+    ], ids=["dpbsv", "setulb", "pava", "expit"])
+    def test_falls_back_to_the_usual_import(self, monkeypatch, tmp_path, subpackage, stem, name, public):
+        import scipy.linalg
+        import scipy.optimize
+        import scipy.special
+
+        expected = public(scipy)
+        # No extension file lies beside this scipy.__file__, and the module
+        # is not loaded, so the loader must import it the usual way.
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        monkeypatch.delitem(sys.modules, f"scipy.{subpackage}.{stem}")
+        assert getattr(_scipy_extension.__wrapped__(subpackage, stem), name) is expected
 
 
 def two_population_stats(rng, n=500, m_enroll=10, m_trial=4):

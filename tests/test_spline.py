@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from f0priv.spline import _brentq, _System, _search_start, fit
+from f0priv.spline import _brentq, _pbsv, _System, _search_start, fit
 from oracles import spline_fit_reference
 
 
@@ -159,6 +159,11 @@ class TestReferenceBitIdentity:
         assert_matches_reference(x, y, None)
         assert assert_matches_reference(x, y, 0.0).penalty == 0.0
         assert assert_matches_reference(x, y, 1e12).penalty == np.inf
+
+    def test_pbsv_is_scipys_lapack_routine(self):
+        from scipy.linalg import get_lapack_funcs
+
+        assert _pbsv() is get_lapack_funcs("pbsv", (np.empty(0),))
 
     def test_non_finite_bands_still_raise(self):
         # Knots 1e-200 apart make Q^T Q overflow to inf; the banded solve
