@@ -1,7 +1,7 @@
 """scipy's compiled routines, loaded without scipy's subpackages.
 
 Importing ``scipy.linalg`` or ``scipy.optimize`` costs about 300 ms each,
-nearly all of it in modules f0priv never calls. The pipeline calls four
+nearly all of it in modules f0priv never calls. The pipeline calls five
 compiled routines, so each one's extension file is loaded on its own and
 no subpackage ``__init__`` runs.
 """

@@ -351,7 +351,9 @@ def cmd_modify(inputs, out, config, **flags):
             if i in own:
                 raise ValueError(f"refusing to overwrite input {path}")
             traj = read_f0_csv(path)
-            modified = apply(spec, traj)
+            # Valid but huge values overflow the arithmetic; validate reports the result.
+            with np.errstate(over="ignore", invalid="ignore"):
+                modified = apply(spec, traj)
             problems = validate(modified)
             if problems:
                 raise ValueError("output failed validation: " + "; ".join(problems))
@@ -460,7 +462,8 @@ def cmd_eval(manifest, scenario, out, config, **flags):
         sys.exit(2)
 
     try:
-        report = run_scenario(corpus, spec, scenario)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_scenario(corpus, spec, scenario)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

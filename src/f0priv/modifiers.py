@@ -11,7 +11,6 @@ modified value below 40 Hz (including negatives) is set unvoiced. The
 all-flat transform is the one exception and keeps its constant everywhere.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -152,12 +151,14 @@ def modulate(traj: F0Trajectory, f1: float, f2: float) -> F0Trajectory:
     return post_rules(traj, mean + (traj.values[mask] - mean) * factor[mask])
 
 
-def derive_recording_seed(seed: int, recording_id: str) -> np.random.SeedSequence:
+def derive_recording_seed(seed: int, recording_id: str) -> "np.random.SeedSequence":
     """Per-recording seed: the user seed mixed with a stable id hash.
 
     Keeps corpus runs reproducible while giving every recording its own
     walk (a platform-independent hash; Python's builtin is salted).
     """
+    import hashlib  # here, like numpy.random, so only the walk kinds load it
+
     digest = hashlib.blake2b(recording_id.encode("utf-8"), digest_size=8).digest()
     rid_hash = int.from_bytes(digest, "little")
     return np.random.SeedSequence([int(seed), rid_hash])

@@ -14,7 +14,6 @@ the number of data points. A fit yields the spline's values at the data
 abscissae, which is all the smoothing modifier needs.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,62 +153,6 @@ def _line_residual(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(err, err))
 
 
-def _brentq(f, xpre: float, xcur: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """Root of ``f`` between ``xpre`` and ``xcur`` by Brent's method.
-
-    A step-for-step port of scipy.optimize.brentq (its C ``brentq``, after
-    Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4)
-    that returns the same root bits and raises the same errors, without
-    importing scipy.optimize.
-    """
-
-    def call(x: float) -> float:
-        fx = f(x)
-        if fx != fx:
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                stry = math.inf  # C divides to an inf or NaN step, which bisects
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
 def _search_start(sys_: _System) -> float:
     # Smoothing sets in where penalty * Q^T Q weighs about as much as R in the
     # solved matrix; a tenth of the ratio of their mean diagonals, rounded to a
@@ -274,31 +217,35 @@ def fit(x, y, s: float | None = None) -> SplineModel:
         evals += 1
         return sys_.solve(penalty)[1]
 
+    def excess(u: float) -> float:
+        # The NaN guard scipy.optimize.brentq wraps around its function.
+        r = residual_at(np.exp(u)) - s
+        if r != r:
+            raise ValueError(f"The function value at x={u} is NaN; solver cannot continue.")
+        return r
+
     # Bracket the monotone residual curve around the target, then root-find
-    # on the log of the penalty.
+    # on the log of the penalty. A target no power of 16 in range brackets
+    # is an input the spline cannot fit.
     lo = hi = start = _search_start(sys_)
     r_start = residual_at(start)
     if r_start < s:
         while residual_at(hi := hi * 16.0) < s:
             if hi > 1e300:
-                raise RuntimeError("penalty bracketing failed to reach the target")
+                raise ValueError("penalty bracketing failed to reach the target")
         lo = hi / 16.0
     elif r_start > s:
         while residual_at(lo := lo / 16.0) > s:
             if lo < 1e-300:
-                raise RuntimeError("penalty bracketing failed to reach the target")
+                raise ValueError("penalty bracketing failed to reach the target")
         hi = lo * 16.0
     if r_start == s:
         root = start
     else:
-        log_root = _brentq(
-            lambda u: residual_at(np.exp(u)) - s,
-            float(np.log(lo)),
-            float(np.log(hi)),
-            xtol=1e-12,
-            rtol=1e-14,
-            maxiter=60,
-        )
+        # scipy's compiled Brent's method: xtol, rtol, maxiter, args,
+        # full_output, disp.
+        brentq = _scipy_extension("optimize", "_zeros")._brentq
+        log_root = brentq(excess, float(np.log(lo)), float(np.log(hi)), 1e-12, 1e-14, 60, (), False, True)
         root = float(np.exp(log_root))
 
     err, residual = sys_.solve(root)

@@ -40,6 +40,12 @@ def write_tone_wav(path, freq=180.0, duration=0.6, sr=16000):
     return path
 
 
+def src_env():
+    """The environment for a fresh interpreter that imports f0priv from this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def usage_error(command, message):
     """What click prints to stderr for a ``click.UsageError`` raised by ``command``."""
     args = "[OPTIONS]" if command == "eval" else "[OPTIONS] INPUTS..."
@@ -617,6 +623,18 @@ class TestModify:
         assert f"error: {src}: [Errno 21] Is a directory" in result.stderr
         assert sorted(p.name for p in out.iterdir()) == ["fix.csv", "other.csv", "sidecar.json"]
 
+    def test_contour_the_spline_cannot_fit_fails_alone(self, runner, tmp_path):
+        huge = write_fixture_csv(tmp_path / "huge.csv", HUGE)
+        ok = write_fixture_csv(tmp_path / "ok.csv", contour(120.0))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            cli, ["modify", str(huge), str(ok), "--kind", "smoothing-spline", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {huge}: penalty bracketing failed to reach the target\n"
+        assert result.stdout == f"{ok} -> {out / 'ok.csv'}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["ok.csv", "sidecar.json"]
+
 
 class TestStats:
     def test_constant_fixture(self, runner, tmp_path):
@@ -710,6 +728,8 @@ def contour(base, n=60):
 
 
 TWO_VOICED = (0.0, 120.0, 0.0, 130.0, 0.0, 0.0)
+# A valid contour no smoothing-spline penalty in range can fit.
+HUGE = tuple(np.geomspace(1e299, 5e300, 8))
 
 
 def vibrato_wav(path, center_hz, sr=16000, duration=0.6):
@@ -839,6 +859,17 @@ class TestEval:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == f"error: {error}\n"
+
+    @pytest.mark.parametrize("scenario", ["AA", "OA"])
+    def test_contour_the_spline_cannot_fit_is_exit_2(self, runner, tmp_path, scenario):
+        recordings = [("a", "enrollment", contour(120.0)), ("a", "trial", HUGE),
+                      ("b", "enrollment", contour(180.0)), ("b", "trial", contour(180.0))]
+        manifest = write_manifest(tmp_path, recordings)
+        result = runner.invoke(cli, ["eval", "--manifest", str(manifest), "--scenario", scenario,
+                                     "--kind", "smoothing-spline"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: penalty bracketing failed to reach the target\n"
 
     def test_entry_that_fails_to_load_is_exit_2(self, runner, tmp_path):
         manifest = build_eval_manifest(tmp_path)
@@ -1273,16 +1304,13 @@ class TestContract:
         # Importing f0priv loads no scipy; the spline fit and the eval
         # metrics load only the compiled routines they call, not one of
         # scipy's subpackages.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-
         def scipy_modules_after(args):
             code = (
                 f"import sys, f0priv.cli\nf0priv.cli.cli.main({args!r}, standalone_mode=False)\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
             )
             out = subprocess.run(
-                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+                [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True
             )
             return out.stdout.splitlines()[-1]  # after what the command printed
 
@@ -1294,14 +1322,15 @@ class TestContract:
         csv = write_fixture_csv(tmp_path / "fix.csv", (100.0, 112.0, 104.0, 0.0, 121.0, 109.0, 118.0))
         loaded = scipy_modules_after(["modify", str(csv), "--kind", "smoothing-spline",
                                       "--out", str(tmp_path / "out")])
-        assert "'scipy.linalg._flapack'" in loaded
+        for module in ("linalg._flapack", "optimize._zeros"):
+            assert f"'scipy.{module}'" in loaded
         assert_no_subpackage(loaded)
         assert (tmp_path / "out" / "fix.csv").exists()
         (tmp_path / "corpus").mkdir()
         manifest = build_eval_manifest(tmp_path / "corpus")
         loaded = scipy_modules_after(["eval", "--manifest", str(manifest), "--scenario", "AA",
                                       "--kind", "smoothing-spline", "--out", str(tmp_path / "report.json")])
-        for module in ("linalg._flapack", "optimize._lbfgsb", "optimize._pava_pybind",
+        for module in ("linalg._flapack", "optimize._zeros", "optimize._lbfgsb", "optimize._pava_pybind",
                        "special._special_ufuncs"):
             assert f"'scipy.{module}'" in loaded
         assert_no_subpackage(loaded)
@@ -1309,13 +1338,47 @@ class TestContract:
 
     def test_import_loads_no_thread_pool(self):
         # concurrent.futures costs about 5 ms to import; only extract needs it.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = "import sys, f0priv.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True
         )
         assert out.stdout == "[]\n"
+
+    def test_import_loads_no_random_or_hashlib(self):
+        # numpy.random (about 10 ms) and hashlib (about 4 ms) serve only the
+        # random-walk kinds, so they load when a walk runs.
+        code = ("import sys, f0priv.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith(('numpy.random', 'hashlib'))))")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "[]\n"
+
+    def test_numeric_warnings_stay_off_stderr(self, tmp_path):
+        # Valid contours of huge values overflow numpy's arithmetic; stderr
+        # carries only the command's own lines. pytest records warnings before
+        # they reach stderr, so each command runs in a fresh interpreter.
+        def run(args):
+            out = subprocess.run([sys.executable, "-c", "from f0priv.cli import main; main()", *args],
+                                 env=src_env(), capture_output=True, text=True)
+            return out.returncode, out.stderr
+
+        big = tuple(1e200 * (1.0 + 0.1 * np.sin(np.arange(50))))
+        src = write_fixture_csv(tmp_path / "big.csv", big)
+        assert run(["modify", str(src), "--kind", "smoothing-spline", "--out", str(tmp_path / "o1")]) == (0, "")
+        assert read_f0_csv(tmp_path / "o1" / "big.csv").n_frames == 50
+        src = write_fixture_csv(tmp_path / "alternating.csv", (40.0, 1e308) * 10)
+        frames = "; ".join(f"non-finite at frame {i}" for i in range(20))
+        for kind in (["voiced-flat"], ["modulated-same-1"],
+                     ["shift-and-scale", "--target-mean", "100", "--target-std", "10"]):
+            assert run(["modify", str(src), "--kind", *kind, "--out", str(tmp_path / "o2")]) == (
+                2, f"error: {src}: output failed validation: {frames}\n")
+        (tmp_path / "corpus").mkdir()
+        manifest = write_manifest(tmp_path / "corpus", [
+            ("a", "enrollment", contour(120.0)), ("a", "trial", big),
+            ("b", "enrollment", contour(180.0)), ("b", "trial", contour(180.0))])
+        assert run(["eval", "--manifest", str(manifest), "--scenario", "AA", "--kind", "smoothing-spline"]) == (
+            2, "error: scores must be finite\n")
 
     def test_version(self, runner):
         result = runner.invoke(cli, ["--version"])

@@ -241,8 +241,9 @@ class TestCompiledScipy:
         ("linalg", "_flapack", "dpbsv", lambda scipy: scipy.linalg.get_lapack_funcs("pbsv", (np.empty(0),))),
         ("optimize", "_lbfgsb", "setulb", lambda scipy: scipy.optimize._lbfgsb_py._lbfgsb.setulb),
         ("optimize", "_pava_pybind", "pava", lambda scipy: scipy.optimize._isotonic.pava),
+        ("optimize", "_zeros", "_brentq", lambda scipy: scipy.optimize._zeros_py._zeros._brentq),
         ("special", "_special_ufuncs", "expit", lambda scipy: scipy.special.expit),
-    ], ids=["dpbsv", "setulb", "pava", "expit"])
+    ], ids=["dpbsv", "setulb", "pava", "brentq", "expit"])
     def test_falls_back_to_the_usual_import(self, monkeypatch, tmp_path, subpackage, stem, name, public):
         import scipy.linalg
         import scipy.optimize

@@ -8,7 +8,9 @@ PARENT_DIR and CHANGE_DIR are checkout roots. For each workload in
 in both, for ``S`` from ``BENCHMARK.json``; the parent runs first in even
 pairs and second in odd ones. The file keeps every run's end-to-end metrics
 and, per metric, each side's median and quartiles and the number of pairs
-the change won. Each side's ``src_sha256`` is the one its runs report in
+the change won, and the verdicts ``gain_shown``, ``within_bound`` and
+``unresolved`` against the metric's bound in ``BENCHMARK.json`` (see
+``compare``). Each side's ``src_sha256`` is the one its runs report in
 their context lines, and the script exits non-zero when a run imported
 ``f0priv`` from outside its side's ``src/`` or its source changed between
 runs, so that a pair never times one tree twice.
@@ -70,18 +72,34 @@ def spread(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summary(pairs: list) -> dict:
-    out = {}
-    for name in METRICS:
-        parent = [p["parent"][name] for p in pairs]
-        change = [p["change"][name] for p in pairs]
-        out[name] = {
-            "parent": spread(parent),
-            "change": spread(change),
-            "change_lower_in": sum(c < p for p, c in zip(parent, change)),
-            "ties": sum(c == p for p, c in zip(parent, change)),
-            "pairs": len(pairs),
-        }
+def compare(parent: list, change: list, bound: float) -> dict:
+    """One lower-is-better metric over paired runs, with the benchmark's verdicts.
+
+    ``gain_shown``: the change is lower in at least 9 of 10 pairs (ties
+    count for neither side), and its median is lower than the parent's by
+    more than the parent's q3 - q1. ``within_bound``: the change median is
+    at most the parent median times 1 + ``bound``. ``unresolved``: the
+    parent's q3 - q1 exceeds ``bound`` times its median, and not every
+    change run is lower than every parent run.
+    """
+    p, c = spread(parent), spread(change)
+    lower = sum(b < a for a, b in zip(parent, change))
+    return {
+        "parent": p,
+        "change": c,
+        "change_lower_in": lower,
+        "ties": sum(b == a for a, b in zip(parent, change)),
+        "pairs": len(parent),
+        "gain_shown": 10 * lower >= 9 * len(parent) and p["median"] - c["median"] > p["q3"] - p["q1"],
+        "within_bound": c["median"] <= p["median"] * (1.0 + bound),
+        "unresolved": p["q3"] - p["q1"] > bound * p["median"] and not max(change) < min(parent),
+    }
+
+
+def summary(pairs: list, bounds: dict) -> dict:
+    """``compare`` for each metric, against its bound in ``bounds``."""
+    out = {name: compare([p["parent"][name] for p in pairs], [p["change"][name] for p in pairs], bounds[name])
+           for name in METRICS}
     out["failed_operations"] = {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}
     return out
 
@@ -138,6 +156,7 @@ def main() -> None:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
+    bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
     digests: dict = {}
     doc = {
         "host": host(),
@@ -154,7 +173,7 @@ def main() -> None:
                 pair[side] = bench_run(roots[side], workload, seed, seconds, digests)
             pairs.append(pair)
             print(json.dumps({"workload": workload, **pair}), flush=True)
-        doc["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}
+        doc["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs, bounds)}
     doc["src_sha256"] = {side: digests[root] for side, root in roots.items()}
     doc["extract_own_peak_rss_mb"] = own_peak_rss(roots)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
