@@ -29,7 +29,7 @@ from .modifiers import (
 )
 from .pitch import PitchConfig, extract_f0, read_wav
 from .plotting import trajectory_svg
-from .trajectory import format_f0_csv, read_f0_csv, stats, validate
+from .trajectory import format_f0_csv, read_f0_csv, require_valid, stats, validate
 
 RUN_CONFIG_TYPES = {
     "modifier": (dict, "an object"),
@@ -128,13 +128,40 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def _write_out_file(path: Path, data: bytes) -> None:
-    """Write one output file (an ``--out`` or the sidecar); exit 2 when it cannot be written."""
+def _emit(text: str, out) -> None:
+    """Print ``text``, or write it to the file ``out`` (an ``--out`` or the
+    sidecar); exit 2 when it cannot be written."""
+    if out is None:
+        click.echo(text, nl=False)
+        return
+    path = Path(out)
     try:
-        _atomic_write(path, data)
+        _atomic_write(path, text.encode("utf-8"))
     except OSError as exc:
         click.echo(f"error: cannot write {path}: {exc.strerror}", err=True)
         sys.exit(2)
+
+
+FAILED_INPUTS = "f0priv.failed_inputs"  # key in the click context's meta
+
+
+def _each(step, jobs):
+    """``step(*job)`` for each job, in order, yielding what each returns.
+
+    An OSError or ValueError fails that job alone: it prints
+    ``error: <job[0]>: <reason>`` and counts toward exit 2, which
+    ``_exit_on_failed_inputs`` sets once the command returns.
+    """
+    meta = click.get_current_context().meta
+    for job in jobs:
+        try:
+            result = step(*job)
+        except (OSError, ValueError) as exc:
+            reason = "path does not exist" if isinstance(exc, FileNotFoundError) else exc
+            click.echo(f"error: {job[0]}: {reason}", err=True)
+            meta[FAILED_INPUTS] = meta.get(FAILED_INPUTS, 0) + 1
+            continue
+        yield result
 
 
 def _realpath(path) -> Path | None:
@@ -244,12 +271,6 @@ def _load_manifest(path) -> list[dict]:
     return entries
 
 
-def _load_trajectory(path: Path, pitch_cfg: PitchConfig, recording_id: str):
-    if path.suffix.lower() == ".wav":
-        return extract_f0(read_wav(path), pitch_cfg, recording_id=recording_id)
-    return read_f0_csv(path, recording_id=recording_id)
-
-
 def _track(wav_path: Path, rid: str, target: Path | None, overwrites_input: bool, pitch_cfg: PitchConfig):
     """One ``extract`` job, run on a pool thread: the CSV bytes, or the
     OSError/ValueError that stopped it."""
@@ -271,6 +292,13 @@ def _track(wav_path: Path, rid: str, target: Path | None, overwrites_input: bool
 @click.version_option(version=__version__, prog_name="f0priv")
 def cli():
     """Pitch-contour anonymization toolkit."""
+
+
+@cli.result_callback()
+def _exit_on_failed_inputs(_result):
+    # After the command has written what it keeps of its inputs.
+    if click.get_current_context().meta.get(FAILED_INPUTS):
+        sys.exit(2)
 
 
 @cli.command("extract")
@@ -301,6 +329,12 @@ def cmd_extract(inputs, out, config, **flags):
     own = _plan_writes([*((wav_path, target) for (wav_path, _), target in zip(jobs, targets)),
                         *((path, None) for path in reads)], out_dir)
 
+    def write(wav_path, target, result):
+        if isinstance(result, Exception):
+            raise result
+        _atomic_write(target, result)
+        return f"{wav_path} -> {target}"
+
     from concurrent.futures import ThreadPoolExecutor  # here, so other commands never load it
 
     # numpy's FFTs release the GIL, so the tracking runs on one thread per
@@ -308,24 +342,13 @@ def cmd_extract(inputs, out, config, **flags):
     # order, so files, output lines and the exit code do not depend on the count.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     pool = ThreadPoolExecutor(max_workers=max(1, min(len(jobs), cpus)))
-    failures = 0
     try:
         results = pool.map(lambda i: _track(*jobs[i], targets[i], i in own, pitch_cfg), range(len(jobs)))
-        for (wav_path, _), target, result in zip(jobs, targets, results):
-            try:
-                if isinstance(result, Exception):
-                    raise result
-                _atomic_write(target, result)
-            except (OSError, ValueError) as exc:
-                click.echo(f"error: {wav_path}: {exc}", err=True)
-                failures += 1
-                continue
-            click.echo(f"{wav_path} -> {target}")
+        for line in _each(write, zip((wav_path for wav_path, _ in jobs), targets, results)):
+            click.echo(line)
     finally:
         # After Ctrl-C or a traceback, the jobs not yet started never run.
         pool.shutdown(cancel_futures=True)
-    if failures:
-        sys.exit(2)
 
 
 @cli.command("modify")
@@ -345,24 +368,19 @@ def cmd_modify(inputs, out, config, **flags):
     jobs = [(None, out_dir / SIDECAR), *((path, out_dir / path.name) for path in paths)]
     own = _plan_writes(jobs + ([(config, None)] if config else []), out_dir)
 
-    failures = 0
-    for i, (path, target) in enumerate(jobs[1:], 1):
-        try:
-            if i in own:
-                raise ValueError(f"refusing to overwrite input {path}")
-            traj = read_f0_csv(path)
-            # Valid but huge values overflow the arithmetic; validate reports the result.
-            with np.errstate(over="ignore", invalid="ignore"):
-                modified = apply(spec, traj)
-            problems = validate(modified)
-            if problems:
-                raise ValueError("output failed validation: " + "; ".join(problems))
-            _atomic_write(target, format_f0_csv(modified))
-        except (OSError, ValueError) as exc:
-            click.echo(f"error: {path}: {exc}", err=True)
-            failures += 1
-            continue
-        click.echo(f"{path} -> {target}")
+    def modify(path, target, overwrites_input):
+        if overwrites_input:
+            raise ValueError(f"refusing to overwrite input {path}")
+        traj = read_f0_csv(path)
+        # Valid but huge values overflow the arithmetic; validate reports the result.
+        with np.errstate(over="ignore", invalid="ignore"):
+            modified = apply(spec, traj)
+        require_valid(validate(modified), "output failed validation")
+        _atomic_write(target, format_f0_csv(modified))
+        return f"{path} -> {target}"
+
+    for line in _each(modify, ((path, target, i in own) for i, (path, target) in enumerate(jobs[1:], 1))):
+        click.echo(line)
 
     sidecar = {
         "tool": "f0priv",
@@ -370,10 +388,7 @@ def cmd_modify(inputs, out, config, **flags):
         "spec": dataclasses.asdict(spec),
         "inputs": [p.name for p in paths],
     }
-    text = json.dumps(sidecar, indent=2, allow_nan=False) + "\n"
-    _write_out_file(out_dir / SIDECAR, text.encode("utf-8"))
-    if failures:
-        sys.exit(2)
+    _emit(json.dumps(sidecar, indent=2, allow_nan=False) + "\n", out_dir / SIDECAR)
 
 
 @cli.command("stats")
@@ -383,41 +398,27 @@ def cmd_stats(inputs, out):
     """Per-recording speaker-identifying statistics as JSON (null = undefined)."""
     paths = [Path(item) for item in inputs]
     _plan_writes([(path, None) for path in paths] + ([(None, Path(out))] if out is not None else []))
-    reports = []
-    failures = 0
-    for path in paths:
-        try:
-            traj = read_f0_csv(path)
-            problems = validate(traj)
-            if problems:
-                raise ValueError("invalid trajectory: " + "; ".join(problems))
-            # Valid but huge values (say 1e308 Hz) overflow the statistics.
-            with np.errstate(over="ignore", invalid="ignore"):
-                st = stats(traj)
-            overflowed = [
-                name for name, v in st.to_dict().items() if v is not None and not math.isfinite(v)
-            ]
-            if overflowed:
-                raise ValueError("non-finite statistics: " + ", ".join(overflowed))
-        except (OSError, ValueError) as exc:
-            click.echo(f"error: {path}: {exc}", err=True)
-            failures += 1
-            continue
-        reports.append(
-            {
-                "recording_id": traj.recording_id,
-                "n_frames": traj.n_frames,
-                "frame_hop": traj.frame_hop,
-                "stats": st.to_dict(),
-            }
-        )
-    text = json.dumps(reports, indent=2, allow_nan=False) + "\n"
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        _write_out_file(Path(out), text.encode("utf-8"))
-    if failures:
-        sys.exit(2)
+
+    def report(path):
+        traj = read_f0_csv(path)
+        require_valid(validate(traj), "invalid trajectory")
+        # Valid but huge values (say 1e308 Hz) overflow the statistics.
+        with np.errstate(over="ignore", invalid="ignore"):
+            st = stats(traj)
+        overflowed = [
+            name for name, v in st.to_dict().items() if v is not None and not math.isfinite(v)
+        ]
+        if overflowed:
+            raise ValueError("non-finite statistics: " + ", ".join(overflowed))
+        return {
+            "recording_id": traj.recording_id,
+            "n_frames": traj.n_frames,
+            "frame_hop": traj.frame_hop,
+            "stats": st.to_dict(),
+        }
+
+    reports = list(_each(report, zip(paths)))
+    _emit(json.dumps(reports, indent=2, allow_nan=False) + "\n", out)
 
 
 @cli.command("eval")
@@ -438,21 +439,18 @@ def cmd_eval(manifest, scenario, out, config, **flags):
     entries = _load_manifest(Path(manifest))
     reads = [manifest, *([config] if config else []), *(entry["path"] for entry in entries)]
     _plan_writes([(Path(path), None) for path in reads] + ([(None, Path(out))] if out is not None else []))
-    recordings = []
-    failures = 0
-    for entry in entries:
-        try:
-            traj = _load_trajectory(entry["path"], pitch_cfg, entry["recording_id"])
-        except (OSError, ValueError) as exc:
-            reason = "path does not exist" if isinstance(exc, FileNotFoundError) else exc
-            click.echo(f"error: {entry['path']}: {reason}", err=True)
-            failures += 1
-            continue
-        recordings.append(
-            Recording(entry["speaker_id"], entry["recording_id"], entry["split"], traj)
-        )
-    if failures:
-        sys.exit(2)
+
+    def load(path, entry):
+        rid = entry["recording_id"]
+        if path.suffix.lower() == ".wav":
+            traj = extract_f0(read_wav(path), pitch_cfg, recording_id=rid)
+        else:
+            traj = read_f0_csv(path, recording_id=rid)
+        return Recording(entry["speaker_id"], rid, entry["split"], traj)
+
+    recordings = list(_each(load, ((entry["path"], entry) for entry in entries)))
+    if len(recordings) < len(entries):
+        return  # no report from part of the corpus
 
     corpus = SpeakerCorpus(tuple(recordings))
     problems = corpus.violations()
@@ -467,11 +465,7 @@ def cmd_eval(manifest, scenario, out, config, **flags):
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    text = report.to_json() + "\n"
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        _write_out_file(Path(out), text.encode("utf-8"))
+    _emit(report.to_json() + "\n", out)
 
 
 @cli.command("plot")
@@ -481,18 +475,9 @@ def cmd_plot(inputs, out):
     """Overlay trajectories in a self-contained SVG (unvoiced frames = gaps)."""
     paths = [Path(item) for item in inputs]
     _plan_writes([(path, None) for path in paths] + [(None, Path(out))])
-    named = []
-    failures = 0
-    for path in paths:
-        try:
-            traj = read_f0_csv(path)
-        except (OSError, ValueError) as exc:
-            click.echo(f"error: {path}: {exc}", err=True)
-            failures += 1
-            continue
-        named.append((path.stem, traj))
-    if failures:
-        sys.exit(2)
+    named = list(_each(lambda path: (path.stem, read_f0_csv(path)), zip(paths)))
+    if len(named) < len(paths):
+        return  # no plot of part of the inputs
 
     hops = {round(traj.frame_hop, 9) for _, traj in named}
     if len(hops) > 1:
@@ -505,7 +490,7 @@ def cmd_plot(inputs, out):
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    _write_out_file(Path(out), svg.encode("utf-8"))
+    _emit(svg, out)
     click.echo(f"wrote {out}")
 
 

@@ -345,11 +345,16 @@ def score_corpus(
 
 
 def _modified(recordings: list[Recording], spec: ModifierSpec, role: str) -> list[Recording]:
-    role_spec = replace(spec, role=role)
-    return [
-        Recording(r.speaker_id, r.recording_id, r.split, apply(role_spec, r.trajectory))
-        for r in recordings
-    ]
+    # A spec error is raised here, so the errors below belong to one recording each.
+    role_spec = replace(spec, role=role).validated()
+    modified = []
+    for r in recordings:
+        try:
+            traj = apply(role_spec, r.trajectory)
+        except ValueError as exc:
+            raise ValueError(f"recording {r.recording_id!r}: {exc}") from exc
+        modified.append(Recording(r.speaker_id, r.recording_id, r.split, traj))
+    return modified
 
 
 def run_scenario(

@@ -18,7 +18,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import spline
-from .trajectory import VOICED_MIN_HZ, F0Trajectory, validate, voiced_mean
+from .trajectory import VOICED_MIN_HZ, F0Trajectory, require_valid, validate, voiced_mean
 
 ROLES = ("enrollment", "trial")
 
@@ -280,7 +280,5 @@ def apply(spec: ModifierSpec, traj: F0Trajectory) -> F0Trajectory:
     recording gets a unique walk.
     """
     spec.validated()
-    problems = validate(traj)
-    if problems:
-        raise ValueError(f"invalid trajectory {traj.recording_id!r}: " + "; ".join(problems))
+    require_valid(validate(traj), f"invalid trajectory {traj.recording_id!r}")
     return _TRANSFORMS[spec.kind](spec, traj)

@@ -129,6 +129,17 @@ def validate(traj: F0Trajectory) -> list[str]:
     return problems
 
 
+def require_valid(problems: list[str], context: str) -> None:
+    """Raise ValueError for :func:`validate`'s ``problems``, unless there are none.
+
+    The message names the first problem and how many follow it, so its
+    length does not grow with the number of frames.
+    """
+    if problems:
+        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+        raise ValueError(f"{context}: {problems[0]}{more}")
+
+
 def voiced_mean(traj: F0Trajectory) -> float:
     """Arithmetic mean of the voiced (> 0) frames in Hz."""
     voiced = traj.values[traj.voiced_mask]

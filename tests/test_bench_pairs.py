@@ -53,3 +53,44 @@ def test_summary_reads_each_metrics_bound():
     assert out["setup_s"]["gain_shown"] and out["setup_s"]["change_lower_in"] == 10
     assert out["commands_s"]["within_bound"] and not out["peak_rss_mb"]["within_bound"]
     assert out["failed_operations"] == {"parent": 0, "change": 0}
+
+
+class TestControlled:
+    """The A/A control: the parent against a copy of itself."""
+
+    def verdict(self, change_shift, control_shift):
+        control = bench_pairs.compare(PARENT, shifted(PARENT, control_shift), 0.25)
+        return bench_pairs.controlled(bench_pairs.compare(PARENT, shifted(PARENT, change_shift), 0.25), control)
+
+    def test_gain_past_the_control_gap_stands(self):
+        out = self.verdict(-1.0, -0.5)
+        assert (out["gain_shown"], out["unresolved"], out["control_gap"]) == (True, False, 0.5)
+
+    @pytest.mark.parametrize("control_shift", [-1.5, 1.5, -1.0])
+    def test_gain_within_the_control_gap_is_unresolved(self, control_shift):
+        # The control's gap counts by its size, whichever copy read lower.
+        out = self.verdict(-1.0, control_shift)
+        assert (out["gain_shown"], out["unresolved"]) == (False, True)
+
+    def test_the_control_only_tightens(self):
+        for change_shift in (-2.0, -1.0, -0.3, 0.0, 0.3, 3.0):
+            for control_shift in (-2.0, -0.5, 0.0, 0.5, 2.0):
+                plain = bench_pairs.compare(PARENT, shifted(PARENT, change_shift), 0.25)
+                out = self.verdict(change_shift, control_shift)
+                assert out["gain_shown"] <= plain["gain_shown"]
+                assert out["unresolved"] >= plain["unresolved"]
+                assert out["within_bound"] == plain["within_bound"]
+
+
+def test_summary_applies_the_control_per_metric():
+    def pairs(change_of):
+        return [{"parent": {name: p for name in bench_pairs.METRICS} | {"failed": 0},
+                 "change": {name: change_of(name, p) for name in bench_pairs.METRICS} | {"failed": 0}}
+                for p in PARENT]
+
+    bounds = {"setup_s": 0.25, "commands_s": 0.25, "peak_rss_mb": 0.25}
+    # The copy reads 1.5 lower on commands_s only; the change reads 1 lower on every metric.
+    control = bench_pairs.summary(pairs(lambda name, p: p - 1.5 if name == "commands_s" else p), bounds)
+    out = bench_pairs.summary(pairs(lambda name, p: p - 1.0), bounds, control)
+    assert out["setup_s"]["gain_shown"] and out["peak_rss_mb"]["gain_shown"]
+    assert not out["commands_s"]["gain_shown"] and out["commands_s"]["unresolved"]

@@ -78,15 +78,6 @@ class TestExtract:
         lines = [l for l in result.output.splitlines() if "->" in l]
         assert [l.split("-> ")[1] for l in lines] == [str(out / f"rec{i}.csv") for i in range(3)]
 
-    def test_missing_file_continues_others(self, runner, tmp_path):
-        wav = write_tone_wav(tmp_path / "good.wav")
-        out = tmp_path / "out"
-        result = runner.invoke(
-            cli, ["extract", str(tmp_path / "missing.wav"), str(wav), "--out", str(out)]
-        )
-        assert result.exit_code == 2
-        assert (out / "good.csv").exists()
-
     def test_missing_manifest_entry_fails_alone(self, runner, tmp_path):
         wav = write_tone_wav(tmp_path / "good.wav")
         entries = [{"speaker_id": "s", "recording_id": rid, "split": "trial", "path": name}
@@ -657,21 +648,13 @@ class TestStats:
         data = json.loads(result.output)
         assert data[0]["stats"]["rise_rate_hz_s"] == pytest.approx(1000.0)
 
-    def test_parse_error_exit_2(self, runner, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("time_s,f0_hz\n0.0,nope\n")
-        result = runner.invoke(cli, ["stats", str(bad)])
-        assert result.exit_code == 2
-
     def test_invalid_values_exit_2_with_valid_json(self, runner, tmp_path):
         good = write_fixture_csv(tmp_path / "good.csv")
         bad = tmp_path / "bad.csv"
         bad.write_text("time_s,f0_hz\n0.000000,inf\n0.010000,nan\n0.020000,5\n0.030000,100\n")
         result = runner.invoke(cli, ["stats", str(good), str(bad)])
         assert result.exit_code == 2
-        assert f"error: {bad}:" in result.stderr
-        assert "non-finite at frame 0" in result.stderr
-        assert "at frame 2" in result.stderr
+        assert result.stderr == f"error: {bad}: invalid trajectory: non-finite at frame 0 (and 2 more)\n"
         data = json.loads(result.stdout)
         assert [r["recording_id"] for r in data] == ["good"]
 
@@ -813,16 +796,6 @@ class TestEval:
         assert result.exit_code == 2
         assert "does not exist" in result.output
 
-    def test_missing_entry_is_one_line_and_no_report(self, runner, tmp_path):
-        manifest = build_eval_manifest(tmp_path)
-        (tmp_path / "s1r0.csv").unlink()
-        out = tmp_path / "report.json"
-        result = runner.invoke(cli, ["eval", "--manifest", str(manifest), "--scenario", "OO",
-                                     "--out", str(out)])
-        assert result.exit_code == 2
-        assert result.stderr == f"error: {tmp_path / 's1r0.csv'}: path does not exist\n"
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "field, value", [("recording_id", ["r"]), ("path", 5), ("speaker_id", 3), ("split", None)]
     )
@@ -856,6 +829,8 @@ class TestEval:
             recordings += [("b", "enrollment", contour(180.0)), ("b", "trial", contour(180.0))]
         manifest = write_manifest(tmp_path, recordings)
         result = runner.invoke(cli, ["eval", "--manifest", str(manifest), *args])
+        if "--kind" in args:  # a modification that fails names its recording
+            error = f"recording 'r1': {error}"
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == f"error: {error}\n"
@@ -869,7 +844,7 @@ class TestEval:
                                      "--kind", "smoothing-spline"])
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert result.stderr == "error: penalty bracketing failed to reach the target\n"
+        assert result.stderr == "error: recording 'r1': penalty bracketing failed to reach the target\n"
 
     def test_entry_that_fails_to_load_is_exit_2(self, runner, tmp_path):
         manifest = build_eval_manifest(tmp_path)
@@ -967,22 +942,6 @@ class TestPlot:
         assert result.exit_code == 0
         assert out.read_text().count('class="trajectory"') == 1
 
-    def test_every_unreadable_input_is_reported(self, runner, tmp_path):
-        bad = tmp_path / "b.csv"
-        bad.write_text("time_s,f0_hz\n0.000000,abc\n")
-        missing = tmp_path / "nope.csv"
-        good = write_fixture_csv(tmp_path / "a.csv")
-        out = tmp_path / "plot.svg"
-        result = runner.invoke(cli, ["plot", str(bad), str(missing), str(good), "--out", str(out)])
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        errors = result.stderr.splitlines()
-        assert len(errors) == 2
-        assert errors[0].startswith(f"error: {bad}: ")
-        assert errors[1].startswith(f"error: {missing}: ")
-        assert result.stdout == ""
-        assert not out.exists()
-
     def test_mismatched_hop_warns(self, runner, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -993,6 +952,70 @@ class TestPlot:
         assert result.exit_code == 0
         assert "different frame hops" in result.output
         assert out.exists()
+
+
+BAD_CSV = "time,f0\n0.0,100.0\n"  # the header is wrong
+
+
+class TestFailedInputs:
+    """One missing and one malformed input among good ones, in each command."""
+
+    @pytest.mark.parametrize("command", ["extract", "modify", "stats", "eval", "plot"])
+    def test_each_failed_input_is_one_line_and_exit_2(self, runner, tmp_path, command):
+        out = tmp_path / "out"
+        if command == "eval":
+            manifest = build_eval_manifest(tmp_path)
+            missing, bad = tmp_path / "s1r0.csv", tmp_path / "s2r1.csv"
+            missing.unlink()
+            bad.write_text(BAD_CSV)
+            args = ["--manifest", str(manifest), "--scenario", "OO", "--out", str(out)]
+        else:
+            suffix = ".wav" if command == "extract" else ".csv"
+            good = tmp_path / f"good{suffix}"
+            missing, bad = tmp_path / f"missing{suffix}", tmp_path / f"bad{suffix}"
+            if command == "extract":
+                write_tone_wav(good)
+                bad.write_bytes(b"RIFX not a wave file")
+            else:
+                write_fixture_csv(good)
+                bad.write_text(BAD_CSV)
+            args = [str(missing), str(good), str(bad), "--out", str(out)]
+            args += ["--kind", "voiced-flat"] if command == "modify" else []
+        result = runner.invoke(cli, [command, *args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        malformed = (f"{bad}: not a RIFF/WAVE file" if command == "extract"
+                     else "line 1: expected header 'time_s,f0_hz', got 'time,f0'")
+        assert result.stderr.splitlines() == [f"error: {missing}: path does not exist",
+                                              f"error: {bad}: {malformed}"]
+        # extract, modify and stats keep the good input; eval and plot write nothing.
+        if command in ("extract", "modify"):
+            assert result.stdout == f"{good} -> {out / good.with_suffix('.csv').name}\n"
+            kept = ["good.csv", "sidecar.json"] if command == "modify" else ["good.csv"]
+            assert sorted(p.name for p in out.iterdir()) == kept
+        elif command == "stats":
+            assert result.stdout == ""
+            assert [r["recording_id"] for r in json.loads(out.read_text())] == ["good"]
+        else:
+            assert result.stdout == ""
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command, message", [
+        ("modify", "output failed validation: non-finite at frame 0 (and 299 more)"),
+        ("stats", "invalid trajectory: non-finite at frame 1 (and 149 more)"),
+    ])
+    def test_validation_error_does_not_grow_with_the_frames(self, runner, tmp_path, command, message):
+        src = tmp_path / "long.csv"
+        if command == "modify":  # a valid input whose output overflows
+            write_fixture_csv(src, (40.0, 1e308) * 150)
+            args = ["--kind", "voiced-flat", "--out", str(tmp_path / "o")]
+        else:
+            src.write_text("time_s,f0_hz\n" + "".join(
+                f"{i / 100:.6f},{'inf' if i % 2 else '40'}\n" for i in range(300)))
+            args = []
+        result = runner.invoke(cli, [command, str(src), *args])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {src}: {message}\n"
 
 
 class TestContract:
@@ -1368,7 +1391,7 @@ class TestContract:
         assert run(["modify", str(src), "--kind", "smoothing-spline", "--out", str(tmp_path / "o1")]) == (0, "")
         assert read_f0_csv(tmp_path / "o1" / "big.csv").n_frames == 50
         src = write_fixture_csv(tmp_path / "alternating.csv", (40.0, 1e308) * 10)
-        frames = "; ".join(f"non-finite at frame {i}" for i in range(20))
+        frames = "non-finite at frame 0 (and 19 more)"  # not one clause per frame
         for kind in (["voiced-flat"], ["modulated-same-1"],
                      ["shift-and-scale", "--target-mean", "100", "--target-std", "10"]):
             assert run(["modify", str(src), "--kind", *kind, "--out", str(tmp_path / "o2")]) == (

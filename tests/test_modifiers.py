@@ -305,6 +305,10 @@ class TestApply:
     def test_rejects_invalid_trajectory(self):
         with pytest.raises(ValueError, match="invalid trajectory"):
             apply(ModifierSpec(kind="voiced-flat"), make_traj([35.0, 100.0]))
+        # One clause however many frames are bad.
+        with pytest.raises(ValueError) as caught:
+            apply(ModifierSpec(kind="voiced-flat"), make_traj([35.0, -1.0] * 200, rid="r"))
+        assert str(caught.value) == "invalid trajectory 'r': voiced value < 40 Hz at frame 0: 35 (and 399 more)"
 
 
 class TestSpecValidation:

@@ -15,6 +15,12 @@ their context lines, and the script exits non-zero when a run imported
 ``f0priv`` from outside its side's ``src/`` or its source changed between
 runs, so that a pair never times one tree twice.
 
+Each pair is followed by an A/A control pair: the parent against a copy of
+itself, with the same seed and order. Its runs, verdicts and wall time are
+kept under ``control``, and a change's ``gain_shown`` counts only when its
+median gap exceeds the control's on the same metric (see ``controlled``).
+The control doubles the time a comparison takes.
+
 ``perfbench/run.py`` reads peak RSS from ``os.wait4`` on children it forks
 from itself, and a forked child counts the benchmark's own pages from before
 ``exec``. So the file also records the ``extract`` process's own peak RSS:
@@ -27,10 +33,12 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 # The same single-thread BLAS/OpenMP settings perfbench/run.py gives its children.
@@ -75,33 +83,74 @@ def spread(values: list) -> dict:
 def compare(parent: list, change: list, bound: float) -> dict:
     """One lower-is-better metric over paired runs, with the benchmark's verdicts.
 
+    ``median_gap`` is the parent median minus the change median.
     ``gain_shown``: the change is lower in at least 9 of 10 pairs (ties
-    count for neither side), and its median is lower than the parent's by
-    more than the parent's q3 - q1. ``within_bound``: the change median is
-    at most the parent median times 1 + ``bound``. ``unresolved``: the
+    count for neither side), and its median gap exceeds the parent's
+    q3 - q1. ``within_bound``: the change median is at most the parent
+    median times 1 + ``bound``. ``unresolved``: the
     parent's q3 - q1 exceeds ``bound`` times its median, and not every
     change run is lower than every parent run.
     """
     p, c = spread(parent), spread(change)
     lower = sum(b < a for a, b in zip(parent, change))
+    gap = p["median"] - c["median"]
     return {
         "parent": p,
         "change": c,
         "change_lower_in": lower,
         "ties": sum(b == a for a, b in zip(parent, change)),
         "pairs": len(parent),
-        "gain_shown": 10 * lower >= 9 * len(parent) and p["median"] - c["median"] > p["q3"] - p["q1"],
+        "median_gap": gap,
+        "gain_shown": 10 * lower >= 9 * len(parent) and gap > p["q3"] - p["q1"],
         "within_bound": c["median"] <= p["median"] * (1.0 + bound),
         "unresolved": p["q3"] - p["q1"] > bound * p["median"] and not max(change) < min(parent),
     }
 
 
-def summary(pairs: list, bounds: dict) -> dict:
-    """``compare`` for each metric, against its bound in ``bounds``."""
-    out = {name: compare([p["parent"][name] for p in pairs], [p["change"][name] for p in pairs], bounds[name])
-           for name in METRICS}
+def controlled(verdict: dict, control: dict) -> dict:
+    """``verdict`` with its gain counted only past the A/A ``control`` on the same metric.
+
+    ``control`` is ``compare`` of the parent against a copy of itself. The
+    gain stands only when the change's median gap exceeds the size of the
+    control's; a gain it voids is reported as unresolved. So the control can
+    only tighten the verdict.
+    """
+    shown = verdict["gain_shown"] and verdict["median_gap"] > abs(control["median_gap"])
+    return {**verdict, "control_gap": control["median_gap"], "gain_shown": shown,
+            "unresolved": verdict["unresolved"] or (verdict["gain_shown"] and not shown)}
+
+
+def summary(pairs: list, bounds: dict, control: dict | None = None) -> dict:
+    """``compare`` for each metric, against its bound in ``bounds``, and
+    ``controlled`` by the A/A summary ``control`` when one is given."""
+    out = {}
+    for name in METRICS:
+        verdict = compare([p["parent"][name] for p in pairs], [p["change"][name] for p in pairs], bounds[name])
+        out[name] = verdict if control is None else controlled(verdict, control[name])
     out["failed_operations"] = {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}
     return out
+
+
+def run_workload(roots: dict, copy: Path, workload: str, seconds: float, bounds: dict, digests: dict) -> dict:
+    """PAIRS parent/change pairs, each followed by an A/A control pair that
+    has the parent's ``copy`` as its change side."""
+    pairs, control, control_s = [], [], 0.0
+    for k in range(PAIRS):
+        seed = FIRST_SEED + k
+        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+        for change_root, kept in ((roots["change"], pairs), (copy, control)):
+            start = time.perf_counter()
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = bench_run(roots["parent"] if side == "parent" else change_root,
+                                       workload, seed, seconds, digests)
+            if kept is control:
+                control_s += time.perf_counter() - start
+            kept.append(pair)
+            print(json.dumps({"workload": workload, "control": kept is control, **pair}), flush=True)
+    aa = summary(control, bounds)
+    return {"pairs": pairs, "summary": summary(pairs, bounds, aa),
+            "control": {"pairs": control, "summary": aa, "wall_s": control_s}}
 
 
 def own_peak_rss(roots: dict) -> dict:
@@ -163,17 +212,14 @@ def main() -> None:
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "workloads": {},
     }
-    for workload in (w["name"] for w in benchmark["workloads"]):
-        pairs = []
-        for k in range(PAIRS):
-            seed = FIRST_SEED + k
-            order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = bench_run(roots[side], workload, seed, seconds, digests)
-            pairs.append(pair)
-            print(json.dumps({"workload": workload, **pair}), flush=True)
-        doc["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs, bounds)}
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "parent-copy"
+        shutil.copytree(roots["parent"], copy,
+                        ignore=shutil.ignore_patterns(".git", "__pycache__", ".perfbench-work"))
+        for workload in (w["name"] for w in benchmark["workloads"]):
+            doc["workloads"][workload] = run_workload(roots, copy, workload, seconds, bounds, digests)
+        if digests[copy] != digests[roots["parent"]]:
+            raise SystemExit("error: the parent's copy reported another src_sha256 than the parent")
     doc["src_sha256"] = {side: digests[root] for side, root in roots.items()}
     doc["extract_own_peak_rss_mb"] = own_peak_rss(roots)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
