@@ -9,13 +9,11 @@ atomically, so reruns with the same flags and seed are byte-identical.
 import contextlib
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .evaluation import SCENARIOS, Recording, SpeakerCorpus, run_scenario
@@ -37,12 +35,12 @@ RUN_CONFIG_TYPES = {
     "input_dir": (str, "a string"),
     "output_dir": (str, "a string"),
 }
-RUN_CONFIG_KEYS = set(RUN_CONFIG_TYPES)
 PITCH_KEYS = tuple(f.name for f in dataclasses.fields(PitchConfig))
 SIDECAR = "sidecar.json"  # written by modify next to its outputs
 
 
-def _load_run_config(path) -> dict:
+def _load_run_config(path, keys: tuple[str, ...]) -> dict:
+    """The run config at ``path`` ({} for None); ``keys`` are the ones its command reads."""
     if path is None:
         return {}
     try:
@@ -51,7 +49,7 @@ def _load_run_config(path) -> dict:
         raise click.UsageError(f"config {path}: invalid JSON ({exc})")
     if not isinstance(data, dict):
         raise click.UsageError(f"config {path}: expected a JSON object")
-    unknown = set(data) - RUN_CONFIG_KEYS
+    unknown = set(data) - set(keys)
     if unknown:
         raise click.UsageError(f"config {path}: unknown keys {sorted(unknown)}")
     for key, (kind, noun) in RUN_CONFIG_TYPES.items():
@@ -235,6 +233,13 @@ def _resolve_inputs(inputs, config: dict) -> list[Path]:
     return [Path(config.get("input_dir", ""), item) for item in inputs]
 
 
+def _read_valid(path, recording_id: str | None = None):
+    """The contour CSV at ``path``; ValueError when it fails validation."""
+    traj = read_f0_csv(path, recording_id=recording_id)
+    require_valid(validate(traj), "invalid trajectory")
+    return traj
+
+
 def _load_manifest(path) -> list[dict]:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -312,7 +317,7 @@ def _exit_on_failed_inputs(_result):
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
 def cmd_extract(inputs, out, config, **flags):
     """Extract F0 trajectories from WAV files (or a manifest) to CSV."""
-    run_config = _load_run_config(config)
+    run_config = _load_run_config(config, ("pitch", "input_dir", "output_dir"))
     pitch_cfg = _pitch_config(run_config, flags)
     jobs: list[tuple[Path, str]] = []  # (wav path, recording id)
     reads = [config] if config else []  # read, never written
@@ -359,7 +364,7 @@ def cmd_extract(inputs, out, config, **flags):
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
 def cmd_modify(inputs, out, config, **flags):
     """Apply one modification to trajectory CSV files."""
-    run_config = _load_run_config(config)
+    run_config = _load_run_config(config, ("modifier", "input_dir", "output_dir"))
     spec = _modifier_spec(run_config, flags)
     if spec is None:
         raise click.UsageError("no modifier kind given (use --kind or a config file)")
@@ -371,10 +376,7 @@ def cmd_modify(inputs, out, config, **flags):
     def modify(path, target, overwrites_input):
         if overwrites_input:
             raise ValueError(f"refusing to overwrite input {path}")
-        traj = read_f0_csv(path)
-        # Valid but huge values overflow the arithmetic; validate reports the result.
-        with np.errstate(over="ignore", invalid="ignore"):
-            modified = apply(spec, traj)
+        modified = apply(spec, read_f0_csv(path))
         require_valid(validate(modified), "output failed validation")
         _atomic_write(target, format_f0_csv(modified))
         return f"{path} -> {target}"
@@ -400,21 +402,12 @@ def cmd_stats(inputs, out):
     _plan_writes([(path, None) for path in paths] + ([(None, Path(out))] if out is not None else []))
 
     def report(path):
-        traj = read_f0_csv(path)
-        require_valid(validate(traj), "invalid trajectory")
-        # Valid but huge values (say 1e308 Hz) overflow the statistics.
-        with np.errstate(over="ignore", invalid="ignore"):
-            st = stats(traj)
-        overflowed = [
-            name for name, v in st.to_dict().items() if v is not None and not math.isfinite(v)
-        ]
-        if overflowed:
-            raise ValueError("non-finite statistics: " + ", ".join(overflowed))
+        traj = _read_valid(path)
         return {
             "recording_id": traj.recording_id,
             "n_frames": traj.n_frames,
             "frame_hop": traj.frame_hop,
-            "stats": st.to_dict(),
+            "stats": stats(traj).to_dict(),
         }
 
     reports = list(_each(report, zip(paths)))
@@ -429,7 +422,7 @@ def cmd_stats(inputs, out):
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
 def cmd_eval(manifest, scenario, out, config, **flags):
     """Score a corpus under one attack scenario and report EER/Cllr."""
-    run_config = _load_run_config(config)
+    run_config = _load_run_config(config, ("modifier", "pitch"))
     # run_scenario sets the role of each corpus side; "trial" only validates.
     spec = _modifier_spec(run_config, flags, default_role="trial")
     if scenario != "OO" and spec is None:
@@ -445,7 +438,7 @@ def cmd_eval(manifest, scenario, out, config, **flags):
         if path.suffix.lower() == ".wav":
             traj = extract_f0(read_wav(path), pitch_cfg, recording_id=rid)
         else:
-            traj = read_f0_csv(path, recording_id=rid)
+            traj = _read_valid(path, rid)
         return Recording(entry["speaker_id"], rid, entry["split"], traj)
 
     recordings = list(_each(load, ((entry["path"], entry) for entry in entries)))
@@ -460,8 +453,7 @@ def cmd_eval(manifest, scenario, out, config, **flags):
         sys.exit(2)
 
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = run_scenario(corpus, spec, scenario)
+        report = run_scenario(corpus, spec, scenario)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
@@ -475,7 +467,7 @@ def cmd_plot(inputs, out):
     """Overlay trajectories in a self-contained SVG (unvoiced frames = gaps)."""
     paths = [Path(item) for item in inputs]
     _plan_writes([(path, None) for path in paths] + [(None, Path(out))])
-    named = list(_each(lambda path: (path.stem, read_f0_csv(path)), zip(paths)))
+    named = list(_each(lambda path: (path.stem, _read_valid(path)), zip(paths)))
     if len(named) < len(paths):
         return  # no plot of part of the inputs
 

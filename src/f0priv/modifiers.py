@@ -18,7 +18,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import spline
-from .trajectory import VOICED_MIN_HZ, F0Trajectory, require_valid, validate, voiced_mean
+from .trajectory import VOICED_MAX_HZ, VOICED_MIN_HZ, F0Trajectory, require_valid, validate, voiced_mean
 
 ROLES = ("enrollment", "trial")
 
@@ -90,8 +90,8 @@ class ModifierSpec:
         if self.kind == "shift-and-scale":
             if self.target_mean_hz is None or self.target_std_hz is None:
                 raise SpecError("kind 'shift-and-scale' requires target_mean_hz and target_std_hz")
-            if self.target_mean_hz <= 0 or self.target_std_hz <= 0:
-                raise SpecError("shift-and-scale targets must be positive")
+            if not (0 < self.target_mean_hz <= VOICED_MAX_HZ and 0 < self.target_std_hz <= VOICED_MAX_HZ):
+                raise SpecError(f"shift-and-scale targets must be positive and at most {VOICED_MAX_HZ:g} Hz")
         return self
 
     @classmethod

@@ -1,9 +1,9 @@
 """F0 trajectory data model, statistics and CSV I/O.
 
 A trajectory is a uniformly sampled pitch contour in Hz. The in-band value
-0.0 marks unvoiced frames; voiced frames carry values of at least 40 Hz
-(anything produced below that is treated as an impossible pitch and mapped
-back to unvoiced by the modifier post-rules).
+0.0 marks unvoiced frames; voiced frames carry values from 40 Hz to
+128 kHz (anything produced below 40 Hz is treated as an impossible pitch and
+mapped back to unvoiced by the modifier post-rules).
 """
 
 import dataclasses
@@ -14,6 +14,10 @@ import numpy as np
 
 # Pitch values below this are not plausible F0 and are forced to unvoiced.
 VOICED_MIN_HZ = 40.0
+# The tracker's highest F0: read_wav's highest rate (192 kHz) over its shortest
+# lag, 2 samples less the half sample of the parabolic refinement.
+VOICED_MAX_HZ = 128000.0
+FRAME_HOP_MIN_S = 1e-6  # the resolution of the CSV's 6-decimal timestamps
 
 CSV_HEADER = "time_s,f0_hz"
 
@@ -106,26 +110,29 @@ F0Stats.FIELD_ORDER = tuple(f.name for f in dataclasses.fields(F0Stats))
 def validate(traj: F0Trajectory) -> list[str]:
     """Check trajectory invariants; returns a list of violations (empty = valid).
 
-    Reports, never raises: non-positive frame hop, empty contour, non-finite
-    values, negative values and voiced values below 40 Hz, each with the
-    offending frame index.
+    Reports, never raises: a frame hop below 1e-6 s or infinite, empty contour,
+    non-finite values, negative values and voiced values below 40 Hz or
+    above 128 kHz, each with the offending frame index.
     """
     problems: list[str] = []
-    if not (traj.frame_hop > 0):
-        problems.append(f"frame_hop must be positive, got {traj.frame_hop}")
+    if not FRAME_HOP_MIN_S <= traj.frame_hop < np.inf:
+        problems.append(f"frame_hop must be finite and at least {FRAME_HOP_MIN_S:g} s, got {traj.frame_hop}")
     if traj.n_frames == 0:
         problems.append("empty trajectory")
         return problems
     values = traj.values
-    for i in np.flatnonzero(~np.isfinite(values)):
+    finite = np.isfinite(values)
+    for i in np.flatnonzero(~finite):
         problems.append(f"non-finite at frame {i}")
-    bad = np.isfinite(values) & ((values < 0.0) | ((values > 0.0) & (values < VOICED_MIN_HZ)))
-    for i in np.flatnonzero(bad):
+    in_range = (values == 0.0) | ((values >= VOICED_MIN_HZ) & (values <= VOICED_MAX_HZ))
+    for i in np.flatnonzero(finite & ~in_range):
         v = values[i]
         if v < 0.0:
             problems.append(f"negative value {v:g} at frame {i}")
-        else:
+        elif v < VOICED_MIN_HZ:
             problems.append(f"voiced value < {VOICED_MIN_HZ:g} Hz at frame {i}: {v:g}")
+        else:
+            problems.append(f"voiced value > {VOICED_MAX_HZ:g} Hz at frame {i}: {v:g}")
     return problems
 
 

@@ -1,4 +1,6 @@
+import ast
 import concurrent.futures
+import importlib
 import json
 import os
 import shutil
@@ -19,7 +21,16 @@ from f0priv.cli import cli
 from f0priv.evaluation import Recording, SpeakerCorpus, run_scenario
 from f0priv.modifiers import ModifierSpec, apply
 from f0priv.pitch import PitchConfig, extract_f0, read_wav
-from f0priv.trajectory import format_f0_csv, read_f0_csv, write_f0_csv
+from f0priv.trajectory import (
+    FRAME_HOP_MIN_S,
+    VOICED_MAX_HZ,
+    VOICED_MIN_HZ,
+    format_f0_csv,
+    read_f0_csv,
+    require_valid,
+    validate,
+    write_f0_csv,
+)
 from test_pitch import wav_bytes
 
 
@@ -622,7 +633,8 @@ class TestModify:
             cli, ["modify", str(huge), str(ok), "--kind", "smoothing-spline", "--out", str(out)]
         )
         assert result.exit_code == 2
-        assert result.stderr == f"error: {huge}: penalty bracketing failed to reach the target\n"
+        assert result.stderr == (f"error: {huge}: invalid trajectory 'huge': "
+                                 f"voiced value > 128000 Hz at frame 0: 1e+299 (and 7 more)\n")
         assert result.stdout == f"{ok} -> {out / 'ok.csv'}\n"
         assert sorted(p.name for p in out.iterdir()) == ["ok.csv", "sidecar.json"]
 
@@ -664,8 +676,8 @@ class TestStats:
         huge.write_text("time_s,f0_hz\n0.000000,1e308\n0.010000,1e308\n0.020000,1e308\n")
         result = runner.invoke(cli, ["stats", str(good), str(huge)])
         assert result.exit_code == 2
-        assert f"error: {huge}: non-finite statistics: voiced_mean_hz" in result.stderr
-        assert "Traceback" not in result.stderr
+        assert result.stderr == (f"error: {huge}: invalid trajectory: "
+                                 f"voiced value > 128000 Hz at frame 0: 1e+308 (and 2 more)\n")
         data = json.loads(result.stdout)
         assert [r["recording_id"] for r in data] == ["good"]
 
@@ -711,7 +723,7 @@ def contour(base, n=60):
 
 
 TWO_VOICED = (0.0, 120.0, 0.0, 130.0, 0.0, 0.0)
-# A valid contour no smoothing-spline penalty in range can fit.
+# A contour no smoothing-spline penalty in range can fit, far above the valid range.
 HUGE = tuple(np.geomspace(1e299, 5e300, 8))
 
 
@@ -844,7 +856,22 @@ class TestEval:
                                      "--kind", "smoothing-spline"])
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert result.stderr == "error: recording 'r1': penalty bracketing failed to reach the target\n"
+        assert result.stderr == (f"error: {tmp_path / 'r1.csv'}: invalid trajectory: "
+                                 "voiced value > 128000 Hz at frame 0: 1e+299 (and 7 more)\n")
+
+    @pytest.mark.parametrize("values, problem", [
+        ((120.0, float("nan"), 125.0, 130.0), "non-finite at frame 1"),
+        ((120.0, -3.0, 125.0, 130.0), "negative value -3 at frame 1"),
+    ])
+    def test_invalid_entry_is_one_line_and_no_report(self, runner, tmp_path, values, problem):
+        recordings = [("a", "enrollment", contour(120.0)), ("a", "trial", values),
+                      ("b", "enrollment", contour(180.0)), ("b", "trial", contour(180.0))]
+        manifest = write_manifest(tmp_path, recordings)
+        for scenario in (["OO"], ["OA", "--kind", "voiced-flat"]):
+            result = runner.invoke(cli, ["eval", "--manifest", str(manifest), "--scenario", *scenario])
+            assert result.exit_code == 2
+            assert result.stdout == ""
+            assert result.stderr == f"error: {tmp_path / 'r1.csv'}: invalid trajectory: {problem}\n"
 
     def test_entry_that_fails_to_load_is_exit_2(self, runner, tmp_path):
         manifest = build_eval_manifest(tmp_path)
@@ -953,6 +980,21 @@ class TestPlot:
         assert "different frame hops" in result.output
         assert out.exists()
 
+    def test_invalid_contours_are_one_line_each_and_no_plot(self, runner, tmp_path):
+        good = write_fixture_csv(tmp_path / "good.csv")
+        bad = {write_fixture_csv(tmp_path / "inf.csv", (100.0, np.inf, 110.0)): "non-finite at frame 1",
+               write_fixture_csv(tmp_path / "huge.csv", (100.0, 1.7e308, 110.0)):
+                   "voiced value > 128000 Hz at frame 1: 1.7e+308",
+               write_fixture_csv(tmp_path / "low.csv", (-5.0, 20.0, 110.0)):
+                   "negative value -5 at frame 0 (and 1 more)"}
+        out = tmp_path / "plot.svg"
+        result = runner.invoke(cli, ["plot", str(good), *map(str, bad), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: {path}: invalid trajectory: {problem}"
+                                              for path, problem in bad.items()]
+        assert not out.exists()
+
 
 BAD_CSV = "time,f0\n0.0,100.0\n"  # the header is wrong
 
@@ -1001,14 +1043,15 @@ class TestFailedInputs:
             assert not out.exists()
 
     @pytest.mark.parametrize("command, message", [
-        ("modify", "output failed validation: non-finite at frame 0 (and 299 more)"),
+        ("modify", "output failed validation: voiced value > 128000 Hz at frame 1: 256000 (and 149 more)"),
         ("stats", "invalid trajectory: non-finite at frame 1 (and 149 more)"),
     ])
     def test_validation_error_does_not_grow_with_the_frames(self, runner, tmp_path, command, message):
         src = tmp_path / "long.csv"
-        if command == "modify":  # a valid input whose output overflows
-            write_fixture_csv(src, (40.0, 1e308) * 150)
-            args = ["--kind", "voiced-flat", "--out", str(tmp_path / "o")]
+        if command == "modify":  # a valid input whose output leaves the valid range
+            write_fixture_csv(src, (40.0, 1000.0) * 150)
+            args = ["--kind", "shift-and-scale", "--target-mean", "128000", "--target-std", "128000",
+                    "--out", str(tmp_path / "o")]
         else:
             src.write_text("time_s,f0_hz\n" + "".join(
                 f"{i / 100:.6f},{'inf' if i % 2 else '40'}\n" for i in range(300)))
@@ -1061,6 +1104,27 @@ class TestContract:
         result = runner.invoke(cli, [command, str(src), "--config", str(path), "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, unknown", [
+        ("eval", {"output_dir": "reports", "input_dir": "nowhere"}, ["input_dir", "output_dir"]),
+        ("modify", {"modifier": {"kind": "voiced-flat"}, "pitch": {"f_min": 1e-3}}, ["pitch"]),
+        ("extract", {"modifier": {"kind": "voiced-flat"}}, ["modifier"]),
+    ])
+    def test_config_key_the_command_does_not_read_is_exit_2(self, runner, tmp_path, command, config, unknown):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        if command == "eval":
+            args = ["--manifest", str(build_eval_manifest(tmp_path)), "--scenario", "OO"]
+        elif command == "modify":
+            args = [str(write_fixture_csv(tmp_path / "fix.csv"))]
+        else:
+            args = [str(write_tone_wav(tmp_path / "tone.wav"))]
+        result = runner.invoke(cli, [command, *args, "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == usage_error(command, f"config {path}: unknown keys {unknown}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["modify", "eval"])
@@ -1311,6 +1375,20 @@ class TestContract:
         assert result.stderr == usage_error(command, f"config {config}: {error}")
         assert not out.exists()
 
+    def test_benchmark_trace_wraps_resolve(self):
+        # perfbench/trace_boot.py wraps functions by the name their callers
+        # look them up by, so a name dropped from src/ silently empties a
+        # benchmark layer. Its WRAPS table is read without importing perfbench.
+        source = Path(__file__).resolve().parents[1] / "perfbench" / "trace_boot.py"
+        wraps = next(node.value for node in ast.parse(source.read_text(encoding="utf-8")).body
+                     if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WRAPS")
+        names = [(ast.literal_eval(row.elts[0]), ast.literal_eval(row.elts[1])) for row in wraps.elts]
+        assert len(names) > 10
+        missing = {(module, attr) for module, attr in names
+                   if not hasattr(importlib.import_module(module), attr)}
+        # Already stale: cli formats with format_f0_csv, which the wraps do not name.
+        assert missing <= {("f0priv.cli", "_csv_bytes")}
+
     def test_all_exports_resolve(self):
         import f0priv
 
@@ -1378,30 +1456,47 @@ class TestContract:
         assert out.stdout == "[]\n"
 
     def test_numeric_warnings_stay_off_stderr(self, tmp_path):
-        # Valid contours of huge values overflow numpy's arithmetic; stderr
-        # carries only the command's own lines. pytest records warnings before
-        # they reach stderr, so each command runs in a fresh interpreter.
+        # Contours at both ends of the valid range, on the CSV's finest hop,
+        # overflow none of numpy's arithmetic: stderr carries only the
+        # command's own lines. pytest records warnings before they reach
+        # stderr, so each command runs in a fresh interpreter.
         def run(args):
             out = subprocess.run([sys.executable, "-c", "from f0priv.cli import main; main()", *args],
                                  env=src_env(), capture_output=True, text=True)
             return out.returncode, out.stderr
 
-        big = tuple(1e200 * (1.0 + 0.1 * np.sin(np.arange(50))))
-        src = write_fixture_csv(tmp_path / "big.csv", big)
-        assert run(["modify", str(src), "--kind", "smoothing-spline", "--out", str(tmp_path / "o1")]) == (0, "")
-        assert read_f0_csv(tmp_path / "o1" / "big.csv").n_frames == 50
-        src = write_fixture_csv(tmp_path / "alternating.csv", (40.0, 1e308) * 10)
-        frames = "non-finite at frame 0 (and 19 more)"  # not one clause per frame
-        for kind in (["voiced-flat"], ["modulated-same-1"],
-                     ["shift-and-scale", "--target-mean", "100", "--target-std", "10"]):
-            assert run(["modify", str(src), "--kind", *kind, "--out", str(tmp_path / "o2")]) == (
-                2, f"error: {src}: output failed validation: {frames}\n")
+        edges = (0.0, VOICED_MIN_HZ, VOICED_MAX_HZ, VOICED_MAX_HZ, 0.0) * 6
+        top = tuple(VOICED_MAX_HZ * (0.95 + 0.05 * np.sin(np.arange(30))))
+        paths = []
+        for name, values in (("edges", edges), ("top", top)):
+            paths.append(tmp_path / f"{name}.csv")
+            write_f0_csv(make_traj(values, hop=FRAME_HOP_MIN_S, rid=name), paths[-1])
+        trajs = [read_f0_csv(path) for path in paths]
+        assert all(validate(traj) == [] for traj in trajs) and trajs[0].frame_hop == FRAME_HOP_MIN_S
+        targets = {"target_mean_hz": VOICED_MAX_HZ, "target_std_hz": VOICED_MAX_HZ}
+        for kind, flags in (("smoothing-spline", []), ("voiced-flat", []), ("modulated-same-1", []),
+                            ("random-walk-strong", ["--seed", "1"]),
+                            ("shift-and-scale", ["--target-mean", "128000", "--target-std", "128000"])):
+            spec = ModifierSpec(kind, seed=1, **(targets if kind == "shift-and-scale" else {}))
+            lines = []  # the output check's lines, one per input that fails it
+            for path, traj in zip(paths, trajs):
+                try:
+                    require_valid(validate(apply(spec, traj)), "output failed validation")
+                except ValueError as exc:
+                    lines.append(f"error: {path}: {exc}\n")
+            out = tmp_path / kind
+            assert run(["modify", *map(str, paths), "--kind", kind, *flags, "--out", str(out)]) == (
+                2 if lines else 0, "".join(lines))
+        assert run(["stats", *map(str, paths)]) == (0, "")
         (tmp_path / "corpus").mkdir()
         manifest = write_manifest(tmp_path / "corpus", [
-            ("a", "enrollment", contour(120.0)), ("a", "trial", big),
-            ("b", "enrollment", contour(180.0)), ("b", "trial", contour(180.0))])
+            ("a", "enrollment", edges), ("a", "trial", edges[1:] + (0.0,)),
+            ("b", "enrollment", top), ("b", "trial", top[::-1])])
+        for entry in json.loads(manifest.read_text())["entries"]:  # on the finest hop too
+            path = tmp_path / "corpus" / entry["path"]
+            write_f0_csv(make_traj(read_f0_csv(path).values, hop=FRAME_HOP_MIN_S), path)
         assert run(["eval", "--manifest", str(manifest), "--scenario", "AA", "--kind", "smoothing-spline"]) == (
-            2, "error: scores must be finite\n")
+            0, "")
 
     def test_version(self, runner):
         result = runner.invoke(cli, ["--version"])

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_traj
+from f0priv.evaluation import SCENARIOS, Recording, SpeakerCorpus, run_scenario
 from f0priv.modifiers import (
     KINDS,
     ModifierSpec,
@@ -24,7 +26,15 @@ from f0priv.modifiers import (
     shift_and_scale,
     smoothing_spline_modifier,
 )
-from f0priv.trajectory import VOICED_MIN_HZ, F0Trajectory, validate, voiced_mean
+from f0priv.trajectory import (
+    FRAME_HOP_MIN_S,
+    VOICED_MAX_HZ,
+    VOICED_MIN_HZ,
+    F0Trajectory,
+    stats,
+    validate,
+    voiced_mean,
+)
 from oracles import sinusoid_modulation_reference, walk_modulation_reference
 
 
@@ -330,6 +340,12 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="positive"):
             ModifierSpec(kind="shift-and-scale", target_mean_hz=-1.0, target_std_hz=10.0).validated()
 
+    @pytest.mark.parametrize("mean, std", [(1e308, 10.0), (150.0, 1e308), (150.0, np.nextafter(VOICED_MAX_HZ, 1e6))])
+    def test_shift_targets_above_the_valid_range(self, mean, std):
+        with pytest.raises(SpecError, match="shift-and-scale targets must be positive and at most 128000 Hz"):
+            ModifierSpec(kind="shift-and-scale", target_mean_hz=mean, target_std_hz=std).validated()
+        ModifierSpec(kind="shift-and-scale", target_mean_hz=VOICED_MAX_HZ, target_std_hz=VOICED_MAX_HZ).validated()
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(SpecError, match="unknown modifier keys"):
             ModifierSpec.from_dict({"kind": "voiced-flat", "gain": 2.0})
@@ -429,3 +445,68 @@ class TestModifierProperties:
         back = invert_shift_and_scale(fwd, float(np.mean(voiced)), float(np.std(voiced)))
         assume(np.array_equal(back.voiced_mask, traj.voiced_mask))
         np.testing.assert_allclose(back.values, traj.values, rtol=1e-12, atol=0)
+
+
+@st.composite
+def range_contours(draw):
+    """Valid contours anywhere in the valid range: voiced values from 40 Hz
+    to ``VOICED_MAX_HZ``, hops from the CSV's 1e-6 s, at least 4 voiced frames."""
+    n = draw(st.integers(4, 60))
+    hz = st.one_of(st.sampled_from([VOICED_MIN_HZ, VOICED_MAX_HZ]), st.floats(VOICED_MIN_HZ, VOICED_MAX_HZ))
+    values = draw(arrays(np.float64, n, elements=st.one_of(st.just(0.0), hz)))
+    assume((values > 0.0).sum() >= 4)
+    hop = draw(st.one_of(st.just(FRAME_HOP_MIN_S), st.floats(FRAME_HOP_MIN_S, 1.0)))
+    return F0Trajectory(hop, values, draw(st.text(max_size=4)))
+
+
+@st.composite
+def range_specs(draw, kind):
+    """Valid specs; shift-and-scale targets anywhere up to ``VOICED_MAX_HZ``."""
+    target = st.one_of(st.just(VOICED_MAX_HZ), st.floats(0.0, VOICED_MAX_HZ, exclude_min=True))
+    fields = {"role": draw(st.sampled_from(["enrollment", "trial"]))}
+    if kind.startswith("random-walk"):
+        fields["seed"] = draw(st.integers(0, 2**64 - 1))
+    if kind == "shift-and-scale":
+        fields.update(target_mean_hz=draw(target), target_std_hz=draw(target))
+    return ModifierSpec(kind=kind, **fields).validated()
+
+
+# The ValueErrors a valid contour can still raise, none of them numeric.
+STRUCTURAL = (r"smoothing spline needs|penalty bracketing failed|zero source std|"
+              r"has absent statistics|no voiced frames")
+
+
+class TestValidRangeArithmetic:
+    """No valid contour or spec overflows or makes a NaN on the way to a report."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data(), traj=range_contours())
+    def test_apply_and_stats(self, kind, data, traj):
+        spec = data.draw(range_specs(kind))
+        with np.errstate(over="raise", invalid="raise"):
+            assert all(np.isfinite(v) for v in stats(traj).to_dict().values())
+            try:
+                out = apply(spec, traj)
+            except ValueError as exc:
+                assert re.search(STRUCTURAL, str(exc)), exc
+            else:
+                assert np.isfinite(out.values).all()
+                assert all(v is None or np.isfinite(v) for v in stats(out).to_dict().values())
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @settings(deadline=None, max_examples=15)
+    @given(data=st.data(), trajs=st.lists(range_contours(), min_size=4, max_size=6))
+    def test_run_scenario(self, scenario, data, trajs):
+        kind = data.draw(st.sampled_from(KINDS))
+        recordings = tuple(
+            Recording(f"s{i // 2}", f"r{i}", ("enrollment", "trial")[i % 2], traj)
+            for i, traj in enumerate(trajs[: len(trajs) // 2 * 2])
+        )
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                report = run_scenario(SpeakerCorpus(recordings), data.draw(range_specs(kind)), scenario)
+            except ValueError as exc:
+                assert re.search(STRUCTURAL, str(exc)), exc
+            else:
+                assert np.isfinite([report.eer_percent, report.cllr_bits, report.cllr_min_bits]).all()

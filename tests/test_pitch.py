@@ -6,6 +6,7 @@ import pytest
 
 from f0priv.pitch import (
     BLOCK_FRAMES,
+    SAMPLE_RATE_RANGE,
     AudioBuffer,
     PitchConfig,
     WavReadError,
@@ -13,7 +14,7 @@ from f0priv.pitch import (
     read_wav,
 )
 from f0priv.synth import tone
-from f0priv.trajectory import validate
+from f0priv.trajectory import VOICED_MAX_HZ, validate
 from oracles import track_reference
 
 
@@ -187,6 +188,19 @@ class TestReadWav:
 
 
 class TestExtractF0:
+    def test_every_tracked_f0_is_in_the_valid_range(self):
+        # F0 = rate / lag, with the lag at least 2 samples less the half
+        # sample the parabolic refinement may take off.
+        rate = SAMPLE_RATE_RANGE[1]
+        assert rate / 2 <= rate / 1.5 == VOICED_MAX_HZ
+        # A Nyquist-rate alternation plus a slow component: the refinement
+        # moves the 2-sample peak shorter, so F0 lands above rate / 2.
+        n = np.arange(rate // 20)
+        x = 0.3 * (np.cos(np.pi * n) + 0.3 * np.cos(0.02 * np.pi * n))
+        traj = extract_f0(AudioBuffer(rate, x), PitchConfig(f_max=rate / 2))
+        assert traj.values.max() > rate / 2
+        assert validate(traj) == []
+
     def test_pure_tone(self):
         traj = extract_f0(tone(220.0, 2.0))
         voiced = traj.values[traj.values > 0]

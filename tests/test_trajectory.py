@@ -7,6 +7,8 @@ from scipy.stats import skew as scipy_skew
 from conftest import make_traj
 from f0priv import trajectory
 from f0priv.trajectory import (
+    FRAME_HOP_MIN_S,
+    VOICED_MAX_HZ,
     CsvFormatError,
     F0Trajectory,
     NoVoicedFramesError,
@@ -43,6 +45,16 @@ class TestValidate:
 
     def test_boundary_value_is_valid(self):
         assert validate(make_traj([40.0, 0.0])) == []
+        assert validate(make_traj([VOICED_MAX_HZ, 0.0], hop=FRAME_HOP_MIN_S)) == []
+
+    def test_above_the_valid_range(self):
+        assert validate(make_traj([0.0, 120.0, np.nextafter(VOICED_MAX_HZ, np.inf), 1e308])) == [
+            "voiced value > 128000 Hz at frame 2: 128000", "voiced value > 128000 Hz at frame 3: 1e+308"]
+
+    @pytest.mark.parametrize("hop", [0.0, -0.01, 5e-324, np.nextafter(FRAME_HOP_MIN_S, 0.0), np.nan, np.inf])
+    def test_hop_below_the_csv_resolution_or_infinite(self, hop):
+        assert validate(make_traj([100.0, 110.0], hop=hop)) == [
+            f"frame_hop must be finite and at least 1e-06 s, got {hop}"]
 
 
 class TestVoicedMean:
