@@ -17,14 +17,7 @@ import click
 
 from . import __version__
 from .evaluation import SCENARIOS, Recording, SpeakerCorpus, run_scenario
-from .modifiers import (
-    KINDS,
-    ROLES,
-    ModifierSpec,
-    SpecError,
-    apply,
-    finite_number,
-)
+from .modifiers import KINDS, ROLES, ModifierSpec, SpecError, apply
 from .pitch import PitchConfig, extract_f0, read_wav
 from .plotting import trajectory_svg
 from .trajectory import format_f0_csv, read_f0_csv, require_valid, stats, validate
@@ -69,12 +62,10 @@ def _settings(config: dict, key: str, flags: dict) -> dict:
 
 
 def _pitch_config(config: dict, flags: dict) -> PitchConfig:
-    # In field order, so the first bad value reported does not depend on the flags' order.
-    merged = _settings(config, "pitch", {name: flags.get(name) for name in PITCH_KEYS})
-    for name, value in merged.items():
-        if not finite_number(value):
-            raise click.UsageError(f"pitch {name} must be a finite number, got {value!r}")
-    return PitchConfig(**merged)
+    try:
+        return PitchConfig(**_settings(config, "pitch", flags))
+    except ValueError as exc:
+        raise click.UsageError(f"pitch {exc}")
 
 
 # The modifier flags shared by ``modify`` and ``eval``. Each parameter is
@@ -423,7 +414,8 @@ def cmd_stats(inputs, out):
 def cmd_eval(manifest, scenario, out, config, **flags):
     """Score a corpus under one attack scenario and report EER/Cllr."""
     run_config = _load_run_config(config, ("modifier", "pitch"))
-    # run_scenario sets the role of each corpus side; "trial" only validates.
+    # run_scenario sets the role of each corpus side; "trial" only lets a
+    # modulated-different spec be built.
     spec = _modifier_spec(run_config, flags, default_role="trial")
     if scenario != "OO" and spec is None:
         raise click.UsageError(f"scenario {scenario} needs a modifier (--kind ...)")
@@ -445,15 +437,8 @@ def cmd_eval(manifest, scenario, out, config, **flags):
     if len(recordings) < len(entries):
         return  # no report from part of the corpus
 
-    corpus = SpeakerCorpus(tuple(recordings))
-    problems = corpus.violations()
-    if problems:
-        for p in problems:
-            click.echo(f"corpus error: {p}", err=True)
-        sys.exit(2)
-
     try:
-        report = run_scenario(corpus, spec, scenario)
+        report = run_scenario(SpeakerCorpus(tuple(recordings)), spec, scenario)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

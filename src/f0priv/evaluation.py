@@ -53,12 +53,12 @@ class Recording:
 
 @dataclass(frozen=True)
 class SpeakerCorpus:
+    """Recordings with unique ids, each speaker on both splits; checked when built."""
+
     recordings: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "recordings", tuple(self.recordings))
-
-    def violations(self) -> list[str]:
         problems = []
         seen = set()
         per_speaker: dict[str, set] = {}
@@ -76,7 +76,8 @@ class SpeakerCorpus:
                 problems.append(f"speaker {speaker!r} has no {split} recording")
         if not per_speaker:
             problems.append("empty corpus")
-        return problems
+        if problems:
+            raise ScoringError("corpus invariant violations: " + "; ".join(problems))
 
     def split(self, which: str) -> list[Recording]:
         return [rec for rec in self.recordings if rec.split == which]
@@ -345,8 +346,7 @@ def score_corpus(
 
 
 def _modified(recordings: list[Recording], spec: ModifierSpec, role: str) -> list[Recording]:
-    # A spec error is raised here, so the errors below belong to one recording each.
-    role_spec = replace(spec, role=role).validated()
+    role_spec = replace(spec, role=role)
     modified = []
     for r in recordings:
         try:
@@ -364,13 +364,11 @@ def run_scenario(
 
     OO ignores the modifier entirely; OA modifies the trial side with
     role=trial; AA additionally modifies the enrollment side with
-    role=enrollment (so 'modulated-different' uses its two carrier pairs).
+    role=enrollment (so 'modulated-different' uses its two carrier pairs,
+    whichever role its spec was built with).
     """
     if scenario not in SCENARIOS:
         raise ScoringError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    problems = corpus.violations()
-    if problems:
-        raise ScoringError("corpus invariant violations: " + "; ".join(problems))
     if scenario != "OO" and spec is None:
         raise ScoringError(f"scenario {scenario} requires a modifier spec")
 

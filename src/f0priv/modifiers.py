@@ -11,14 +11,14 @@ modified value below 40 Hz (including negatives) is set unvoiced. The
 all-flat transform is the one exception and keeps its constant everywhere.
 """
 
-import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
 from . import spline
-from .trajectory import VOICED_MAX_HZ, VOICED_MIN_HZ, F0Trajectory, require_valid, validate, voiced_mean
+from .trajectory import (VOICED_MAX_HZ, VOICED_MIN_HZ, F0Trajectory, finite_number, require_valid, validate,
+                         voiced_mean)
 
 ROLES = ("enrollment", "trial")
 
@@ -35,20 +35,6 @@ class SpecError(ValueError):
     """Raised for invalid modifier specifications."""
 
 
-def finite_number(value) -> bool:
-    """A real number other than a bool that is finite as a float.
-
-    An integer beyond float range, as JSON allows, is not: ``abs(v) < inf``
-    holds for it, and ``math.isfinite`` raises ``OverflowError``.
-    """
-    if not isinstance(value, Real) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 @dataclass(frozen=True)
 class ModifierSpec:
     """Which modification to apply, with its parameters.
@@ -58,7 +44,8 @@ class ModifierSpec:
     required for the random-walk kinds. ``target_mean_hz``/``target_std_hz``
     are required for ``shift-and-scale``. Carrier pairs and walk strengths
     are fixed by the kind; :func:`modulate` and :func:`random_walk_modulate`
-    take other values directly.
+    take other values directly. A spec is checked when it is built, and
+    ``dataclasses.replace`` checks the copy, so every spec is valid.
     """
 
     kind: str
@@ -67,7 +54,7 @@ class ModifierSpec:
     target_mean_hz: float | None = None
     target_std_hz: float | None = None
 
-    def validated(self) -> "ModifierSpec":
+    def __post_init__(self):
         if self.kind not in KINDS:
             raise SpecError(f"unknown kind {self.kind!r}; choose from {', '.join(KINDS)}")
         if self.seed is not None and (
@@ -92,7 +79,6 @@ class ModifierSpec:
                 raise SpecError("kind 'shift-and-scale' requires target_mean_hz and target_std_hz")
             if not (0 < self.target_mean_hz <= VOICED_MAX_HZ and 0 < self.target_std_hz <= VOICED_MAX_HZ):
                 raise SpecError(f"shift-and-scale targets must be positive and at most {VOICED_MAX_HZ:g} Hz")
-        return self
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModifierSpec":
@@ -101,7 +87,7 @@ class ModifierSpec:
             raise SpecError(f"unknown modifier keys: {sorted(unknown)}")
         if "kind" not in data:
             raise SpecError("modifier requires a kind")
-        return cls(**data).validated()
+        return cls(**data)
 
 
 def post_rules(traj: F0Trajectory, voiced_values) -> F0Trajectory:
@@ -279,6 +265,5 @@ def apply(spec: ModifierSpec, traj: F0Trajectory) -> F0Trajectory:
     from (spec.seed, recording id) so corpora are reproducible while every
     recording gets a unique walk.
     """
-    spec.validated()
     require_valid(validate(traj), f"invalid trajectory {traj.recording_id!r}")
     return _TRANSFORMS[spec.kind](spec, traj)

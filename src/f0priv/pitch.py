@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .trajectory import VOICED_MIN_HZ, F0Trajectory
+from .trajectory import VOICED_MIN_HZ, F0Trajectory, finite_number
 
 SAMPLE_RATE_RANGE = (8000, 192000)
 
@@ -46,24 +46,31 @@ class AudioBuffer:
 
 @dataclass(frozen=True)
 class PitchConfig:
+    """Tracker settings, checked when built; :meth:`check` adds the rules that need the rate."""
+
     frame_len: float = 0.025
     frame_hop: float = 0.010
     f_min: float = 60.0
     f_max: float = 400.0
     voicing_threshold: float = 0.45
 
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if not finite_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not VOICED_MIN_HZ <= self.f_min < self.f_max:
+            raise ValueError(f"need {VOICED_MIN_HZ:g} <= f_min < f_max, got f_min={self.f_min}, f_max={self.f_max}")
+        if not 0.0 < self.voicing_threshold < 1.0:
+            raise ValueError(f"voicing_threshold must be in (0, 1), got {self.voicing_threshold}")
+        if not 0.0 < self.frame_hop <= self.frame_len:
+            raise ValueError(f"need 0 < frame_hop <= frame_len, got frame_hop={self.frame_hop}, frame_len={self.frame_len}")
+
     def check(self, sample_rate: int) -> None:
-        if not (VOICED_MIN_HZ <= self.f_min < self.f_max <= sample_rate / 2):
+        if self.f_max > sample_rate / 2:
             raise ValueError(
                 f"need {VOICED_MIN_HZ:g} <= f_min < f_max <= sample_rate/2, got "
                 f"f_min={self.f_min}, f_max={self.f_max}, sample_rate={sample_rate}"
-            )
-        if not 0.0 < self.voicing_threshold < 1.0:
-            raise ValueError(f"voicing_threshold must be in (0, 1), got {self.voicing_threshold}")
-        if not 0.0 < self.frame_hop <= self.frame_len < np.inf:
-            raise ValueError(
-                f"need 0 < frame_hop <= frame_len < inf, got frame_hop={self.frame_hop}, "
-                f"frame_len={self.frame_len}"
             )
         if round(self.frame_hop * sample_rate) < 1:
             raise ValueError(
@@ -231,8 +238,10 @@ def extract_f0(audio: AudioBuffer, cfg: PitchConfig | None = None, recording_id:
         raise ValueError(f"audio shorter than one frame ({len(x)} < {frame_len} samples)")
 
     lag_min = max(2, int(np.ceil(sr / cfg.f_max)))
-    # The parabolic refinement needs one neighbor past the extreme lags.
-    lag_max = min(int(np.floor(sr / cfg.f_min)), frame_len - 2)
+    # The parabolic refinement needs one neighbor past the extreme lags. The
+    # Hann window's autocorrelation is 0 at lags frame_len - 2 and - 1, and FFT
+    # rounding can make it 0 at frame_len - 3; below, it is positive at any rate.
+    lag_max = min(int(np.floor(sr / cfg.f_min)), frame_len - 5)
     if lag_max <= lag_min:
         raise ValueError("frame too short for the requested f_min")
     taus = np.arange(lag_min - 1, lag_max + 2)

@@ -7,7 +7,9 @@ mapped back to unvoiced by the modifier post-rules).
 """
 
 import dataclasses
+import math
 from functools import lru_cache
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,25 @@ VOICED_MIN_HZ = 40.0
 # lag, 2 samples less the half sample of the parabolic refinement.
 VOICED_MAX_HZ = 128000.0
 FRAME_HOP_MIN_S = 1e-6  # the resolution of the CSV's 6-decimal timestamps
+# Below this time (about 68 years) a timestamp parses back within 1.2e-7 s,
+# so the reader's 2e-6 s uniformity check holds for every written column.
+TIME_MAX_S = 2.0**31
 
 CSV_HEADER = "time_s,f0_hz"
+
+
+def finite_number(value) -> bool:
+    """A real number other than a bool that is finite as a float.
+
+    An integer beyond float range, as JSON allows, is not: ``abs(v) < inf``
+    holds for it, and ``math.isfinite`` raises ``OverflowError``.
+    """
+    if not isinstance(value, Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class NoVoicedFramesError(ValueError):
@@ -110,13 +129,17 @@ F0Stats.FIELD_ORDER = tuple(f.name for f in dataclasses.fields(F0Stats))
 def validate(traj: F0Trajectory) -> list[str]:
     """Check trajectory invariants; returns a list of violations (empty = valid).
 
-    Reports, never raises: a frame hop below 1e-6 s or infinite, empty contour,
-    non-finite values, negative values and voiced values below 40 Hz or
-    above 128 kHz, each with the offending frame index.
+    Reports, never raises: a frame hop below 1e-6 s or infinite, a last frame
+    at or beyond ``TIME_MAX_S``, empty contour, non-finite values, negative
+    values and voiced values below 40 Hz or above 128 kHz, each with the
+    offending frame index.
     """
     problems: list[str] = []
+    last = (traj.n_frames - 1) * traj.frame_hop
     if not FRAME_HOP_MIN_S <= traj.frame_hop < np.inf:
         problems.append(f"frame_hop must be finite and at least {FRAME_HOP_MIN_S:g} s, got {traj.frame_hop}")
+    elif last >= TIME_MAX_S:
+        problems.append(f"last frame must lie before {TIME_MAX_S:.0f} s, got {last} s")
     if traj.n_frames == 0:
         problems.append("empty trajectory")
         return problems
@@ -299,7 +322,7 @@ def _infer_hop(times: np.ndarray) -> float:
     margin = 1e-14 * first
     if lo + margin <= first <= hi - margin:
         return first
-    mid = (lo + hi) / 2
+    mid = lo / 2 + hi / 2  # (lo + hi) / 2 overflows near the largest double
     if abs(hi - lo) <= 2 * margin:
         # The hop sits on a decimal tie (k / 16000 s for odd k, say), where
         # only a double or two next to mid rewrites the column unchanged.

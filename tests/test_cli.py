@@ -57,6 +57,9 @@ def src_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
+BAD_RANGE = "pitch need 40 <= f_min < f_max, got f_min=300.0, f_max=200.0"
+
+
 def usage_error(command, message):
     """What click prints to stderr for a ``click.UsageError`` raised by ``command``."""
     args = "[OPTIONS]" if command == "eval" else "[OPTIONS] INPUTS..."
@@ -160,6 +163,22 @@ class TestExtract:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "must be a finite number" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["flags", "config"])
+    def test_bad_setting_is_one_usage_error_before_any_output(self, runner, tmp_path, given):
+        wavs = [str(write_tone_wav(tmp_path / f"{name}.wav")) for name in "ab"]
+        out = tmp_path / "out"
+        if given == "flags":
+            args = ["--f-min", "300", "--f-max", "200"]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"pitch": {"f_min": 300.0, "f_max": 200.0}}))
+            args = ["--config", str(config)]
+        result = runner.invoke(cli, ["extract", *wavs, *args, "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == usage_error("extract", BAD_RANGE)
+        assert result.stdout == ""
         assert not out.exists()
 
     def test_first_non_finite_setting_in_field_order(self, runner, tmp_path):
@@ -638,6 +657,21 @@ class TestModify:
         assert result.stdout == f"{ok} -> {out / 'ok.csv'}\n"
         assert sorted(p.name for p in out.iterdir()) == ["ok.csv", "sidecar.json"]
 
+    def test_time_axis_beyond_the_bound_never_reaches_the_spline(self, runner, tmp_path):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("time_s,f0_hz\n" + "".join(f"{i * 1e200:.6f},100.0\n" for i in range(4)))
+        far = tmp_path / "far.csv"
+        far.write_text(f"time_s,f0_hz\n0.000000,100.0\n{1.7e308:.6f},100.0\n")
+        with np.errstate(all="raise"):
+            result = runner.invoke(
+                cli, ["modify", str(huge), str(far), "--kind", "smoothing-spline", "--out", str(tmp_path / "o")]
+            )
+        assert result.exit_code == 2
+        assert result.stderr == (
+            f"error: {huge}: invalid trajectory 'huge': last frame must lie before 2147483648 s, got 3e+200 s\n"
+            f"error: {far}: invalid trajectory 'far': last frame must lie before 2147483648 s, got 1.7e+308 s\n"
+        )
+
 
 class TestStats:
     def test_constant_fixture(self, runner, tmp_path):
@@ -794,6 +828,25 @@ class TestEval:
         result = runner.invoke(cli, ["eval", "--manifest", str(manifest), "--scenario", "OO"])
         assert result.exit_code == 2
         assert "no enrollment" in result.output
+
+    def test_corpus_violations_are_one_line(self, runner, tmp_path):
+        manifest = write_manifest(tmp_path, [("a", "trial", contour(120.0)), ("b", "enrollment", contour(130.0))])
+        result = runner.invoke(cli, ["eval", "--manifest", str(manifest), "--scenario", "OO"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error: corpus invariant violations: speaker 'a' has no enrollment recording; "
+                                 "speaker 'b' has no trial recording\n")
+
+    def test_bad_pitch_config_is_exit_2_without_wav_entries(self, runner, tmp_path):
+        manifest = build_eval_manifest(tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"pitch": {"f_min": 300.0, "f_max": 200.0}}))
+        result = runner.invoke(
+            cli, ["eval", "--manifest", str(manifest), "--scenario", "OO", "--config", str(config)]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == usage_error("eval", BAD_RANGE)
 
     def test_manifest_missing_path(self, runner, tmp_path):
         manifest = tmp_path / "bad.json"

@@ -428,7 +428,8 @@ class TestScenarios:
         assert a.to_json() == b.to_json()
 
     def test_modulated_different_uses_roles(self, corpus):
-        spec = ModifierSpec(kind="modulated-different")
+        # run_scenario replaces the role the spec was built with.
+        spec = ModifierSpec(kind="modulated-different", role="trial")
         report = run_scenario(corpus, spec, "AA")
         assert report.n_target > 0
 
@@ -446,11 +447,26 @@ class TestScenarios:
             Recording("a", "r2", "trial", make_traj(values, rid="r2")),
             Recording("b", "r3", "enrollment", make_traj(values, rid="r3")),
         )
-        corpus = SpeakerCorpus(recs)
-        problems = corpus.violations()
-        assert any("no trial" in p for p in problems)
-        with pytest.raises(ScoringError, match="violations"):
-            run_scenario(corpus, None, "OO")
+        with pytest.raises(ScoringError, match="violations") as info:
+            SpeakerCorpus(recs)
+        assert "speaker 'b' has no trial recording" in str(info.value)
+
+    def test_corpus_lists_every_problem_when_built(self):
+        traj = make_traj(np.full(50, 120.0))
+        recs = [
+            Recording("a", "r1", "enrollment", traj),
+            Recording("a", "r1", "trial", traj),
+            Recording("b", "r2", "test", traj),
+            Recording("c", "r3", "trial", traj),
+        ]
+        with pytest.raises(ScoringError) as info:
+            SpeakerCorpus(recs)
+        assert str(info.value) == (
+            "corpus invariant violations: duplicate recording_id 'r1'; 'r2': bad split 'test'; "
+            "speaker 'c' has no enrollment recording"
+        )
+        with pytest.raises(ScoringError, match="^corpus invariant violations: empty corpus$"):
+            SpeakerCorpus(())
 
     def test_duplicate_recording_ids_flagged(self):
         rng = np.random.default_rng(16)
@@ -459,4 +475,5 @@ class TestScenarios:
             Recording("a", "r1", "enrollment", make_traj(values)),
             Recording("a", "r1", "trial", make_traj(values)),
         )
-        assert any("duplicate" in p for p in SpeakerCorpus(recs).violations())
+        with pytest.raises(ScoringError, match="duplicate recording_id 'r1'"):
+            SpeakerCorpus(recs)

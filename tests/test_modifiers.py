@@ -324,27 +324,43 @@ class TestApply:
 class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(SpecError, match="unknown kind"):
-            ModifierSpec(kind="reverse").validated()
+            ModifierSpec(kind="reverse")
 
     def test_different_requires_role(self):
         with pytest.raises(SpecError, match="requires a role"):
-            ModifierSpec(kind="modulated-different").validated()
+            ModifierSpec(kind="modulated-different")
 
     def test_walk_requires_seed(self):
         with pytest.raises(SpecError, match="requires a seed"):
-            ModifierSpec(kind="random-walk-weak").validated()
+            ModifierSpec(kind="random-walk-weak")
 
     def test_shift_requires_targets(self):
         with pytest.raises(SpecError, match="target_mean_hz"):
-            ModifierSpec(kind="shift-and-scale").validated()
+            ModifierSpec(kind="shift-and-scale")
         with pytest.raises(SpecError, match="positive"):
-            ModifierSpec(kind="shift-and-scale", target_mean_hz=-1.0, target_std_hz=10.0).validated()
+            ModifierSpec(kind="shift-and-scale", target_mean_hz=-1.0, target_std_hz=10.0)
 
     @pytest.mark.parametrize("mean, std", [(1e308, 10.0), (150.0, 1e308), (150.0, np.nextafter(VOICED_MAX_HZ, 1e6))])
     def test_shift_targets_above_the_valid_range(self, mean, std):
         with pytest.raises(SpecError, match="shift-and-scale targets must be positive and at most 128000 Hz"):
-            ModifierSpec(kind="shift-and-scale", target_mean_hz=mean, target_std_hz=std).validated()
-        ModifierSpec(kind="shift-and-scale", target_mean_hz=VOICED_MAX_HZ, target_std_hz=VOICED_MAX_HZ).validated()
+            ModifierSpec(kind="shift-and-scale", target_mean_hz=mean, target_std_hz=std)
+        ModifierSpec(kind="shift-and-scale", target_mean_hz=VOICED_MAX_HZ, target_std_hz=VOICED_MAX_HZ)
+
+    @pytest.mark.parametrize("start, change, message", [
+        (dict(kind="voiced-flat"), dict(kind="reverse"), "unknown kind 'reverse'"),
+        (dict(kind="modulated-different", role="trial"), dict(role=None), "requires a role"),
+        (dict(kind="modulated-different", role="trial"), dict(role="test"), "role must be one of"),
+        (dict(kind="random-walk-weak", seed=1), dict(seed=2**64), "64 unsigned bits"),
+        (dict(kind="random-walk-weak", seed=1), dict(seed=True), "seed must be an integer"),
+        (dict(kind="shift-and-scale", target_mean_hz=150.0, target_std_hz=20.0), dict(target_std_hz=0.0),
+         "shift-and-scale targets must be positive"),
+    ])
+    def test_checked_when_built_and_when_replaced(self, start, change, message):
+        spec = ModifierSpec(**start)
+        with pytest.raises(SpecError, match=message):
+            dataclasses.replace(spec, **change)
+        with pytest.raises(SpecError, match=message):
+            ModifierSpec(**{**start, **change})
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(SpecError, match="unknown modifier keys"):
@@ -381,7 +397,7 @@ def specs(draw, kind):
     if kind == "shift-and-scale":
         fields["target_mean_hz"] = draw(st.floats(40.0, 400.0))
         fields["target_std_hz"] = draw(st.floats(1.0, 100.0))
-    return ModifierSpec(kind=kind, **fields).validated()
+    return ModifierSpec(kind=kind, **fields)
 
 
 class TestModifierProperties:
@@ -468,7 +484,7 @@ def range_specs(draw, kind):
         fields["seed"] = draw(st.integers(0, 2**64 - 1))
     if kind == "shift-and-scale":
         fields.update(target_mean_hz=draw(target), target_std_hz=draw(target))
-    return ModifierSpec(kind=kind, **fields).validated()
+    return ModifierSpec(kind=kind, **fields)
 
 
 # The ValueErrors a valid contour can still raise, none of them numeric.

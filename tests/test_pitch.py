@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f0priv.pitch import (
     BLOCK_FRAMES,
@@ -10,6 +12,7 @@ from f0priv.pitch import (
     AudioBuffer,
     PitchConfig,
     WavReadError,
+    _autocorr,
     extract_f0,
     read_wav,
 )
@@ -265,15 +268,33 @@ class TestExtractF0:
             "the minimum is one sample, frame_hop=0.000125 s"
         )
 
-    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, True, "0.025", None,
+                                       pytest.param(10**400, id="int-beyond-float")])
     @pytest.mark.parametrize("field", ["frame_len", "frame_hop", "f_min", "f_max", "voicing_threshold"])
     def test_non_finite_setting_refused(self, field, value):
         # An infinite frame_len passed every comparison and overflowed in
-        # int(round(frame_len * sr)).
+        # int(round(frame_len * sr)). The config refuses it when it is built.
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number, got "):
+            PitchConfig(**{field: value})
+
+    @pytest.mark.parametrize("fields", [
+        {"f_min": 39.0},
+        {"f_min": 200.0, "f_max": 200.0},
+        {"f_min": 300.0, "f_max": 200.0},
+        {"voicing_threshold": 0.0},
+        {"voicing_threshold": 1.0},
+        {"frame_hop": 0.03, "frame_len": 0.025},
+        {"frame_hop": 0.0},
+    ])
+    def test_rate_independent_rules_checked_when_built(self, fields):
         with pytest.raises(ValueError):
-            PitchConfig(**{field: value}).check(16000)
-        with pytest.raises(ValueError):
-            extract_f0(tone(150.0, 0.5), PitchConfig(**{field: value}))
+            PitchConfig(**fields)
+
+    def test_rules_reported_in_order(self):
+        with pytest.raises(ValueError, match=r"^need 40 <= f_min < f_max, got f_min=300.0, f_max=200.0$"):
+            PitchConfig(f_min=300.0, f_max=200.0, voicing_threshold=2.0)
+        with pytest.raises(ValueError, match=r"^frame_len must be a finite number, got nan$"):
+            PitchConfig(frame_len=np.nan, f_max=np.inf)
 
     def test_recording_id_passthrough(self):
         traj = extract_f0(tone(150.0, 0.5), recording_id="utt1")
@@ -354,3 +375,38 @@ class TestBlockedTracker:
         assert np.array_equal(traj.values > 0, values > 0)
         assert np.mean(values > 0) > 0.5
         assert np.max(np.abs(traj.values - values)) <= 1e-9
+
+
+class TestLagRange:
+    """Every lag the tracker scans has a positive window autocorrelation."""
+
+    def test_window_ratio_positive_wherever_the_cap_binds(self):
+        # The cap binds for frames of fewer than sr / f_min + 5 samples, at
+        # most 192000 / 40 + 5. The FFT size follows the tracker's rule.
+        for frame_len in range(8, SAMPLE_RATE_RANGE[1] // 40 + 5):
+            lag_max = frame_len - 5
+            nfft = 1 << (frame_len + lag_max + 1).bit_length()
+            window_acf = _autocorr(np.hanning(frame_len), nfft)
+            assert window_acf[lag_max + 1] > 0.0, frame_len
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        sr=st.integers(*SAMPLE_RATE_RANGE),
+        frame_len=st.floats(0.004, 0.03),
+        f_min=st.floats(40.0, 100.0),
+        freq=st.floats(40.0, 200.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_low_f_min_contours_are_valid(self, sr, frame_len, f_min, freq, seed):
+        cfg = PitchConfig(frame_len=frame_len, frame_hop=frame_len / 2, f_min=f_min)
+        n = int(round(frame_len * sr)) * 4
+        t = np.arange(n) / sr
+        noise = np.random.default_rng(seed).standard_normal(n)
+        audio = AudioBuffer(sr, 0.4 * np.sin(2 * np.pi * freq * t) + 0.2 * noise)
+        with np.errstate(all="raise"):
+            try:
+                traj = extract_f0(audio, cfg)
+            except ValueError as exc:
+                assert str(exc) == "frame too short for the requested f_min"
+                return
+        assert validate(traj) == []

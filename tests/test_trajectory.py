@@ -8,6 +8,7 @@ from conftest import make_traj
 from f0priv import trajectory
 from f0priv.trajectory import (
     FRAME_HOP_MIN_S,
+    TIME_MAX_S,
     VOICED_MAX_HZ,
     CsvFormatError,
     F0Trajectory,
@@ -55,6 +56,12 @@ class TestValidate:
     def test_hop_below_the_csv_resolution_or_infinite(self, hop):
         assert validate(make_traj([100.0, 110.0], hop=hop)) == [
             f"frame_hop must be finite and at least 1e-06 s, got {hop}"]
+
+    def test_last_frame_before_the_time_bound(self):
+        assert validate(make_traj([100.0, 0.0], hop=np.nextafter(TIME_MAX_S, 0.0))) == []
+        assert validate(make_traj([100.0, 0.0, 110.0], hop=TIME_MAX_S / 2)) == [
+            "last frame must lie before 2147483648 s, got 2147483648.0 s"]
+        assert validate(make_traj([100.0], hop=1e300)) == []  # one frame lies at 0 s
 
 
 class TestVoicedMean:
@@ -230,6 +237,13 @@ class TestCsvReader:
         write_f0_csv(make_traj(np.full(300, 120.0), hop=0.01), path)
         assert read_f0_csv(path).frame_hop == 0.01
 
+    def test_hop_of_the_largest_times_stays_finite(self, tmp_path):
+        path = tmp_path / "far.csv"
+        path.write_text(f"time_s,f0_hz\n0.000000,100.0\n{1.7e308:.6f},100.0\n")
+        traj = read_f0_csv(path)
+        assert traj.frame_hop == 1.7e308
+        assert validate(traj) == ["last frame must lie before 2147483648 s, got 1.7e+308 s"]
+
     def test_one_and_three_columns_are_refused(self, tmp_path):
         # As many commas as rows, but not one per row.
         path = tmp_path / "bad.csv"
@@ -250,6 +264,8 @@ contours = st.lists(st.one_of(st.just(0.0), st.floats(40.0, 1000.0)), min_size=2
 hops = st.builds(
     lambda sr, k: k / sr, st.sampled_from(SAMPLE_RATES), st.integers(1, 2048)
 )
+# Every hop of a contour with at least two frames before the time bound.
+valid_hops = st.one_of(hops, st.floats(FRAME_HOP_MIN_S, TIME_MAX_S / 2, exclude_max=True))
 
 # Row corruptions: each turns one well-formed row into something the reader
 # must either accept as float() would or refuse with a line-numbered error.
@@ -284,9 +300,10 @@ def outcome(read, path):
 
 class TestCsvProperties:
     @settings(deadline=None)
-    @given(values=contours, hop=hops)
+    @given(values=contours, hop=valid_hops)
     def test_format_read_format_is_byte_identical(self, tmp_path_factory, values, hop):
-        traj = make_traj(values, hop=hop)
+        traj = make_traj(values[: int(TIME_MAX_S / hop)], hop=hop)  # the frames before the bound
+        assert validate(traj) == []
         text = format_f0_csv(traj)
         assert text == format_f0_csv_reference(hop, traj.values)
         path = tmp_path_factory.mktemp("csv") / "t.csv"
