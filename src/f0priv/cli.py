@@ -32,14 +32,18 @@ PITCH_KEYS = tuple(f.name for f in dataclasses.fields(PitchConfig))
 SIDECAR = "sidecar.json"  # written by modify next to its outputs
 
 
+def _read_json(path, noun: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise click.UsageError(f"{noun} {path}: invalid JSON ({exc})")
+
+
 def _load_run_config(path, keys: tuple[str, ...]) -> dict:
     """The run config at ``path`` ({} for None); ``keys`` are the ones its command reads."""
     if path is None:
         return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise click.UsageError(f"config {path}: invalid JSON ({exc})")
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise click.UsageError(f"config {path}: expected a JSON object")
     unknown = set(data) - set(keys)
@@ -232,10 +236,7 @@ def _read_valid(path, recording_id: str | None = None):
 
 
 def _load_manifest(path) -> list[dict]:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise click.UsageError(f"manifest {path}: invalid JSON ({exc})")
+    data = _read_json(path, "manifest")
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise click.UsageError(f"manifest {path}: expected an object with an 'entries' list")
     entries = data["entries"]
@@ -367,9 +368,7 @@ def cmd_modify(inputs, out, config, **flags):
     def modify(path, target, overwrites_input):
         if overwrites_input:
             raise ValueError(f"refusing to overwrite input {path}")
-        modified = apply(spec, read_f0_csv(path))
-        require_valid(validate(modified), "output failed validation")
-        _atomic_write(target, format_f0_csv(modified))
+        _atomic_write(target, format_f0_csv(apply(spec, read_f0_csv(path))))
         return f"{path} -> {target}"
 
     for line in _each(modify, ((path, target, i in own) for i, (path, target) in enumerate(jobs[1:], 1))):

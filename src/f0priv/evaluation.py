@@ -85,7 +85,10 @@ class SpeakerCorpus:
 
 @dataclass(frozen=True)
 class ScoreSet:
-    """Labeled verification scores, higher = more likely same speaker."""
+    """Labeled verification scores, higher = more likely same speaker.
+
+    Both sides are non-empty and finite; checked when built.
+    """
 
     target_scores: np.ndarray
     nontarget_scores: np.ndarray
@@ -95,14 +98,9 @@ class ScoreSet:
             arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def require_valid(self):
         if self.target_scores.size == 0 or self.nontarget_scores.size == 0:
             raise ScoringError("score set needs both target and nontarget scores")
-        if not (
-            np.all(np.isfinite(self.target_scores))
-            and np.all(np.isfinite(self.nontarget_scores))
-        ):
+        if not (np.isfinite(self.target_scores).all() and np.isfinite(self.nontarget_scores).all()):
             raise ScoringError("scores must be finite")
 
 
@@ -172,7 +170,6 @@ def eer(scores: ScoreSet) -> float:
     scores; when they do not meet exactly, the crossing is linearly
     interpolated between the two adjacent operating points.
     """
-    scores.require_valid()
     far, frr = _roc_points(scores)
     diff = far - frr  # non-increasing, starts at +1
     i = int(np.argmax(diff <= 0.0))
@@ -193,20 +190,18 @@ def _cllr_formula(target_llrs: np.ndarray, nontarget_llrs: np.ndarray) -> float:
 
 def cllr(scores: ScoreSet) -> float:
     """Log-likelihood-ratio cost in bits; scores are natural-log LLRs."""
-    scores.require_valid()
     return _cllr_formula(scores.target_scores, scores.nontarget_scores)
 
 
-def pav_llrs(scores: ScoreSet) -> ScoreSet:
-    """Optimal monotone recalibration of the pooled scores to LLRs.
+def pav_llrs(scores: ScoreSet) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal monotone recalibration of the pooled scores to (target, nontarget) LLRs.
 
     Pool-adjacent-violators yields the monotone maximum-likelihood posterior
     per score; subtracting the empirical prior log-odds converts it to an
-    LLR. Degenerate blocks map to +/- infinity, which is safe inside
-    :func:`cllr` because a block containing a target can never be all
-    nontargets and vice versa.
+    LLR. Degenerate blocks map to +/- infinity, so the LLRs are arrays, not
+    a (finite) :class:`ScoreSet`. The Cllr formula absorbs them exactly: a
+    block containing a target can never be all nontargets and vice versa.
     """
-    scores.require_valid()
     tar, non = scores.target_scores, scores.nontarget_scores
     pooled = np.concatenate([tar, non])
     labels = np.concatenate([np.ones(tar.size), np.zeros(non.size)])
@@ -223,7 +218,7 @@ def pav_llrs(scores: ScoreSet) -> ScoreSet:
     with np.errstate(divide="ignore"):
         llr_per_group = np.log(posterior) - np.log1p(-posterior) - prior_log_odds
     llrs = llr_per_group[inverse]
-    return ScoreSet(llrs[: tar.size], llrs[tar.size :])
+    return llrs[: tar.size], llrs[tar.size :]
 
 
 def cllr_min(scores: ScoreSet) -> float:
@@ -233,8 +228,7 @@ def cllr_min(scores: ScoreSet) -> float:
     regions; the cost formula absorbs them exactly (a +inf target LLR costs
     nothing, and no block mixes an infinity with the wrong class).
     """
-    recalibrated = pav_llrs(scores)
-    return _cllr_formula(recalibrated.target_scores, recalibrated.nontarget_scores)
+    return _cllr_formula(*pav_llrs(scores))
 
 
 def affine_calibrate(scores: ScoreSet) -> ScoreSet:
@@ -246,7 +240,6 @@ def affine_calibrate(scores: ScoreSet) -> ScoreSet:
     tolerances, so its Cllr can sit about 1e-8 relative above the exact
     optimum; the benchmark's frozen reference reports rely on those bits.
     """
-    scores.require_valid()
     tar, non = scores.target_scores, scores.nontarget_scores
     pooled = np.concatenate([tar, non])
     center = float(np.mean(pooled))

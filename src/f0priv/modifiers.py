@@ -263,7 +263,11 @@ def apply(spec: ModifierSpec, traj: F0Trajectory) -> F0Trajectory:
 
     Pure in (spec, trajectory); the random-walk kinds derive their generator
     from (spec.seed, recording id) so corpora are reproducible while every
-    recording gets a unique walk.
+    recording gets a unique walk. Input and output are both checked with
+    :func:`validate`: a modification that leaves the valid range (a
+    modulation of a 100 kHz contour, say) raises ``output failed validation``.
     """
     require_valid(validate(traj), f"invalid trajectory {traj.recording_id!r}")
-    return _TRANSFORMS[spec.kind](spec, traj)
+    modified = _TRANSFORMS[spec.kind](spec, traj)
+    require_valid(validate(modified), "output failed validation")
+    return modified

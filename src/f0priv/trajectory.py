@@ -179,16 +179,12 @@ def voiced_mean(traj: F0Trajectory) -> float:
 
 
 def _sample_skewness(x: np.ndarray) -> float:
-    # Bias-corrected (adjusted Fisher-Pearson) skewness; 0 for zero spread.
-    # The explicit constant check matters: float dust in the mean would
-    # otherwise turn identical samples into skewness +-1.
-    if np.ptp(x) == 0.0:
-        return 0.0
+    # Bias-corrected (adjusted Fisher-Pearson) skewness of samples that are
+    # not all equal: distinct logs of doubles differ by ~1e-16 or more, so m2
+    # stays far above underflow.
     n = x.size
     d = x - np.mean(x)
     m2 = np.mean(d**2)
-    if m2 == 0.0:
-        return 0.0
     g1 = np.mean(d**3) / m2**1.5
     return float(g1 * np.sqrt(n * (n - 1)) / (n - 2))
 
@@ -217,12 +213,13 @@ def stats(traj: F0Trajectory) -> F0Stats:
     if voiced.size < 3:
         return F0Stats(None, None, None, None, None, fraction)
     log_f0 = np.log(voiced)
+    # Float dust in the mean would give a constant contour skewness +-1.
     constant = np.ptp(log_f0) == 0.0
     return F0Stats(
         voiced_mean_hz=float(np.mean(voiced)),
         log_f0_mean=float(np.mean(log_f0)),
         log_f0_var=0.0 if constant else float(np.var(log_f0, ddof=1)),
-        log_f0_skew=_sample_skewness(log_f0),
+        log_f0_skew=0.0 if constant else _sample_skewness(log_f0),
         rise_rate_hz_s=_rise_rate(traj.values, traj.frame_hop),
         voiced_fraction=fraction,
     )

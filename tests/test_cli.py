@@ -27,10 +27,10 @@ from f0priv.trajectory import (
     VOICED_MIN_HZ,
     format_f0_csv,
     read_f0_csv,
-    require_valid,
     validate,
     write_f0_csv,
 )
+from test_modifiers import UPPER_EDGE
 from test_pitch import wav_bytes
 
 
@@ -912,6 +912,20 @@ class TestEval:
         assert result.stderr == (f"error: {tmp_path / 'r1.csv'}: invalid trajectory: "
                                  "voiced value > 128000 Hz at frame 0: 1e+299 (and 7 more)\n")
 
+    def test_modification_that_leaves_the_valid_range_is_exit_2(self, runner, tmp_path):
+        # The contour modify rejects; eval scores no modified contour modify would not write.
+        recordings = [("a", "enrollment", contour(120.0)), ("a", "trial", UPPER_EDGE),
+                      ("b", "enrollment", contour(180.0)), ("b", "trial", contour(180.0))]
+        manifest = write_manifest(tmp_path, recordings)
+        out = tmp_path / "report.json"
+        result = runner.invoke(cli, ["eval", "--manifest", str(manifest), "--scenario", "OA",
+                                     "--kind", "modulated-same-1", "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error: recording 'r1': output failed validation: "
+                                 "voiced value > 128000 Hz at frame 0: 133750 (and 10 more)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("values, problem", [
         ((120.0, float("nan"), 125.0, 130.0), "non-finite at frame 1"),
         ((120.0, -3.0, 125.0, 130.0), "negative value -3 at frame 1"),
@@ -1534,7 +1548,7 @@ class TestContract:
             lines = []  # the output check's lines, one per input that fails it
             for path, traj in zip(paths, trajs):
                 try:
-                    require_valid(validate(apply(spec, traj)), "output failed validation")
+                    apply(spec, traj)
                 except ValueError as exc:
                     lines.append(f"error: {path}: {exc}\n")
             out = tmp_path / kind
@@ -1545,11 +1559,22 @@ class TestContract:
         manifest = write_manifest(tmp_path / "corpus", [
             ("a", "enrollment", edges), ("a", "trial", edges[1:] + (0.0,)),
             ("b", "enrollment", top), ("b", "trial", top[::-1])])
-        for entry in json.loads(manifest.read_text())["entries"]:  # on the finest hop too
+        entries = json.loads(manifest.read_text())["entries"]
+        for entry in entries:  # on the finest hop too
             path = tmp_path / "corpus" / entry["path"]
             write_f0_csv(make_traj(read_f0_csv(path).values, hop=FRAME_HOP_MIN_S), path)
+        # The spline overshoots 128 kHz on the edge contours. run_scenario
+        # modifies the trial side, then the enrollment side, and stops at the
+        # first recording whose output fails validation.
+        lines = []
+        for entry in sorted(entries, key=lambda entry: entry["split"] != "trial"):
+            traj = read_f0_csv(tmp_path / "corpus" / entry["path"], entry["recording_id"])
+            try:
+                apply(ModifierSpec("smoothing-spline"), traj)
+            except ValueError as exc:
+                lines.append(f"error: recording {entry['recording_id']!r}: {exc}\n")
         assert run(["eval", "--manifest", str(manifest), "--scenario", "AA", "--kind", "smoothing-spline"]) == (
-            0, "")
+            2 if lines else 0, "".join(lines[:1]))
 
     def test_version(self, runner):
         result = runner.invoke(cli, ["--version"])

@@ -94,6 +94,19 @@ class TestEer:
             eer(scoreset([], [1.0]))
 
 
+class TestScoreSet:
+    @pytest.mark.parametrize("tar, non, message", [
+        ([], [1.0], "both target and nontarget"),
+        ([1.0], [], "both target and nontarget"),
+        ([1.0, np.nan], [0.0], "must be finite"),
+        ([1.0], [0.0, np.inf], "must be finite"),
+        ([-np.inf], [0.0], "must be finite"),
+    ])
+    def test_checked_when_built(self, tar, non, message):
+        with pytest.raises(ScoringError, match=message):
+            ScoreSet(np.asarray(tar, float), np.asarray(non, float))
+
+
 class TestCllr:
     def test_all_zero_scores_is_one_bit(self):
         assert cllr(scoreset([0.0, 0.0], [0.0, 0.0, 0.0])) == 1.0
@@ -149,11 +162,11 @@ class TestCllr:
 
     def test_pav_llrs_hand_case(self):
         s = scoreset([1.0, 3.0], [0.0, 2.0])
-        recal = pav_llrs(s)
-        assert recal.target_scores[0] == 0.0
-        assert recal.target_scores[1] == np.inf
-        assert recal.nontarget_scores[0] == -np.inf
-        assert recal.nontarget_scores[1] == 0.0
+        target_llrs, nontarget_llrs = pav_llrs(s)
+        assert target_llrs[0] == 0.0
+        assert target_llrs[1] == np.inf
+        assert nontarget_llrs[0] == -np.inf
+        assert nontarget_llrs[1] == 0.0
         assert cllr_min(s) == pytest.approx(0.5, abs=1e-12)
 
     def test_affine_calibration_never_beats_pav(self):
@@ -227,10 +240,12 @@ class TestCompiledScipy:
     @pytest.mark.parametrize("s", reference_score_sets())
     def test_matches_public_scipy(self, s):
         tar, non = list(s.target_scores), list(s.nontarget_scores)
-        for got, expected in [(pav_llrs(s), pav_llrs_reference(tar, non)),
-                              (affine_calibrate(s), affine_calibrate_reference(tar, non))]:
-            assert np.array_equal(got.target_scores, expected[0])
-            assert np.array_equal(got.nontarget_scores, expected[1])
+        # pav_llrs returns two arrays, as the oracle does: separable sets give +/-inf LLRs.
+        llrs, expected = pav_llrs(s), pav_llrs_reference(tar, non)
+        assert len(llrs) == 2 and all(map(np.array_equal, llrs, expected))
+        calibrated, expected = affine_calibrate(s), affine_calibrate_reference(tar, non)
+        assert np.array_equal(calibrated.target_scores, expected[0])
+        assert np.array_equal(calibrated.nontarget_scores, expected[1])
 
     def test_slope_bound_is_reached(self):
         calibrated = affine_calibrate(slope_bound_scoreset())

@@ -271,6 +271,11 @@ class TestShiftAndScale:
             assert rmse > 1.0
 
 
+# 50 valid frames alternating 127,000 and 100,000 Hz: modulated-same-1 takes
+# 11 of them above 128 kHz.
+UPPER_EDGE = (127000.0, 100000.0) * 25
+
+
 class TestApply:
     @pytest.mark.parametrize("kind", [k for k in KINDS if k != "all-flat"])
     def test_voicing_mask_preserved(self, kind):
@@ -319,6 +324,13 @@ class TestApply:
         with pytest.raises(ValueError) as caught:
             apply(ModifierSpec(kind="voiced-flat"), make_traj([35.0, -1.0] * 200, rid="r"))
         assert str(caught.value) == "invalid trajectory 'r': voiced value < 40 Hz at frame 0: 35 (and 399 more)"
+
+    def test_rejects_output_outside_the_valid_range(self):
+        # A valid contour that the modulation pushes above 128 kHz.
+        with pytest.raises(ValueError) as caught:
+            apply(ModifierSpec(kind="modulated-same-1"), make_traj(UPPER_EDGE))
+        assert str(caught.value) == (
+            "output failed validation: voiced value > 128000 Hz at frame 0: 133750 (and 10 more)")
 
 
 class TestSpecValidation:
@@ -487,9 +499,10 @@ def range_specs(draw, kind):
     return ModifierSpec(kind=kind, **fields)
 
 
-# The ValueErrors a valid contour can still raise, none of them numeric.
+# The ValueErrors a valid contour can still raise, none of them numeric. The
+# last is a modification that takes a frame above the valid range.
 STRUCTURAL = (r"smoothing spline needs|penalty bracketing failed|zero source std|"
-              r"has absent statistics|no voiced frames")
+              r"has absent statistics|no voiced frames|output failed validation: voiced value > ")
 
 
 class TestValidRangeArithmetic:

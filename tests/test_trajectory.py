@@ -10,6 +10,7 @@ from f0priv.trajectory import (
     FRAME_HOP_MIN_S,
     TIME_MAX_S,
     VOICED_MAX_HZ,
+    VOICED_MIN_HZ,
     CsvFormatError,
     F0Trajectory,
     NoVoicedFramesError,
@@ -93,6 +94,17 @@ class TestStats:
         st = stats(make_traj([100.0] * n))
         assert st.log_f0_var == 0.0
         assert st.log_f0_skew == 0.0
+
+    @pytest.mark.parametrize("base", [1.0, VOICED_MIN_HZ, 123.4, VOICED_MAX_HZ, 1e300])
+    def test_near_constant_skew_is_finite(self, base):
+        # One ulp apart is the least spread a contour can have; its skew
+        # comes from the formula without a floating-point fault. ln(F0)
+        # values are spaced most finely near 1 Hz.
+        up = np.nextafter(base, np.inf)
+        with np.errstate(all="raise"):
+            for values in ([base] * 4 + [up], [base, up] * 5, [up] * 7 + [base]):
+                assert np.isfinite(stats(make_traj(values)).log_f0_skew)
+            assert stats(make_traj([base] * 6)).log_f0_skew == 0.0
 
     def test_rise_rate_hand_computed(self):
         # Deltas +10, -5, +10; mean positive delta 10 over a 10 ms hop.
