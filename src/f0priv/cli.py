@@ -438,8 +438,9 @@ def cmd_eval(manifest, scenario, out, config, **flags):
 
     try:
         report = run_scenario(SpeakerCorpus(tuple(recordings)), spec, scenario)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+    except ValueError as exc:  # a line for each recording whose modification failed
+        for line in str(exc).splitlines():
+            click.echo(f"error: {line}", err=True)
         sys.exit(2)
     _emit(report.to_json() + "\n", out)
 

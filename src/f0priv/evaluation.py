@@ -303,9 +303,7 @@ def _squared_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def score_corpus(
-    enroll: list[tuple[str, F0Stats]], trials: list[tuple[str, F0Stats]]
-) -> ScoreSet:
+def score_corpus(enroll: list[tuple[str, F0Stats]], trials: list[tuple[str, F0Stats]]) -> ScoreSet:
     """Score every (enrolled speaker, trial recording) pair.
 
     ``enroll`` holds per-recording enrollment stats; each speaker is modeled
@@ -338,48 +336,49 @@ def score_corpus(
     return ScoreSet(target, nontarget)
 
 
-def _modified(recordings: list[Recording], spec: ModifierSpec, role: str) -> list[Recording]:
-    role_spec = replace(spec, role=role)
-    modified = []
-    for r in recordings:
-        try:
-            traj = apply(role_spec, r.trajectory)
-        except ValueError as exc:
-            raise ValueError(f"recording {r.recording_id!r}: {exc}") from exc
-        modified.append(Recording(r.speaker_id, r.recording_id, r.split, traj))
-    return modified
+def scenario_sides(corpus: SpeakerCorpus, spec: ModifierSpec | None,
+                   scenario: str) -> tuple[list[Recording], list[Recording]]:
+    """The (enrollment, trial) recordings one attack scenario scores.
 
-
-def run_scenario(
-    corpus: SpeakerCorpus, spec: ModifierSpec | None, scenario: str
-) -> ScenarioReport:
-    """Evaluate one attack scenario on a corpus.
-
-    OO ignores the modifier entirely; OA modifies the trial side with
-    role=trial; AA additionally modifies the enrollment side with
+    OO returns the corpus recordings unmodified; OA modifies the trial side
+    with role=trial; AA additionally modifies the enrollment side with
     role=enrollment (so 'modulated-different' uses its two carrier pairs,
-    whichever role its spec was built with).
+    whichever role its spec was built with). The ValueError it raises names
+    each recording whose modification failed, one per line, trial side first.
     """
     if scenario not in SCENARIOS:
         raise ScoringError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     if scenario != "OO" and spec is None:
         raise ScoringError(f"scenario {scenario} requires a modifier spec")
+    sides = {split: corpus.split(split) for split in ("enrollment", "trial")}
+    failures = []
+    for role in {"OO": (), "OA": ("trial",), "AA": ("trial", "enrollment")}[scenario]:
+        role_spec = replace(spec, role=role)
+        modified = []
+        for r in sides[role]:
+            try:
+                modified.append(replace(r, trajectory=apply(role_spec, r.trajectory)))
+            except ValueError as exc:
+                failures.append(f"recording {r.recording_id!r}: {exc}")
+        sides[role] = modified
+    if failures:
+        raise ValueError("\n".join(failures))
+    return sides["enrollment"], sides["trial"]
 
-    enroll_recs = corpus.split("enrollment")
-    trial_recs = corpus.split("trial")
-    if scenario in ("OA", "AA"):
-        trial_recs = _modified(trial_recs, spec, role="trial")
-    if scenario == "AA":
-        enroll_recs = _modified(enroll_recs, spec, role="enrollment")
 
-    enroll_stats = [(r.speaker_id, stats(r.trajectory)) for r in enroll_recs]
-    trial_stats = [(r.speaker_id, stats(r.trajectory)) for r in trial_recs]
-    scores = score_corpus(enroll_stats, trial_stats)
-    return ScenarioReport(
-        scenario=scenario,
-        eer_percent=eer(scores),
-        cllr_bits=cllr(affine_calibrate(scores)),
-        cllr_min_bits=cllr_min(scores),
-        n_target=int(scores.target_scores.size),
-        n_nontarget=int(scores.nontarget_scores.size),
-    )
+def side_stats(recordings: list[Recording]) -> list[tuple[str, F0Stats]]:
+    """(speaker, statistics) per recording, as :func:`score_corpus` takes them."""
+    return [(r.speaker_id, stats(r.trajectory)) for r in recordings]
+
+
+def scenario_report(scenario: str, scores: ScoreSet) -> ScenarioReport:
+    """EER, calibrated Cllr and Cllr-min of one scenario's scores."""
+    return ScenarioReport(scenario, eer_percent=eer(scores), cllr_bits=cllr(affine_calibrate(scores)),
+                          cllr_min_bits=cllr_min(scores), n_target=int(scores.target_scores.size),
+                          n_nontarget=int(scores.nontarget_scores.size))
+
+
+def run_scenario(corpus: SpeakerCorpus, spec: ModifierSpec | None, scenario: str) -> ScenarioReport:
+    """Evaluate one attack scenario on a corpus (sides as :func:`scenario_sides` builds them)."""
+    enroll, trials = scenario_sides(corpus, spec, scenario)
+    return scenario_report(scenario, score_corpus(side_stats(enroll), side_stats(trials)))

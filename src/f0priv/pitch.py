@@ -241,8 +241,10 @@ def extract_f0(audio: AudioBuffer, cfg: PitchConfig | None = None, recording_id:
     # The parabolic refinement needs one neighbor past the extreme lags. The
     # Hann window's autocorrelation is 0 at lags frame_len - 2 and - 1, and FFT
     # rounding can make it 0 at frame_len - 3; below, it is positive at any rate.
-    lag_max = min(int(np.floor(sr / cfg.f_min)), frame_len - 5)
-    if lag_max <= lag_min:
+    # A frame that cannot hold the lag of f_min is refused: capped, its longest
+    # lags would overlap only a few tapered samples, and noise would track as voiced.
+    lag_max = int(np.floor(sr / cfg.f_min))
+    if lag_max > frame_len - 5 or lag_max <= lag_min:
         raise ValueError("frame too short for the requested f_min")
     taus = np.arange(lag_min - 1, lag_max + 2)
     window = np.hanning(frame_len)

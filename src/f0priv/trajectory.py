@@ -152,10 +152,11 @@ def validate(traj: F0Trajectory) -> list[str]:
         v = values[i]
         if v < 0.0:
             problems.append(f"negative value {v:g} at frame {i}")
-        elif v < VOICED_MIN_HZ:
-            problems.append(f"voiced value < {VOICED_MIN_HZ:g} Hz at frame {i}: {v:g}")
         else:
-            problems.append(f"voiced value > {VOICED_MAX_HZ:g} Hz at frame {i}: {v:g}")
+            bound, side = (VOICED_MIN_HZ, "<") if v < VOICED_MIN_HZ else (VOICED_MAX_HZ, ">")
+            # :g keeps 6 digits, so a value just past the bound would read as the bound.
+            shown = repr(float(v)) if f"{v:g}" == f"{bound:g}" else f"{v:g}"
+            problems.append(f"voiced value {side} {bound:g} Hz at frame {i}: {shown}")
     return problems
 
 
@@ -330,14 +331,13 @@ def _infer_hop(times: np.ndarray) -> float:
     return mid
 
 
-def read_f0_csv(path, recording_id: str | None = None, frame_hop: float | None = None) -> F0Trajectory:
+def read_f0_csv(path, recording_id: str | None = None) -> F0Trajectory:
     """Read a trajectory CSV written by :func:`write_f0_csv`.
 
     The time column must start at 0. The frame hop is inferred from it,
-    which needs at least two rows; pass ``frame_hop`` explicitly to read
-    single-row files. The inferred hop reproduces every 6-decimal timestamp,
-    so writing the trajectory again gives the same time column. The
-    recording id defaults to the file stem.
+    which needs at least two rows. The inferred hop reproduces every
+    6-decimal timestamp, so writing the trajectory again gives the same time
+    column. The recording id defaults to the file stem.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -353,13 +353,9 @@ def read_f0_csv(path, recording_id: str | None = None, frame_hop: float | None =
     # A trajectory has no time offset, so a shifted column would be lost.
     if times[0] != 0.0:
         raise CsvFormatError(f"time column starts at {times[0]:g} s, not 0", line=2)
-    if frame_hop is None:
-        if len(times) < 2:
-            raise CsvFormatError(
-                "cannot infer frame hop from a single row; pass frame_hop", line=2
-            )
-        frame_hop = _infer_hop(times)
+    if len(times) < 2:
+        raise CsvFormatError("cannot infer frame hop from a single row", line=2)
 
     if recording_id is None:
         recording_id = path.stem
-    return F0Trajectory(frame_hop=frame_hop, values=values, recording_id=recording_id)
+    return F0Trajectory(frame_hop=_infer_hop(times), values=values, recording_id=recording_id)

@@ -417,7 +417,7 @@ def read_f0_csv_reference(path):
     if times[0] != 0.0:
         raise CsvFormatError(f"time column starts at {times[0]:g} s, not 0", line=2)
     if len(times) < 2:
-        raise CsvFormatError("cannot infer frame hop from a single row; pass frame_hop", line=2)
+        raise CsvFormatError("cannot infer frame hop from a single row", line=2)
     first = times[1] - times[0]
     if first <= 0:
         raise CsvFormatError(f"non-increasing time column (hop {first:g})", line=3)

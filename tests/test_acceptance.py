@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from conftest import make_traj
 from f0priv.cli import cli
-from f0priv.evaluation import ScoreSet, cllr, cllr_min, eer, run_scenario
+from f0priv.evaluation import ScoreSet, cllr, cllr_min, eer, scenario_sides, score_corpus, side_stats
 from f0priv.modifiers import (
     ModifierSpec,
     apply,
@@ -197,12 +197,16 @@ def test_c6_metric_oracles():
 def test_c7_directional_anonymization():
     with criterion("C7 directional anonymization trends", 30.0):
         corpus = speaker_corpus(n_speakers=20, n_enroll=3, n_trial=3, n_frames=300, seed=0)
-        eer_oo = run_scenario(corpus, None, "OO").eer_percent
-        flat = ModifierSpec(kind="all-flat")
-        eer_oa_flat = run_scenario(corpus, flat, "OA").eer_percent
-        eer_aa_flat = run_scenario(corpus, flat, "AA").eer_percent
-        walk = ModifierSpec(kind="random-walk-strong", seed=777)
-        eer_oa_walk = run_scenario(corpus, walk, "OA").eer_percent
+        # Each side's statistics are computed once: OA and AA share the
+        # modified trial side, and OO and OA the original enrollment side.
+        original_enroll = side_stats(corpus.split("enrollment"))
+        eer_oo = eer(score_corpus(original_enroll, side_stats(corpus.split("trial"))))
+        flat_enroll, flat_trials = scenario_sides(corpus, ModifierSpec(kind="all-flat"), "AA")
+        flat_trial_stats = side_stats(flat_trials)
+        eer_oa_flat = eer(score_corpus(original_enroll, flat_trial_stats))
+        eer_aa_flat = eer(score_corpus(side_stats(flat_enroll), flat_trial_stats))
+        _, walk_trials = scenario_sides(corpus, ModifierSpec(kind="random-walk-strong", seed=777), "OA")
+        eer_oa_walk = eer(score_corpus(original_enroll, side_stats(walk_trials)))
         assert eer_oa_flat > eer_oo, (eer_oa_flat, eer_oo)
         assert eer_aa_flat < eer_oa_flat, (eer_aa_flat, eer_oa_flat)
         assert eer_oa_walk > eer_oo, (eer_oa_walk, eer_oo)

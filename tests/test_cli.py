@@ -926,6 +926,22 @@ class TestEval:
                                  "voiced value > 128000 Hz at frame 0: 133750 (and 10 more)\n")
         assert not out.exists()
 
+    def test_every_failing_recording_is_one_line(self, runner, tmp_path):
+        # Failures on both sides, trial side first: one line per recording, no report.
+        recordings = [("a", "enrollment", UPPER_EDGE), ("a", "trial", UPPER_EDGE),
+                      ("b", "enrollment", contour(180.0)), ("b", "trial", UPPER_EDGE),
+                      ("c", "enrollment", UPPER_EDGE), ("c", "trial", contour(150.0))]
+        manifest = write_manifest(tmp_path, recordings)
+        out = tmp_path / "report.json"
+        problem = "output failed validation: voiced value > 128000 Hz at frame 0: 133750 (and 10 more)"
+        for scenario, failing in (("OA", ("r1", "r3")), ("AA", ("r1", "r3", "r0", "r4"))):
+            result = runner.invoke(cli, ["eval", "--manifest", str(manifest), "--scenario", scenario,
+                                         "--kind", "modulated-same-1", "--out", str(out)])
+            assert result.exit_code == 2
+            assert result.stdout == ""
+            assert result.stderr == "".join(f"error: recording '{rid}': {problem}\n" for rid in failing)
+            assert not out.exists()
+
     @pytest.mark.parametrize("values, problem", [
         ((120.0, float("nan"), 125.0, 130.0), "non-finite at frame 1"),
         ((120.0, -3.0, 125.0, 130.0), "negative value -3 at frame 1"),
@@ -1563,9 +1579,9 @@ class TestContract:
         for entry in entries:  # on the finest hop too
             path = tmp_path / "corpus" / entry["path"]
             write_f0_csv(make_traj(read_f0_csv(path).values, hop=FRAME_HOP_MIN_S), path)
-        # The spline overshoots 128 kHz on the edge contours. run_scenario
-        # modifies the trial side, then the enrollment side, and stops at the
-        # first recording whose output fails validation.
+        # The spline overshoots 128 kHz on the edge contours. eval modifies the
+        # trial side, then the enrollment side, and names each recording whose
+        # output fails validation.
         lines = []
         for entry in sorted(entries, key=lambda entry: entry["split"] != "trial"):
             traj = read_f0_csv(tmp_path / "corpus" / entry["path"], entry["recording_id"])
@@ -1574,7 +1590,7 @@ class TestContract:
             except ValueError as exc:
                 lines.append(f"error: recording {entry['recording_id']!r}: {exc}\n")
         assert run(["eval", "--manifest", str(manifest), "--scenario", "AA", "--kind", "smoothing-spline"]) == (
-            2 if lines else 0, "".join(lines[:1]))
+            2 if lines else 0, "".join(lines))
 
     def test_version(self, runner):
         result = runner.invoke(cli, ["--version"])

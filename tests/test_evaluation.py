@@ -21,9 +21,10 @@ from f0priv.evaluation import (
     fit_znorm,
     pav_llrs,
     run_scenario,
+    scenario_sides,
     score_corpus,
 )
-from f0priv.modifiers import ModifierSpec
+from f0priv.modifiers import KINDS, ModifierSpec, apply
 from f0priv.synth import speaker_corpus
 from f0priv.trajectory import F0Stats, stats
 from oracles import (
@@ -453,6 +454,50 @@ class TestScenarios:
             run_scenario(corpus, None, "XX")
         with pytest.raises(ScoringError, match="requires a modifier"):
             run_scenario(corpus, None, "OA")
+        with pytest.raises(ScoringError, match="^scenario AA requires a modifier spec$"):
+            scenario_sides(corpus, None, "AA")
+
+    def test_oo_sides_are_the_corpus_recordings(self, corpus):
+        enroll, trials = scenario_sides(corpus, ModifierSpec(kind="all-flat"), "OO")
+        originals = corpus.split("enrollment") + corpus.split("trial")
+        assert len(enroll + trials) == len(originals)
+        assert all(a is b for a, b in zip(enroll + trials, originals))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_oa_trial_side_is_the_aa_trial_side(self, corpus, kind):
+        targets = {"target_mean_hz": 180.0, "target_std_hz": 25.0} if kind == "shift-and-scale" else {}
+        spec = ModifierSpec(kind, role="enrollment", seed=11, **targets)
+        oa_enroll, oa_trials = scenario_sides(corpus, spec, "OA")
+        aa_enroll, aa_trials = scenario_sides(corpus, spec, "AA")
+        assert oa_enroll == corpus.split("enrollment")
+        assert [r.recording_id for r in aa_enroll] == [r.recording_id for r in oa_enroll]
+        assert [r.recording_id for r in aa_trials] == [r.recording_id for r in corpus.split("trial")]
+        for oa, aa, original in zip(oa_trials, aa_trials, corpus.split("trial")):
+            assert oa.trajectory.values.tobytes() == aa.trajectory.values.tobytes()
+            # Modified with role=trial, whichever role the spec was built with.
+            expected = apply(ModifierSpec(kind, role="trial", seed=11, **targets), original.trajectory)
+            assert aa.trajectory.values.tobytes() == expected.values.tobytes()
+
+    def test_every_failing_recording_is_named(self):
+        # modulated-same-1 takes this contour past 128 kHz, so each recording
+        # of it fails apply's output check.
+        low, high = make_traj(np.full(60, 120.0)), make_traj([127000.0, 100000.0] * 25)
+        sides = {"a": (high, low), "b": (low, high), "c": (high, high)}
+        corpus = SpeakerCorpus(tuple(
+            Recording(speaker, f"{speaker}-{split[0]}", split, traj)
+            for speaker, pair in sides.items() for split, traj in zip(("enrollment", "trial"), pair)))
+        spec = ModifierSpec("modulated-same-1")
+        with pytest.raises(ValueError) as info:
+            scenario_sides(corpus, spec, "AA")
+        lines = str(info.value).splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "recording 'b-t'", "recording 'c-t'", "recording 'a-e'", "recording 'c-e'"]
+        with pytest.raises(ValueError) as info:
+            apply(spec, high)
+        assert lines[0] == f"recording 'b-t': {info.value}"
+        with pytest.raises(ValueError) as info:
+            scenario_sides(corpus, spec, "OA")
+        assert len(str(info.value).splitlines()) == 2
 
     def test_corpus_violations_reported(self):
         rng = np.random.default_rng(15)

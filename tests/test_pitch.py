@@ -380,14 +380,29 @@ class TestBlockedTracker:
 class TestLagRange:
     """Every lag the tracker scans has a positive window autocorrelation."""
 
-    def test_window_ratio_positive_wherever_the_cap_binds(self):
-        # The cap binds for frames of fewer than sr / f_min + 5 samples, at
-        # most 192000 / 40 + 5. The FFT size follows the tracker's rule.
-        for frame_len in range(8, SAMPLE_RATE_RANGE[1] // 40 + 5):
+    def test_window_ratio_positive_at_the_longest_allowed_lag(self):
+        # The longest lag a frame may hold is frame_len - 5, and the longest
+        # lag of all is 192000 / 40. The FFT size follows the tracker's rule.
+        for frame_len in range(8, SAMPLE_RATE_RANGE[1] // 40 + 6):
             lag_max = frame_len - 5
             nfft = 1 << (frame_len + lag_max + 1).bit_length()
             window_acf = _autocorr(np.hanning(frame_len), nfft)
             assert window_acf[lag_max + 1] > 0.0, frame_len
+
+    def test_frame_that_cannot_hold_the_longest_lag_is_refused(self):
+        # Capped at frame_len - 5 lags, 24 ms frames tracked most of this
+        # noise as voiced at f_min = 40 Hz (a 25 ms period).
+        noise = AudioBuffer(16000, 0.5 * np.random.default_rng(0).standard_normal(4800))
+        with pytest.raises(ValueError, match="^frame too short for the requested f_min$"):
+            extract_f0(noise, PitchConfig(frame_len=0.024, f_min=40.0))
+        assert not extract_f0(noise).values.any()
+
+    def test_defaults_hold_the_longest_lag_at_every_rate(self):
+        cfg = PitchConfig()
+        assert all(int(np.floor(sr / cfg.f_min)) <= int(round(cfg.frame_len * sr)) - 5
+                   for sr in range(SAMPLE_RATE_RANGE[0], SAMPLE_RATE_RANGE[1] + 1))
+        for sr in (8000, 11025, 16000, 22050, 44100, 48000, 96000, 192000):
+            extract_f0(AudioBuffer(sr, np.zeros(int(round(cfg.frame_len * sr)))), cfg)
 
     @settings(deadline=None, max_examples=60)
     @given(
