@@ -121,6 +121,14 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
+def _refuse(faults: list[str]) -> None:
+    """Print an ``error:`` line for each fault, then exit 2 if there was any."""
+    for fault in faults:
+        click.echo(f"error: {fault}", err=True)
+    if faults:
+        sys.exit(2)
+
+
 def _emit(text: str, out) -> None:
     """Print ``text``, or write it to the file ``out`` (an ``--out`` or the
     sidecar); exit 2 when it cannot be written."""
@@ -131,8 +139,7 @@ def _emit(text: str, out) -> None:
     try:
         _atomic_write(path, text.encode("utf-8"))
     except OSError as exc:
-        click.echo(f"error: cannot write {path}: {exc.strerror}", err=True)
-        sys.exit(2)
+        _refuse([f"cannot write {path}: {exc.strerror}"])
 
 
 FAILED_INPUTS = "f0priv.failed_inputs"  # key in the click context's meta
@@ -168,15 +175,13 @@ def _realpath(path) -> Path | None:
         return None
 
 
-def _plan_writes(jobs, out_dir: Path | None = None) -> set[int]:
+def _plan_writes(jobs, out_dir: Path | None = None) -> None:
     """Check a command's (source, target) jobs before any of them is read or written.
 
     A job whose source is None only writes (the sidecar, an ``--out`` file);
-    one whose target is None only reads (``--config``, a manifest, an entry
-    that cannot write). Exits 2 when two jobs share a target or a target
-    resolves to another job's source, then makes ``out_dir``. Returns the
-    indices of the jobs whose target is their own source; each of those
-    fails alone.
+    one whose target is None only reads (``--config``, a manifest, an input
+    of ``stats``, ``eval`` or ``plot``). Exits 2 when two jobs share a target
+    or a target resolves to an input, then makes ``out_dir``.
     """
     # Targets as str: a Path costs more to hash.
     writes = [(i, os.fspath(target)) for i, (_, target) in enumerate(jobs) if target is not None]
@@ -184,13 +189,8 @@ def _plan_writes(jobs, out_dir: Path | None = None) -> set[int]:
     for i, path in writes:
         source = jobs[i][0]  # of the writers without one, only the sidecar can share a target
         writers.setdefault(path, []).append("the sidecar" if source is None else str(source))
-    shared = {key: names for key, names in writers.items() if len(names) > 1}
-    for key, names in shared.items():
-        click.echo(f"error: output {os.path.basename(key)} would be written by each of {', '.join(names)}",
-                   err=True)
-    if shared:
-        sys.exit(2)
-    own = set()
+    _refuse([f"output {os.path.basename(key)} would be written by each of {', '.join(names)}"
+             for key, names in writers.items() if len(names) > 1])
     sources = [(j, source) for j, (source, _) in enumerate(jobs) if source is not None]
     # A target that does not exist cannot resolve to a source that does, so
     # a fresh run walks no realpath.
@@ -204,23 +204,16 @@ def _plan_writes(jobs, out_dir: Path | None = None) -> set[int]:
         for i, path in writes:
             for j in readers.get(_realpath(path), ()):
                 writer, reader = jobs[i][0], jobs[j][0]
-                if i == j:
-                    own.add(i)
-                elif writer is None:
+                if writer is None or i == j:
                     clashes.append(f"refusing to overwrite input {reader}")
                 else:
                     clashes.append(f"{writer} -> {path} would overwrite the input {reader}")
-        for clash in dict.fromkeys(clashes):  # an input named twice is reported once
-            click.echo(f"error: {clash}", err=True)
-        if clashes:
-            sys.exit(2)
+        _refuse(list(dict.fromkeys(clashes)))  # an input named twice is reported once
     if out_dir is not None:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            click.echo(f"error: cannot create output directory {out_dir}: {exc.strerror}", err=True)
-            sys.exit(2)
-    return own
+            _refuse([f"cannot create output directory {out_dir}: {exc.strerror}"])
 
 
 def _resolve_inputs(inputs, config: dict) -> list[Path]:
@@ -268,14 +261,10 @@ def _load_manifest(path) -> list[dict]:
     return entries
 
 
-def _track(wav_path: Path, rid: str, target: Path | None, overwrites_input: bool, pitch_cfg: PitchConfig):
+def _track(wav_path: Path, rid: str, pitch_cfg: PitchConfig):
     """One ``extract`` job, run on a pool thread: the CSV bytes, or the
     OSError/ValueError that stopped it."""
     try:
-        if target is None:
-            raise ValueError(f"recording id {rid!r} is not a plain file name")
-        if overwrites_input:
-            raise ValueError(f"refusing to overwrite input {wav_path}")
         traj = extract_f0(read_wav(wav_path), pitch_cfg, recording_id=rid)
         if traj.n_frames < 2:  # read_f0_csv infers the frame hop from the first two rows
             raise ValueError("audio holds only one frame; a contour CSV needs 2 to give its frame hop")
@@ -321,10 +310,10 @@ def cmd_extract(inputs, out, config, **flags):
         else:
             jobs.append((path, path.stem))
     out_dir = Path(run_config.get("output_dir", ".") if out is None else out)
-    # A job whose id is not a plain name writes nothing, but its input can still be overwritten.
-    targets = [out_dir / f"{rid}.csv" if Path(rid).name == rid else None for _, rid in jobs]
-    own = _plan_writes([*((wav_path, target) for (wav_path, _), target in zip(jobs, targets)),
-                        *((path, None) for path in reads)], out_dir)
+    _refuse([f"{wav_path}: recording id {rid!r} is not a plain file name"
+             for wav_path, rid in jobs if Path(rid).name != rid])
+    writes = [(wav_path, out_dir / f"{rid}.csv") for wav_path, rid in jobs]
+    _plan_writes(writes + [(path, None) for path in reads], out_dir)
 
     def write(wav_path, target, result):
         if isinstance(result, Exception):
@@ -340,8 +329,8 @@ def cmd_extract(inputs, out, config, **flags):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     pool = ThreadPoolExecutor(max_workers=max(1, min(len(jobs), cpus)))
     try:
-        results = pool.map(lambda i: _track(*jobs[i], targets[i], i in own, pitch_cfg), range(len(jobs)))
-        for line in _each(write, zip((wav_path for wav_path, _ in jobs), targets, results)):
+        results = pool.map(lambda job: _track(*job, pitch_cfg), jobs)
+        for line in _each(write, ((*job, result) for job, result in zip(writes, results))):
             click.echo(line)
     finally:
         # After Ctrl-C or a traceback, the jobs not yet started never run.
@@ -363,15 +352,13 @@ def cmd_modify(inputs, out, config, **flags):
     paths = _resolve_inputs(inputs, run_config)
     out_dir = Path(run_config.get("output_dir", ".") if out is None else out)
     jobs = [(None, out_dir / SIDECAR), *((path, out_dir / path.name) for path in paths)]
-    own = _plan_writes(jobs + ([(config, None)] if config else []), out_dir)
+    _plan_writes(jobs + ([(config, None)] if config else []), out_dir)
 
-    def modify(path, target, overwrites_input):
-        if overwrites_input:
-            raise ValueError(f"refusing to overwrite input {path}")
+    def modify(path, target):
         _atomic_write(target, format_f0_csv(apply(spec, read_f0_csv(path))))
         return f"{path} -> {target}"
 
-    for line in _each(modify, ((path, target, i in own) for i, (path, target) in enumerate(jobs[1:], 1))):
+    for line in _each(modify, jobs[1:]):
         click.echo(line)
 
     sidecar = {
@@ -438,10 +425,8 @@ def cmd_eval(manifest, scenario, out, config, **flags):
 
     try:
         report = run_scenario(SpeakerCorpus(tuple(recordings)), spec, scenario)
-    except ValueError as exc:  # a line for each recording whose modification failed
-        for line in str(exc).splitlines():
-            click.echo(f"error: {line}", err=True)
-        sys.exit(2)
+    except ValueError as exc:  # a line for each failing recording
+        _refuse(str(exc).splitlines())
     _emit(report.to_json() + "\n", out)
 
 
@@ -465,8 +450,7 @@ def cmd_plot(inputs, out):
     try:
         svg = trajectory_svg(named)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _refuse([str(exc)])
     _emit(svg, out)
     click.echo(f"wrote {out}")
 

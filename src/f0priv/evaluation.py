@@ -379,6 +379,15 @@ def scenario_report(scenario: str, scores: ScoreSet) -> ScenarioReport:
 
 
 def run_scenario(corpus: SpeakerCorpus, spec: ModifierSpec | None, scenario: str) -> ScenarioReport:
-    """Evaluate one attack scenario on a corpus (sides as :func:`scenario_sides` builds them)."""
+    """Evaluate one attack scenario on a corpus (sides as :func:`scenario_sides` builds them).
+
+    Its ScoringError names each recording whose statistics are absent, one
+    per line, enrollment side first.
+    """
     enroll, trials = scenario_sides(corpus, spec, scenario)
-    return scenario_report(scenario, score_corpus(side_stats(enroll), side_stats(trials)))
+    enroll_stats, trial_stats = side_stats(enroll), side_stats(trials)
+    absent = [f"recording {r.recording_id!r}: absent statistics (fewer than 3 voiced frames)"
+              for r, (_, st) in zip(enroll + trials, enroll_stats + trial_stats) if not st.complete]
+    if absent:
+        raise ScoringError("\n".join(absent))
+    return scenario_report(scenario, score_corpus(enroll_stats, trial_stats))

@@ -66,17 +66,33 @@ class PitchConfig:
         if not 0.0 < self.frame_hop <= self.frame_len:
             raise ValueError(f"need 0 < frame_hop <= frame_len, got frame_hop={self.frame_hop}, frame_len={self.frame_len}")
 
-    def check(self, sample_rate: int) -> None:
+    def check(self, sample_rate: int) -> tuple[int, int, int, int]:
+        """Check the rules that need the rate; return the frame length, the hop
+        and the shortest and longest lag, in samples at ``sample_rate``.
+
+        The parabolic refinement needs one neighbor past the extreme lags. The
+        Hann window's autocorrelation is 0 at lags frame_len - 2 and - 1, and FFT
+        rounding can make it 0 at frame_len - 3; below, it is positive at any rate.
+        A frame that cannot hold the lag of f_min is refused: capped, its longest
+        lags would overlap only a few tapered samples, and noise would track as voiced.
+        """
         if self.f_max > sample_rate / 2:
             raise ValueError(
                 f"need {VOICED_MIN_HZ:g} <= f_min < f_max <= sample_rate/2, got "
                 f"f_min={self.f_min}, f_max={self.f_max}, sample_rate={sample_rate}"
             )
-        if round(self.frame_hop * sample_rate) < 1:
+        hop = int(round(self.frame_hop * sample_rate))
+        if hop < 1:
             raise ValueError(
                 f"frame_hop={self.frame_hop} s rounds to 0 samples at sample_rate={sample_rate}; "
                 f"the minimum is one sample, frame_hop={1 / sample_rate:g} s"
             )
+        frame_len = int(round(self.frame_len * sample_rate))
+        lag_min = max(2, int(np.ceil(sample_rate / self.f_max)))
+        lag_max = int(np.floor(sample_rate / self.f_min))
+        if lag_max > frame_len - 5 or lag_max <= lag_min:
+            raise ValueError("frame too short for the requested f_min")
+        return frame_len, hop, lag_min, lag_max
 
 
 WAVE_FORMAT_PCM = 1
@@ -230,22 +246,11 @@ def extract_f0(audio: AudioBuffer, cfg: PitchConfig | None = None, recording_id:
     if cfg is None:
         cfg = PitchConfig()
     sr = audio.sample_rate
-    cfg.check(sr)
-    frame_len = int(round(cfg.frame_len * sr))
-    hop = int(round(cfg.frame_hop * sr))
+    frame_len, hop, lag_min, lag_max = cfg.check(sr)
     x = audio.samples
     if len(x) < frame_len:
         raise ValueError(f"audio shorter than one frame ({len(x)} < {frame_len} samples)")
 
-    lag_min = max(2, int(np.ceil(sr / cfg.f_max)))
-    # The parabolic refinement needs one neighbor past the extreme lags. The
-    # Hann window's autocorrelation is 0 at lags frame_len - 2 and - 1, and FFT
-    # rounding can make it 0 at frame_len - 3; below, it is positive at any rate.
-    # A frame that cannot hold the lag of f_min is refused: capped, its longest
-    # lags would overlap only a few tapered samples, and noise would track as voiced.
-    lag_max = int(np.floor(sr / cfg.f_min))
-    if lag_max > frame_len - 5 or lag_max <= lag_min:
-        raise ValueError("frame too short for the requested f_min")
     taus = np.arange(lag_min - 1, lag_max + 2)
     window = np.hanning(frame_len)
     # An nfft-point circular autocorrelation is exact up to lag nfft - frame_len,

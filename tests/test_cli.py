@@ -149,9 +149,9 @@ class TestExtract:
         out = tmp_path / "out"
         result = runner.invoke(cli, ["extract", str(manifest), "--out", str(out)])
         assert result.exit_code == 2
-        assert f"recording id {rid!r} is not a plain file name" in result.stderr
+        assert result.stderr == f"error: {tmp_path / 'bad.wav'}: recording id {rid!r} is not a plain file name\n"
         assert not (tmp_path / "escaped.csv").exists()
-        assert [p.name for p in out.iterdir()] == ["good.csv"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags", [["--frame-len", "inf"], ["--frame-hop", "nan"], ["--f-max", "inf"]]
@@ -204,8 +204,8 @@ class TestExtract:
 
     @pytest.mark.parametrize("rid", ["y", "sub/y"])
     def test_output_over_another_jobs_input_refused(self, runner, tmp_path, rid):
-        # x's output o/x.csv is y's input, a WAV that writing x would destroy,
-        # also when y itself would fail on its recording id.
+        # x's output o/x.csv is y's input, a WAV that writing x would destroy.
+        # A recording id that is not a plain name refuses the run first.
         write_tone_wav(tmp_path / "a.wav", 150.0)
         out = tmp_path / "o"
         out.mkdir()
@@ -220,9 +220,12 @@ class TestExtract:
         result = runner.invoke(cli, ["extract", str(manifest), "--out", str(out)])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-        assert result.stderr == (
-            f"error: {tmp_path / 'a.wav'} -> {out / 'x.csv'} would overwrite the input {wav}\n"
-        )
+        if rid == "y":
+            assert result.stderr == (
+                f"error: {tmp_path / 'a.wav'} -> {out / 'x.csv'} would overwrite the input {wav}\n"
+            )
+        else:
+            assert result.stderr == f"error: {wav}: recording id 'sub/y' is not a plain file name\n"
         assert result.stdout == ""
         assert wav.read_bytes() == before
         assert [p.name for p in out.iterdir()] == ["x.csv"]
@@ -272,8 +275,7 @@ class TestExtract:
                 # Lengths and hops vary, so the threads share the CSV template cache.
                 write_tone_wav(path, 110.0 + 25.0 * i, duration=0.3 + 0.1 * i,
                                sr=22050 if i == 5 else 16000)
-            rid = "sub/w4" if i == 4 else f"w{i}"
-            entries.append({"speaker_id": "s", "recording_id": rid, "split": "trial", "path": path.name})
+            entries.append({"speaker_id": "s", "recording_id": f"w{i}", "split": "trial", "path": path.name})
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"entries": entries}))
         track = cli_module.extract_f0
@@ -305,13 +307,10 @@ class TestExtract:
         assert runs[1] == runs[3]
         files, stdout, stderr, code = runs[3]
         assert code == 2
-        assert sorted(files) == ["w0.csv", "w1.csv", "w3.csv", "w5.csv", "w6.csv"]
+        assert sorted(files) == ["w0.csv", "w1.csv", "w3.csv", "w4.csv", "w5.csv", "w6.csv"]
         assert files["w5.csv"].split(b"\n")[2].startswith(b"0.009977,")  # 220 samples at 22,050 Hz
-        assert stdout.splitlines() == [f"w{i}.wav -> out/w{i}.csv" for i in (0, 1, 3, 5, 6)]
-        assert stderr.splitlines() == [
-            "error: w2.wav: w2.wav: not a RIFF/WAVE file",
-            "error: w4.wav: recording id 'sub/w4' is not a plain file name",
-        ]
+        assert stdout.splitlines() == [f"w{i}.wav -> out/w{i}.csv" for i in (0, 1, 3, 4, 5, 6)]
+        assert stderr.splitlines() == ["error: w2.wav: w2.wav: not a RIFF/WAVE file"]
 
     @pytest.mark.parametrize(
         "affinity, cpu_count, n_wavs, workers",
@@ -411,19 +410,6 @@ class TestExtract:
                                  "a contour CSV needs 2 to give its frame hop\n")
         assert result.stdout == f"{good} -> {out / 'good.csv'}\n"
         assert [p.name for p in out.iterdir()] == ["good.csv"]
-
-    def test_wav_at_its_own_output_path_fails_alone(self, runner, tmp_path):
-        out = tmp_path / "out"
-        out.mkdir()
-        own = write_tone_wav(out / "a.csv")
-        good = write_tone_wav(tmp_path / "good.wav", 150.0)
-        before = own.read_bytes()
-        result = runner.invoke(cli, ["extract", str(own), str(good), "--out", str(out)])
-        assert result.exit_code == 2
-        assert result.stderr == f"error: {own}: refusing to overwrite input {own}\n"
-        assert result.stdout == f"{good} -> {out / 'good.csv'}\n"
-        assert own.read_bytes() == before
-        assert sorted(p.name for p in out.iterdir()) == ["a.csv", "good.csv"]
 
 
 class TestModify:
@@ -881,9 +867,21 @@ class TestEval:
         assert result.exit_code == 2
         assert "expected an object with an 'entries' list" in result.output
 
+    @pytest.mark.parametrize("args", [["--scenario", "OO"], ["--scenario", "AA", "--kind", "voiced-flat"]],
+                             ids=["OO", "AA"])
+    def test_every_recording_with_absent_statistics_is_one_line(self, runner, tmp_path, args):
+        # r3 (s1's trial) and r4 (s2's enrollment) hold 2 voiced frames, also voiced-flat.
+        recordings = [(f"s{i // 2}", ("enrollment", "trial")[i % 2],
+                       TWO_VOICED if i in (3, 4) else contour(120.0 + 30.0 * (i // 2))) for i in range(6)]
+        manifest = write_manifest(tmp_path, recordings)
+        result = runner.invoke(cli, ["eval", "--manifest", str(manifest), *args])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "".join(
+            f"error: recording '{rid}': absent statistics (fewer than 3 voiced frames)\n" for rid in ("r4", "r3"))
+
     @pytest.mark.parametrize("a_trial, speakers, args, error", [
-        (TWO_VOICED, "ab", ["--scenario", "OO"],
-         "recording of speaker 'a' has absent statistics (fewer than 3 voiced frames)"),
+        (TWO_VOICED, "ab", ["--scenario", "OO"], "recording 'r1': absent statistics (fewer than 3 voiced frames)"),
         (TWO_VOICED, "ab", ["--scenario", "AA", "--kind", "smoothing-spline"],
          "smoothing spline needs >= 4 voiced frames, got 2"),
         (contour(125.0), "a", ["--scenario", "OO"], "need at least 2 enrolled speakers for nontarget pairs"),
@@ -1333,6 +1331,55 @@ class TestContract:
         assert config.read_text() == "{}"
         assert [p.name for p in out.iterdir()] == ["a.csv"]
 
+    @pytest.mark.parametrize("command, fault", [
+        *(("extract", fault) for fault in ("shared", "other", "own", "id")),
+        *(("modify", fault) for fault in ("shared", "other", "own")),
+    ])
+    def test_plan_fault_refuses_the_run(self, runner, tmp_path, monkeypatch, command, fault):
+        # Each fault the write plan can see is one error line and exit 2,
+        # before any input is read and before the output directory is made.
+        def make(path, freq=150.0):
+            path.parent.mkdir(exist_ok=True)
+            return write_tone_wav(path, freq) if command == "extract" else write_fixture_csv(path)
+
+        def files():
+            return {path: os.readlink(path) if path.is_symlink() else path.read_bytes() if path.is_file() else None
+                    for path in tmp_path.rglob("*")}
+
+        ext = ".wav" if command == "extract" else ".csv"
+        out = tmp_path / "out"
+        if fault == "shared":  # both inputs would be written to out/x.csv
+            inputs = [make(tmp_path / "d1" / f"x{ext}"), make(tmp_path / "d2" / f"x{ext}", 220.0)]
+            error = f"output x.csv would be written by each of {inputs[0]}, {inputs[1]}"
+        elif fault == "other":  # out/a.csv is a link to the input b
+            inputs = [make(tmp_path / "in" / f"a{ext}"), make(tmp_path / "in" / f"b{ext}", 220.0)]
+            out.mkdir()
+            (out / "a.csv").symlink_to(inputs[1])
+            error = f"{inputs[0]} -> {out / 'a.csv'} would overwrite the input {inputs[1]}"
+        elif fault == "own":  # out/a.csv is itself an input
+            inputs = [make(out / "a.csv"), make(tmp_path / "in" / f"good{ext}", 220.0)]
+            error = f"refusing to overwrite input {inputs[0]}"
+        else:  # a recording id that is not a plain file name
+            wavs = [make(tmp_path / "a.wav"), make(tmp_path / "good.wav", 220.0)]
+            entries = [{"speaker_id": "s", "recording_id": rid, "split": "trial", "path": wav.name}
+                       for rid, wav in zip(("../x", "good"), wavs)]
+            manifest = tmp_path / "m.json"
+            manifest.write_text(json.dumps({"entries": entries}))
+            inputs = [manifest]
+            error = f"{wavs[0]}: recording id '../x' is not a plain file name"
+        before = files()
+        reads = []
+        for name in ("read_wav", "read_f0_csv"):
+            monkeypatch.setattr(cli_module, name, lambda path, *args, **kwargs: reads.append(path))
+        kind = ["--kind", "voiced-flat"] if command == "modify" else []
+        result = runner.invoke(cli, [command, *map(str, inputs), *kind, "--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {error}\n"
+        assert result.stdout == ""
+        assert reads == []
+        assert files() == before  # no output directory, no file written or changed
+
     @pytest.mark.parametrize("command", ["stats", "modify"])
     def test_input_named_like_a_staging_file_survives(self, runner, tmp_path, command):
         # Outputs are staged under fresh random names, so an input named
@@ -1351,9 +1398,9 @@ class TestContract:
                 cli, ["modify", str(src), str(staged), "--kind", "voiced-flat", "--out", str(out)]
             )
             assert result.exit_code == 2
-            assert result.stderr == f"error: {staged}: refusing to overwrite input {staged}\n"
-            assert result.stdout == f"{src} -> {out / 'a.csv'}\n"
-            written = [".tmp-a.csv", "a.csv", "sidecar.json"]
+            assert result.stderr == f"error: refusing to overwrite input {staged}\n"
+            assert result.stdout == ""
+            written = [".tmp-a.csv"]
         assert staged.read_bytes() == before
         assert sorted(p.name for p in out.iterdir()) == written
 

@@ -397,6 +397,16 @@ class TestLagRange:
             extract_f0(noise, PitchConfig(frame_len=0.024, f_min=40.0))
         assert not extract_f0(noise).values.any()
 
+    @pytest.mark.parametrize("cfg, sr", [(PitchConfig(f_min=40.0, frame_len=0.024), 16000),
+                                         (PitchConfig(f_min=390.0, f_max=400.0), 8000)],
+                             ids=["frame-short-of-f_min-lag", "f_min-lag-not-above-f_max-lag"])
+    def test_lag_rule_is_checked_with_the_rate(self, cfg, sr):
+        # The frame cannot hold the lag of f_min, or that lag is not above the
+        # lag of f_max; check() refuses both without any audio.
+        with pytest.raises(ValueError, match="^frame too short for the requested f_min$"):
+            cfg.check(sr)
+        assert PitchConfig().check(16000) == (400, 160, 40, 266)
+
     def test_defaults_hold_the_longest_lag_at_every_rate(self):
         cfg = PitchConfig()
         assert all(int(np.floor(sr / cfg.f_min)) <= int(round(cfg.frame_len * sr)) - 5

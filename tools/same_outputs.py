@@ -13,7 +13,9 @@ parent's ``perfbench/inputs.py``:
 Hand-made inputs at the edges of the valid input follow (a one-row CSV,
 values next to the bounds of the F0 range, a corpus whose recordings fail
 their modification on both sides, tracker settings whose longest lag the
-frame cannot hold), and then the five demos.
+frame cannot hold, a ``modify`` input inside its own ``--out``, an
+``extract`` manifest with a ``../x`` recording id, a corpus with absent
+statistics on both sides), and then the five demos.
 
 Each run is a fresh interpreter with its tree's ``src/`` on PYTHONPATH. Both
 sides run in the same working directory, one after the other, so the paths
@@ -25,6 +27,7 @@ any. Scratch files live in a temporary directory that is removed at the end.
 
 import argparse
 import difflib
+import json
 import os
 import shutil
 import subprocess
@@ -98,12 +101,18 @@ def tree_env(tree: Path) -> dict:
     return {**env, "PYTHONPATH": str(tree / "src")}
 
 
-def run(tree: Path, argv: list, work: Path, kept: Path, copy: Path | None = None) -> None:
+def run(tree: Path, argv: list, work: Path, kept: Path, copy: Path | None = None,
+        start: Path | None = None) -> None:
     """``python argv`` with ``tree``'s package, in ``work``; its outputs moved to ``kept``.
 
     ``copy`` is a script put in ``work`` before the run and taken out after it.
+    ``start`` is a directory whose files ``work`` starts with; they are kept
+    and compared with the outputs.
     """
-    work.mkdir()
+    if start is None:
+        work.mkdir()
+    else:
+        shutil.copytree(start, work)
     if copy is not None:
         shutil.copy(copy, work / copy.name)
     out = subprocess.run([sys.executable, *argv], cwd=work, env=tree_env(tree), capture_output=True)
@@ -121,8 +130,24 @@ def csv(path: Path, values) -> Path:
     return path
 
 
+def corpus_manifest(path: Path, sides: dict) -> Path:
+    """A manifest at ``path`` of one CSV beside it per speaker and split, from
+    ``{speaker: (enrollment values, trial values)}``; recording ids are ``<speaker>-<e|t>``."""
+    entries = []
+    for speaker, pair in sides.items():
+        for split, values in zip(("enrollment", "trial"), pair):
+            rid = f"{speaker}-{split[0]}"
+            name = csv(path.parent / f"{path.stem}-{rid}.csv", values).name
+            entries.append({"speaker_id": speaker, "recording_id": rid, "split": split, "path": name})
+    path.write_text(json.dumps({"entries": entries}))
+    return path
+
+
 def edge_runs(root: Path, wavs: list) -> list:
-    """The (name, argv) runs of hand-made inputs at the edges of the valid input."""
+    """The (name, argv, start) runs of hand-made inputs at the edges of the valid input.
+
+    ``start`` is None or the directory a run's working directory starts as (see :func:`run`).
+    """
     root.mkdir()
     one = csv(root / "one.csv", ["100.000000"])
     # Written by hand: 6 decimals would round 39.9999999 to 40.
@@ -130,24 +155,29 @@ def edge_runs(root: Path, wavs: list) -> list:
     # modulated-same-1 takes the edge contour past 128 kHz.
     edge = [127000.0, 100000.0] * 25
     level = [f"{150.0 + 10.0 * (i % 7)}" for i in range(60)]
-    sides = {"a": (edge, edge), "b": (level, edge), "c": (edge, level)}
-    entries = []
-    for speaker, pair in sides.items():
-        for split, values in zip(("enrollment", "trial"), pair):
-            rid = f"{speaker}-{split[0]}"
-            csv(root / f"{rid}.csv", values)
-            entries.append(f'{{"speaker_id": "{speaker}", "recording_id": "{rid}", '
-                           f'"split": "{split}", "path": "{rid}.csv"}}')
-    manifest = root / "edges.json"
-    manifest.write_text('{"entries": [' + ", ".join(entries) + "]}\n")
+    manifest = corpus_manifest(root / "edges.json", {"a": (edge, edge), "b": (level, edge), "c": (edge, level)})
+    # 2 voiced frames are too few for statistics: b's enrollment and c's trial recording.
+    two = [0.0, 120.0, 0.0, 130.0, 0.0, 0.0]
+    sparse = corpus_manifest(root / "sparse.json", {"a": (level, level), "b": (two, level), "c": (level, two)})
+    # out/x.csv is an input and x's own output.
+    own = root / "own"
+    (own / "out").mkdir(parents=True)
+    csv(own / "out" / "x.csv", level)
+    csv(own / "y.csv", level[::-1])
+    ids = root / "ids.json"
+    ids.write_text(json.dumps({"entries": [{"speaker_id": "s", "recording_id": rid, "split": "trial", "path": wav}
+                                           for rid, wav in zip(("../x", "good"), wavs)]}))
     return [
-        ("edge-one-row", ["stats", str(one)]),
-        ("edge-near-bounds", ["stats", *map(str, near)]),
+        ("edge-one-row", ["stats", str(one)], None),
+        ("edge-near-bounds", ["stats", *map(str, near)], None),
         *((f"edge-eval-{scenario}", ["eval", "--manifest", str(manifest), "--scenario", scenario,
-                                     "--kind", "modulated-same-1", "--out", "report.json"])
+                                     "--kind", "modulated-same-1", "--out", "report.json"], None)
           for scenario in ("OA", "AA")),
         ("edge-extract-long-lag", ["extract", "--f-min", "40", "--frame-len", "0.024", "--out", "out",
-                                   *wavs[:2]]),
+                                   *wavs[:2]], None),
+        ("edge-modify-own-input", ["modify", "out/x.csv", "y.csv", "--kind", "voiced-flat", "--out", "out"], own),
+        ("edge-extract-id-not-a-plain-name", ["extract", str(ids), "--out", "out"], None),
+        ("edge-eval-absent-statistics", ["eval", "--manifest", str(sparse), "--scenario", "OO"], None),
     ]
 
 
@@ -188,12 +218,12 @@ def main() -> None:
             if not Path(out.stdout.strip()).resolve().is_relative_to(tree / "src"):
                 raise SystemExit(f"error: the {side} tree imports {out.stdout.strip()}, not its own src/")
 
-        def compare(name: str, args: list, demo: str | None = None) -> None:
+        def compare(name: str, args: list, demo: str | None = None, start: Path | None = None) -> None:
             """The CLI with ``args``, or each tree's own copy of ``demo``, on both sides."""
             nonlocal runs
             for side, tree in trees.items():
                 argv, copy = ([*CLI, *args], None) if demo is None else ([demo], tree / "demos" / demo)
-                run(tree, argv, tmp / "work", tmp / side / name, copy)
+                run(tree, argv, tmp / "work", tmp / side / name, copy, start)
             new = differences(tmp / "parent" / name, tmp / "change" / name)
             for line in new:
                 print(f"{name}: {line}", flush=True)
@@ -209,8 +239,8 @@ def main() -> None:
             for name, argv in corpus_runs(inputs.make_corpus(tmp / f"corpus-{seed}", seed)):
                 compare(f"corpus-{seed}/{name}", argv)
             shutil.rmtree(tmp / f"corpus-{seed}")
-        for name, argv in edge_runs(tmp / "edges", wavs):
-            compare(name, argv)
+        for name, argv, start in edge_runs(tmp / "edges", wavs):
+            compare(name, argv, start=start)
         for demo in sorted((trees["parent"] / "demos").glob("*.py")):
             compare(f"demo-{demo.stem}", [], demo=demo.name)
     print(f"{runs} runs, {len(found)} differences")
