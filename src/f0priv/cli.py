@@ -28,7 +28,6 @@ RUN_CONFIG_TYPES = {
     "input_dir": (str, "a string"),
     "output_dir": (str, "a string"),
 }
-PITCH_KEYS = tuple(f.name for f in dataclasses.fields(PitchConfig))
 SIDECAR = "sidecar.json"  # written by modify next to its outputs
 
 
@@ -52,9 +51,10 @@ def _load_run_config(path, keys: tuple[str, ...]) -> dict:
     for key, (kind, noun) in RUN_CONFIG_TYPES.items():
         if key in data and not isinstance(data[key], kind):
             raise click.UsageError(f"config {path}: {key!r} must be {noun}")
-    bad = data.get("pitch", {}).keys() - PITCH_KEYS
-    if bad:
-        raise click.UsageError(f"config {path}: unknown pitch keys {sorted(bad)}")
+    for key, settings in (("modifier", ModifierSpec), ("pitch", PitchConfig)):
+        bad = data.get(key, {}).keys() - {field.name for field in dataclasses.fields(settings)}
+        if bad:
+            raise click.UsageError(f"config {path}: unknown {key} keys {sorted(bad)}")
     return data
 
 
@@ -100,7 +100,7 @@ def _modifier_spec(config: dict, flags: dict, default_role: str | None = None):
     if base.get("role") is None:
         base["role"] = default_role
     try:
-        return ModifierSpec.from_dict(base)
+        return ModifierSpec(**base)
     except SpecError as exc:
         raise click.UsageError(str(exc))
 
@@ -254,10 +254,7 @@ def _load_manifest(path) -> list[dict]:
         entry = dict(entry)
         entry["path"] = root / entry["path"]  # an absolute path replaces root
         entries[i] = entry
-    if problems:
-        for p in problems:
-            click.echo(f"manifest error: {p}", err=True)
-        sys.exit(2)
+    _refuse([f"manifest {path}: {problem}" for problem in problems])
     return entries
 
 

@@ -129,16 +129,6 @@ class ZNorm:
         return (vector - self.mean) / self.std
 
 
-def _stats_matrix(pairs: list[tuple[str, F0Stats]]) -> np.ndarray:
-    # One row per (speaker, stats) pair, columns in F0Stats.FIELD_ORDER.
-    for speaker, st in pairs:
-        if not st.complete:
-            raise ScoringError(f"recording of speaker {speaker!r} has absent statistics "
-                               "(fewer than 3 voiced frames)")
-    rows = [st.as_vector() for _, st in pairs]
-    return np.array(rows).reshape(len(rows), len(F0Stats.FIELD_ORDER))
-
-
 def fit_znorm(vectors: np.ndarray) -> ZNorm:
     """Fit the normalization on stacked statistics vectors, one row per recording."""
     if len(vectors) == 0:
@@ -303,19 +293,28 @@ def _squared_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def score_corpus(enroll: list[tuple[str, F0Stats]], trials: list[tuple[str, F0Stats]]) -> ScoreSet:
+def score_corpus(enroll: list[Recording], trials: list[Recording]) -> ScoreSet:
     """Score every (enrolled speaker, trial recording) pair.
 
-    ``enroll`` holds per-recording enrollment stats; each speaker is modeled
-    as the field-wise mean of their recordings, and the z-normalization is
-    fit over all enrollment recordings so within-speaker spread enters the
-    per-dimension scale. Scores come out trial by trial, speakers in sorted
-    order within each trial. A score is the negative Euclidean distance
-    between the z-normalized speaker model and trial vectors.
+    Each recording's statistics are computed once. Each speaker is modeled
+    as the field-wise mean of their enrollment recordings, and the
+    z-normalization is fit over all enrollment recordings so within-speaker
+    spread enters the per-dimension scale. Scores come out trial by trial,
+    speakers in sorted order within each trial. A score is the negative
+    Euclidean distance between the z-normalized speaker model and trial
+    vectors. The ScoringError it raises names each recording whose
+    statistics are absent, one per line, enrollment side first.
     """
-    enroll_vectors = _stats_matrix(enroll)
-    trial_vectors = _stats_matrix(trials)
-    speakers, owner = np.unique([spk for spk, _ in enroll], return_inverse=True)
+    recordings = [*enroll, *trials]
+    all_stats = [stats(r.trajectory) for r in recordings]
+    absent = [f"recording {r.recording_id!r}: absent statistics (fewer than 3 voiced frames)"
+              for r, st in zip(recordings, all_stats) if not st.complete]
+    if absent:
+        raise ScoringError("\n".join(absent))
+    rows = [st.as_vector() for st in all_stats]
+    vectors = np.array(rows).reshape(len(rows), len(F0Stats.FIELD_ORDER))
+    enroll_vectors, trial_vectors = vectors[: len(enroll)], vectors[len(enroll) :]
+    speakers, owner = np.unique([r.speaker_id for r in enroll], return_inverse=True)
     if speakers.size < 2:
         raise ScoringError("need at least 2 enrolled speakers for nontarget pairs")
     sums = np.zeros((speakers.size, enroll_vectors.shape[1]))
@@ -327,7 +326,7 @@ def score_corpus(enroll: list[tuple[str, F0Stats]], trials: list[tuple[str, F0St
     scores = _squared_distances(trial_vectors, models)
     np.sqrt(scores, out=scores)
     np.negative(scores, out=scores)
-    trial_speakers = np.array([spk for spk, _ in trials], dtype=str)
+    trial_speakers = np.array([r.speaker_id for r in trials], dtype=str)
     is_target = trial_speakers[:, None] == speakers[None, :]
     target, nontarget = scores[is_target], scores[~is_target]
     # Free the matrix before ScoreSet copies the halves: the peak stays
@@ -366,11 +365,6 @@ def scenario_sides(corpus: SpeakerCorpus, spec: ModifierSpec | None,
     return sides["enrollment"], sides["trial"]
 
 
-def side_stats(recordings: list[Recording]) -> list[tuple[str, F0Stats]]:
-    """(speaker, statistics) per recording, as :func:`score_corpus` takes them."""
-    return [(r.speaker_id, stats(r.trajectory)) for r in recordings]
-
-
 def scenario_report(scenario: str, scores: ScoreSet) -> ScenarioReport:
     """EER, calibrated Cllr and Cllr-min of one scenario's scores."""
     return ScenarioReport(scenario, eer_percent=eer(scores), cllr_bits=cllr(affine_calibrate(scores)),
@@ -379,15 +373,6 @@ def scenario_report(scenario: str, scores: ScoreSet) -> ScenarioReport:
 
 
 def run_scenario(corpus: SpeakerCorpus, spec: ModifierSpec | None, scenario: str) -> ScenarioReport:
-    """Evaluate one attack scenario on a corpus (sides as :func:`scenario_sides` builds them).
-
-    Its ScoringError names each recording whose statistics are absent, one
-    per line, enrollment side first.
-    """
-    enroll, trials = scenario_sides(corpus, spec, scenario)
-    enroll_stats, trial_stats = side_stats(enroll), side_stats(trials)
-    absent = [f"recording {r.recording_id!r}: absent statistics (fewer than 3 voiced frames)"
-              for r, (_, st) in zip(enroll + trials, enroll_stats + trial_stats) if not st.complete]
-    if absent:
-        raise ScoringError("\n".join(absent))
-    return scenario_report(scenario, score_corpus(enroll_stats, trial_stats))
+    """Evaluate one attack scenario on a corpus: its sides as :func:`scenario_sides`
+    builds them, scored by :func:`score_corpus`."""
+    return scenario_report(scenario, score_corpus(*scenario_sides(corpus, spec, scenario)))

@@ -80,15 +80,6 @@ class ModifierSpec:
             if not (0 < self.target_mean_hz <= VOICED_MAX_HZ and 0 < self.target_std_hz <= VOICED_MAX_HZ):
                 raise SpecError(f"shift-and-scale targets must be positive and at most {VOICED_MAX_HZ:g} Hz")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModifierSpec":
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise SpecError(f"unknown modifier keys: {sorted(unknown)}")
-        if "kind" not in data:
-            raise SpecError("modifier requires a kind")
-        return cls(**data)
-
 
 def post_rules(traj: F0Trajectory, voiced_values) -> F0Trajectory:
     """``traj`` with ``voiced_values`` in its voiced frames and the post-rules applied.

@@ -229,9 +229,7 @@ def track_reference(audio, cfg, nfft=None):
         return np.fft.irfft(spec.real**2 + spec.imag**2, nfft)[: len(signal)]
 
     lag_min = max(2, int(np.ceil(sr / cfg.f_max)))
-    lag_max = min(int(np.floor(sr / cfg.f_min)), frame_len - 5)
-    if lag_max <= lag_min:
-        raise ValueError("frame too short for the requested f_min")
+    lag_max = int(np.floor(sr / cfg.f_min))
     taus = np.arange(lag_min - 1, lag_max + 2)
     window = np.hanning(frame_len)
     if nfft is None:

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from conftest import make_traj
 from f0priv.cli import cli
-from f0priv.evaluation import ScoreSet, cllr, cllr_min, eer, scenario_sides, score_corpus, side_stats
+from f0priv.evaluation import ScoreSet, cllr, cllr_min, eer, scenario_sides, score_corpus
 from f0priv.modifiers import (
     ModifierSpec,
     apply,
@@ -197,16 +197,14 @@ def test_c6_metric_oracles():
 def test_c7_directional_anonymization():
     with criterion("C7 directional anonymization trends", 30.0):
         corpus = speaker_corpus(n_speakers=20, n_enroll=3, n_trial=3, n_frames=300, seed=0)
-        # Each side's statistics are computed once: OA and AA share the
-        # modified trial side, and OO and OA the original enrollment side.
-        original_enroll = side_stats(corpus.split("enrollment"))
-        eer_oo = eer(score_corpus(original_enroll, side_stats(corpus.split("trial"))))
+        # Each side is modified once: OA and AA share the modified trial side.
+        original_enroll = corpus.split("enrollment")
+        eer_oo = eer(score_corpus(original_enroll, corpus.split("trial")))
         flat_enroll, flat_trials = scenario_sides(corpus, ModifierSpec(kind="all-flat"), "AA")
-        flat_trial_stats = side_stats(flat_trials)
-        eer_oa_flat = eer(score_corpus(original_enroll, flat_trial_stats))
-        eer_aa_flat = eer(score_corpus(side_stats(flat_enroll), flat_trial_stats))
+        eer_oa_flat = eer(score_corpus(original_enroll, flat_trials))
+        eer_aa_flat = eer(score_corpus(flat_enroll, flat_trials))
         _, walk_trials = scenario_sides(corpus, ModifierSpec(kind="random-walk-strong", seed=777), "OA")
-        eer_oa_walk = eer(score_corpus(original_enroll, side_stats(walk_trials)))
+        eer_oa_walk = eer(score_corpus(original_enroll, walk_trials))
         assert eer_oa_flat > eer_oo, (eer_oa_flat, eer_oo)
         assert eer_aa_flat < eer_oa_flat, (eer_aa_flat, eer_oa_flat)
         assert eer_oa_walk > eer_oo, (eer_oa_walk, eer_oo)

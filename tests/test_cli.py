@@ -858,7 +858,7 @@ class TestEval:
         result = runner.invoke(cli, ["eval", "--manifest", str(manifest), "--scenario", "OO"])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-        assert f"manifest error: entry 0: {field} must be a string, got {value!r}" in result.stderr
+        assert f"error: manifest {manifest}: entry 0: {field} must be a string, got {value!r}" in result.stderr
 
     def test_manifest_entries_not_a_list(self, runner, tmp_path):
         manifest = tmp_path / "bad.json"
@@ -1010,7 +1010,7 @@ class TestEval:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == (
-            "manifest error: entry 2: must have exactly the keys "
+            f"error: manifest {manifest}: entry 2: must have exactly the keys "
             "['path', 'recording_id', 'speaker_id', 'split']\n"
         )
 
@@ -1023,8 +1023,8 @@ class TestEval:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == (
-            "manifest error: entry 3: bad split 'dev'\n"
-            "manifest error: entry 3: duplicate recording_id 's0r0'\n"
+            f"error: manifest {manifest}: entry 3: bad split 'dev'\n"
+            f"error: manifest {manifest}: entry 3: duplicate recording_id 's0r0'\n"
         )
 
 
@@ -1491,16 +1491,21 @@ class TestContract:
     @pytest.mark.parametrize("command, text, error", [
         ("modify", '[{"modifier": {"kind": "voiced-flat"}}]', "expected a JSON object"),
         ("extract", '{"pitch": {"hop": 0.01, "f_min": 80.0}}', "unknown pitch keys ['hop']"),
+        ("modify", '{"modifier": {"kind": "voiced-flat", "gain": 2}}', "unknown modifier keys ['gain']"),
+        ("eval", '{"modifier": {"gain": 2}}', "unknown modifier keys ['gain']"),
     ])
     def test_config_error_message(self, runner, tmp_path, command, text, error):
         if command == "extract":
-            src = write_tone_wav(tmp_path / "a.wav")
+            inputs = [str(write_tone_wav(tmp_path / "a.wav"))]
+        elif command == "eval":
+            # Under OO no spec is built, so only the config check sees the key.
+            inputs = ["--manifest", str(build_eval_manifest(tmp_path)), "--scenario", "OO"]
         else:
-            src = write_fixture_csv(tmp_path / "a.csv")
+            inputs = [str(write_fixture_csv(tmp_path / "a.csv"))]
         config = tmp_path / "run.json"
         config.write_text(text)
         out = tmp_path / "out"
-        result = runner.invoke(cli, [command, str(src), "--config", str(config), "--out", str(out)])
+        result = runner.invoke(cli, [command, *inputs, "--config", str(config), "--out", str(out)])
         assert result.exit_code == 2
         assert result.stderr == usage_error(command, f"config {config}: {error}")
         assert not out.exists()

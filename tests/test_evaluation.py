@@ -273,8 +273,8 @@ class TestCompiledScipy:
         assert getattr(_scipy_extension.__wrapped__(subpackage, stem), name) is expected
 
 
-def two_population_stats(rng, n=500, m_enroll=10, m_trial=4):
-    """Enrollment/trial stats for two well-separated speaker populations.
+def two_population_recordings(rng, n=500, m_enroll=10, m_trial=4):
+    """Enrollment/trial recordings of two well-separated speaker populations.
 
     110 vs 220 Hz centers with different contour dynamics, so every
     statistic separates the speakers far beyond the within-speaker spread.
@@ -290,59 +290,71 @@ def two_population_stats(rng, n=500, m_enroll=10, m_trial=4):
     enroll, trials = [], []
     for speaker, gen in generators.items():
         for i in range(m_enroll + m_trial):
-            st = stats(make_traj(gen().clip(60, 400), rid=f"{speaker}{i}"))
-            (enroll if i < m_enroll else trials).append((speaker, st))
+            split = "enrollment" if i < m_enroll else "trial"
+            rec = recording(speaker, f"{speaker}{i}", split, gen().clip(60, 400))
+            (enroll if i < m_enroll else trials).append(rec)
     return enroll, trials
+
+
+def recording(speaker, rid, split, values):
+    return Recording(speaker, rid, split, make_traj(values, rid=rid))
 
 
 def reference_scores(enroll, trials):
     """Pair-by-pair scores against field-wise-mean speaker models."""
     by_speaker = {}
-    for speaker, st in enroll:
-        by_speaker.setdefault(speaker, []).append(st.as_vector())
+    for r in enroll:
+        by_speaker.setdefault(r.speaker_id, []).append(stats(r.trajectory).as_vector())
     models = {spk: F0Stats(*np.mean(vs, axis=0)) for spk, vs in by_speaker.items()}
-    znorm = fit_znorm(np.array([st.as_vector() for _, st in enroll]))
+    znorm = fit_znorm(np.array([stats(r.trajectory).as_vector() for r in enroll]))
     target, nontarget = [], []
-    for trial_speaker, st in trials:
+    for r in trials:
         for speaker in sorted(models):
-            s = score(models[speaker], st, znorm)
-            (target if speaker == trial_speaker else nontarget).append(s)
+            s = score(models[speaker], stats(r.trajectory), znorm)
+            (target if speaker == r.speaker_id else nontarget).append(s)
     return target, nontarget
 
 
 class TestScoring:
     def test_identical_vectors_score_zero(self):
         rng = np.random.default_rng(10)
-        st = stats(make_traj(rng.uniform(100, 200, 100)))
-        other = stats(make_traj(rng.uniform(100, 200, 100)))
-        scores = score_corpus([("a", st), ("b", other)], [("a", st)])
+        values = rng.uniform(100, 200, 100)
+        enroll = [recording("a", "a-e", "enrollment", values),
+                  recording("b", "b-e", "enrollment", rng.uniform(100, 200, 100))]
+        scores = score_corpus(enroll, [recording("a", "a-t", "trial", values)])
         assert scores.target_scores.tolist() == [0.0]
 
     def test_separated_populations_fully_ordered(self):
         rng = np.random.default_rng(11)
-        enroll, trials = two_population_stats(rng)
+        enroll, trials = two_population_recordings(rng)
         scores = score_corpus(enroll, trials)
         assert scores.target_scores.min() > scores.nontarget_scores.max()
 
     def test_single_speaker_corpus_errors(self):
         rng = np.random.default_rng(12)
-        st = [("a", stats(make_traj(rng.uniform(100, 200, 50)))) for _ in range(4)]
+        recs = [recording("a", f"r{i}", split, rng.uniform(100, 200, 50))
+                for i, split in enumerate(["enrollment", "enrollment", "trial", "trial"])]
         with pytest.raises(ScoringError, match="2 enrolled speakers"):
-            score_corpus(st[:2], st[2:])
+            score_corpus(recs[:2], recs[2:])
 
-    def test_absent_stats_error(self):
-        good = stats(make_traj(np.full(50, 120.0)))
-        bad = stats(make_traj([0.0, 0.0]))
-        with pytest.raises(ScoringError, match="absent"):
-            score_corpus([("a", good), ("b", good)], [("a", bad)])
+    def test_absent_stats_name_every_recording_enrollment_side_first(self):
+        # Two voiced frames are too few for statistics. Each side keeps its
+        # own order: c-e before b-e, and a-t after both.
+        good, two = np.full(50, 120.0), [0.0, 120.0, 0.0, 130.0]
+        enroll = [recording("a", "a-e", "enrollment", good), recording("c", "c-e", "enrollment", two),
+                  recording("b", "b-e", "enrollment", two)]
+        trials = [recording("a", "a-t", "trial", two), recording("b", "b-t", "trial", good),
+                  recording("c", "c-t", "trial", two)]
+        with pytest.raises(ScoringError) as info:
+            score_corpus(enroll, trials)
+        assert str(info.value) == "\n".join(
+            f"recording '{rid}': absent statistics (fewer than 3 voiced frames)"
+            for rid in ("c-e", "b-e", "a-t", "c-t"))
 
     def test_score_corpus_matches_per_pair_reference(self, corpus):
         rng = np.random.default_rng(13)
-        corpus_stats = [
-            [(r.speaker_id, stats(r.trajectory)) for r in corpus.split(split)]
-            for split in ("enrollment", "trial")
-        ]
-        for enroll, trials in (two_population_stats(rng), corpus_stats):
+        sides = (corpus.split("enrollment"), corpus.split("trial"))
+        for enroll, trials in (two_population_recordings(rng), sides):
             got = score_corpus(enroll, trials)
             tar, non = reference_scores(enroll, trials)
             np.testing.assert_allclose(got.target_scores, tar, rtol=0, atol=1e-12)
@@ -353,8 +365,8 @@ class TestScoring:
         # halves and ScoreSet's copies must not all be alive at once.
         rng = np.random.default_rng(14)
         n = 1000
-        enroll = [(f"s{i:04d}", F0Stats(*rng.uniform(1.0, 2.0, 6))) for i in range(n)]
-        trials = [(f"s{i:04d}", F0Stats(*rng.uniform(1.0, 2.0, 6))) for i in range(n)]
+        enroll = [recording(f"s{i:04d}", f"e{i}", "enrollment", rng.uniform(100, 200, 5)) for i in range(n)]
+        trials = [recording(f"s{i:04d}", f"t{i}", "trial", rng.uniform(100, 200, 5)) for i in range(n)]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

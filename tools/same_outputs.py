@@ -15,7 +15,9 @@ values next to the bounds of the F0 range, a corpus whose recordings fail
 their modification on both sides, tracker settings whose longest lag the
 frame cannot hold, a ``modify`` input inside its own ``--out``, an
 ``extract`` manifest with a ``../x`` recording id, a corpus with absent
-statistics on both sides), and then the five demos.
+statistics on both sides, a good ``extract`` manifest followed by one with a
+bad split, run configs with an unknown ``modifier`` key for ``modify`` and
+for ``eval`` OO), and then the five demos.
 
 Each run is a fresh interpreter with its tree's ``src/`` on PYTHONPATH. Both
 sides run in the same working directory, one after the other, so the paths
@@ -167,6 +169,15 @@ def edge_runs(root: Path, wavs: list) -> list:
     ids = root / "ids.json"
     ids.write_text(json.dumps({"entries": [{"speaker_id": "s", "recording_id": rid, "split": "trial", "path": wav}
                                            for rid, wav in zip(("../x", "good"), wavs)]}))
+    splits = []
+    for name, split in (("good", "trial"), ("bad-split", "dev")):
+        splits.append(root / f"{name}.json")
+        splits[-1].write_text(json.dumps({"entries": [
+            {"speaker_id": "s", "recording_id": name, "split": split, "path": wavs[0]}]}))
+    configs = {}
+    for name, modifier in (("modify", {"kind": "voiced-flat", "gain": 2}), ("eval", {"gain": 2})):
+        configs[name] = root / f"{name}-unknown-key.json"
+        configs[name].write_text(json.dumps({"modifier": modifier}))
     return [
         ("edge-one-row", ["stats", str(one)], None),
         ("edge-near-bounds", ["stats", *map(str, near)], None),
@@ -178,6 +189,11 @@ def edge_runs(root: Path, wavs: list) -> list:
         ("edge-modify-own-input", ["modify", "out/x.csv", "y.csv", "--kind", "voiced-flat", "--out", "out"], own),
         ("edge-extract-id-not-a-plain-name", ["extract", str(ids), "--out", "out"], None),
         ("edge-eval-absent-statistics", ["eval", "--manifest", str(sparse), "--scenario", "OO"], None),
+        ("edge-extract-bad-split-manifest", ["extract", *map(str, splits), "--out", "out"], None),
+        ("edge-modify-unknown-modifier-key", ["modify", str(csv(root / "level.csv", level)), "--config",
+                                              str(configs["modify"]), "--out", "out"], None),
+        ("edge-eval-OO-unknown-modifier-key", ["eval", "--manifest", str(manifest), "--scenario", "OO",
+                                               "--config", str(configs["eval"])], None),
     ]
 
 
