@@ -262,10 +262,7 @@ def _track(wav_path: Path, rid: str, pitch_cfg: PitchConfig):
     """One ``extract`` job, run on a pool thread: the CSV bytes, or the
     OSError/ValueError that stopped it."""
     try:
-        traj = extract_f0(read_wav(wav_path), pitch_cfg, recording_id=rid)
-        if traj.n_frames < 2:  # read_f0_csv infers the frame hop from the first two rows
-            raise ValueError("audio holds only one frame; a contour CSV needs 2 to give its frame hop")
-        return format_f0_csv(traj)
+        return format_f0_csv(extract_f0(read_wav(wav_path), pitch_cfg, recording_id=rid))
     except (OSError, ValueError) as exc:
         # Its traceback would keep the job's audio alive until the result is written.
         return exc.with_traceback(None)

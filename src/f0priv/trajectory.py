@@ -251,7 +251,9 @@ def _csv_template(frame_hop: float, n: int) -> str:
 
 
 def format_f0_csv(traj: F0Trajectory) -> bytes:
-    """``time_s,f0_hz`` rows, 6 decimals, LF endings, UTF-8."""
+    """``time_s,f0_hz`` rows, 6 decimals, LF endings, UTF-8; 2 frames or more."""
+    if traj.n_frames < 2:  # read_f0_csv infers the frame hop from the first two rows
+        raise ValueError(f"a contour CSV needs 2 frames to give its frame hop, got {traj.n_frames}")
     template = _csv_template(traj.frame_hop, traj.n_frames)
     return (template % tuple(traj.values.tolist())).encode("utf-8")
 
@@ -261,26 +263,26 @@ def write_f0_csv(traj: F0Trajectory, path) -> None:
     Path(path).write_bytes(format_f0_csv(traj))
 
 
-def _parse_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    # Data rows to (times, values). One float() pass over all fields when
-    # every row has exactly one comma; anything else (blank lines, a wrong
-    # column count, a field float() rejects) goes through the line loop,
-    # which skips blank lines and raises the line-numbered errors.
+def _parse_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Data rows to (times, values, the file line of each row). numpy's reader
+    # parses a file in which every row holds two fields it can read. The line
+    # loop reads the rest: it skips blank lines, raises the line-numbered
+    # errors and reads what float() accepts and numpy does not (1_0,
+    # full-width digits). numpy reads "\x1f" as a space, which float()
+    # refuses, so it gets only ASCII text without one; nor a file without
+    # data, on which it warns.
     rows = lines[1:]
-    # Rows hold no "\n", so after joining with ",\n" the n - 1 fields that
-    # start with "\n" begin rows 2..n. With 2n fields, none of them in a
-    # value position means one comma per row. float() strips the "\n".
-    tokens = ",\n".join(rows).split(",")
-    if len(tokens) == 2 * len(rows) and "\n" not in "".join(tokens[1::2]):
+    body = "\n".join(rows)
+    if body.isascii() and "\x1f" not in body and body.strip():
         try:
-            fields = np.fromiter(map(float, tokens), float, len(tokens))
+            fields = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
         else:
-            return fields[0::2], fields[1::2]
+            if fields.shape == (len(rows), 2):
+                return fields[:, 0], fields[:, 1], np.arange(2, len(rows) + 2)
 
-    times: list[float] = []
-    values: list[float] = []
+    times, values, row_lines = [], [], []
     for lineno, line in enumerate(rows, start=2):
         if not line.strip():
             continue
@@ -294,10 +296,11 @@ def _parse_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
             raise CsvFormatError(str(exc), line=lineno) from None
         times.append(t)
         values.append(v)
-    return np.array(times), np.array(values)
+        row_lines.append(lineno)
+    return np.array(times), np.array(values), np.array(row_lines)
 
 
-def _infer_hop(times: np.ndarray) -> float:
+def _infer_hop(times: np.ndarray, row_lines: np.ndarray) -> float:
     # The hop that reproduces every 6-decimal timestamp: the i-th row was
     # written as i * hop rounded to 6 decimals, so hop lies in
     # [(t_i - t_0 - 5e-7) / i, (t_i - t_0 + 5e-7) / i] for every i. The
@@ -305,12 +308,12 @@ def _infer_hop(times: np.ndarray) -> float:
     # as 0.01 s keeps its bits); otherwise the middle of their intersection.
     first = float(times[1]) - float(times[0])
     if first <= 0:
-        raise CsvFormatError(f"non-increasing time column (hop {first:g})", line=3)
+        raise CsvFormatError(f"non-increasing time column (hop {first:g})", line=int(row_lines[1]))
     # A non-finite time fails the <= too, so it counts as non-uniform.
     with np.errstate(invalid="ignore"):
         uniform = np.abs(times[1:] - times[:-1] - first) <= 2e-6
     if not uniform.all():
-        raise CsvFormatError("non-uniform time steps", line=int(np.argmin(uniform)) + 3)
+        raise CsvFormatError("non-uniform time steps", line=int(row_lines[np.argmin(uniform) + 1]))
     span = times[1:] - times[0]
     index = np.arange(1.0, len(times))
     lo = float(((span - 5e-7) / index).max())
@@ -347,15 +350,15 @@ def read_f0_csv(path, recording_id: str | None = None) -> F0Trajectory:
     if lines[0].strip() != CSV_HEADER:
         raise CsvFormatError(f"expected header {CSV_HEADER!r}, got {lines[0]!r}", line=1)
 
-    times, values = _parse_rows(lines)
+    times, values, row_lines = _parse_rows(lines)
     if not values.size:
         raise CsvFormatError("empty trajectory: no data rows", line=len(lines))
     # A trajectory has no time offset, so a shifted column would be lost.
     if times[0] != 0.0:
-        raise CsvFormatError(f"time column starts at {times[0]:g} s, not 0", line=2)
+        raise CsvFormatError(f"time column starts at {times[0]:g} s, not 0", line=int(row_lines[0]))
     if len(times) < 2:
-        raise CsvFormatError("cannot infer frame hop from a single row", line=2)
+        raise CsvFormatError("cannot infer frame hop from a single row", line=int(row_lines[0]))
 
     if recording_id is None:
         recording_id = path.stem
-    return F0Trajectory(frame_hop=_infer_hop(times), values=values, recording_id=recording_id)
+    return F0Trajectory(frame_hop=_infer_hop(times, row_lines), values=values, recording_id=recording_id)

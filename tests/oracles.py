@@ -380,8 +380,9 @@ def format_f0_csv_reference(frame_hop, values):
 def read_f0_csv_reference(path):
     """The CSV reader one line at a time; returns (frame_hop, values, recording_id).
 
-    Raises ``CsvFormatError`` with the same message and line as the library.
-    The time column must start at 0. The hop is the first time step when it safely reproduces every 6-decimal
+    Raises ``CsvFormatError`` with the same message and line as the library;
+    an error about a data row names the file line the row is on, blank lines
+    counted. The time column must start at 0. The hop is the first time step when it safely reproduces every 6-decimal
     timestamp, else the middle of the hops that do, found row by row; when
     that range is narrower than float error, the double next to its middle
     that rewrites every timestamp exactly.
@@ -396,7 +397,7 @@ def read_f0_csv_reference(path):
         raise CsvFormatError("missing header", line=1)
     if lines[0].strip() != "time_s,f0_hz":
         raise CsvFormatError(f"expected header {'time_s,f0_hz'!r}, got {lines[0]!r}", line=1)
-    times, values = [], []
+    times, values, row_lines = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -410,18 +411,19 @@ def read_f0_csv_reference(path):
             raise CsvFormatError(str(exc), line=lineno) from None
         times.append(t)
         values.append(v)
+        row_lines.append(lineno)
     if not values:
         raise CsvFormatError("empty trajectory: no data rows", line=len(lines))
     if times[0] != 0.0:
-        raise CsvFormatError(f"time column starts at {times[0]:g} s, not 0", line=2)
+        raise CsvFormatError(f"time column starts at {times[0]:g} s, not 0", line=row_lines[0])
     if len(times) < 2:
-        raise CsvFormatError("cannot infer frame hop from a single row", line=2)
+        raise CsvFormatError("cannot infer frame hop from a single row", line=row_lines[0])
     first = times[1] - times[0]
     if first <= 0:
-        raise CsvFormatError(f"non-increasing time column (hop {first:g})", line=3)
+        raise CsvFormatError(f"non-increasing time column (hop {first:g})", line=row_lines[1])
     for i in range(1, len(times)):
         if not abs(times[i] - times[i - 1] - first) <= 2e-6:
-            raise CsvFormatError("non-uniform time steps", line=i + 2)
+            raise CsvFormatError("non-uniform time steps", line=row_lines[i])
     lo, hi = -math.inf, math.inf
     for i in range(1, len(times)):
         lo = max(lo, (times[i] - times[0] - 5e-7) / i)

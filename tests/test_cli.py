@@ -399,15 +399,14 @@ class TestExtract:
         assert (out / "a.csv").read_bytes() == format_f0_csv(expected)
 
     def test_one_frame_wav_fails_alone(self, runner, tmp_path):
-        # 400 samples at 16 kHz are exactly one 25 ms frame; a one-row CSV
-        # would give read_f0_csv no frame hop.
+        # 400 samples at 16 kHz are exactly one 25 ms frame; the CSV writer
+        # refuses it, since a one-row CSV would give read_f0_csv no frame hop.
         short = write_tone_wav(tmp_path / "short.wav", duration=0.025)
         good = write_tone_wav(tmp_path / "good.wav")
         out = tmp_path / "out"
         result = runner.invoke(cli, ["extract", str(short), str(good), "--out", str(out)])
         assert result.exit_code == 2
-        assert result.stderr == (f"error: {short}: audio holds only one frame; "
-                                 "a contour CSV needs 2 to give its frame hop\n")
+        assert result.stderr == f"error: {short}: a contour CSV needs 2 frames to give its frame hop, got 1\n"
         assert result.stdout == f"{good} -> {out / 'good.csv'}\n"
         assert [p.name for p in out.iterdir()] == ["good.csv"]
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,20 +222,58 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="^line 2: cannot infer frame hop from a single row$"):
             read_f0_csv(path)
 
+    def test_single_row_after_a_blank_line_names_its_line(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("time_s,f0_hz\n\n0.000000,100.000000\n\n")
+        with pytest.raises(CsvFormatError, match="^line 3: cannot infer frame hop from a single row$"):
+            read_f0_csv(path)
+
     def test_time_offset_refused(self, tmp_path):
         path = tmp_path / "late.csv"
-        path.write_text("time_s,f0_hz\n1.000000,100.0\n1.010000,100.0\n1.020000,100.0\n")
-        with pytest.raises(CsvFormatError, match="line 2: time column starts at 1 s, not 0"):
-            read_f0_csv(path)
-        path.write_text("time_s,f0_hz\n0.010000,100.0\n")
-        with pytest.raises(CsvFormatError, match="line 2: time column starts at 0.01 s, not 0"):
-            read_f0_csv(path)
+        for rows, message in [
+            ("1.000000,100.0\n1.010000,100.0\n1.020000,100.0\n", "line 2: time column starts at 1 s, not 0"),
+            ("0.010000,100.0\n", "line 2: time column starts at 0.01 s, not 0"),
+            # Error lines count every line of the file, blank ones too.
+            ("\n0.010000,100.0\n0.020000,100.0\n", "line 3: time column starts at 0.01 s, not 0"),
+            ("   \n\n1.000000,100.0\n", "line 4: time column starts at 1 s, not 0"),
+        ]:
+            path.write_text("time_s,f0_hz\n" + rows)
+            with pytest.raises(CsvFormatError, match=f"^{message}$"):
+                read_f0_csv(path)
 
     def test_non_uniform_times(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("time_s,f0_hz\n0.000000,100.0\n0.010000,100.0\n0.030000,100.0\n")
-        with pytest.raises(CsvFormatError, match="non-uniform"):
-            read_f0_csv(path)
+        for rows, message in [
+            ("0.000000,100.0\n0.010000,100.0\n0.030000,100.0\n", "line 4: non-uniform time steps"),
+            ("0.000000,100.000000\n\n0.010000,100.000000\n0.020000,100.000000\n0.040000,100.000000\n",
+             "line 6: non-uniform time steps"),
+            ("0.000000,100.0\n0.010000,100.0\n\n\n0.020000,100.0\n\n0.050000,100.0\n",
+             "line 8: non-uniform time steps"),
+            ("0.000000,100.0\n0.000000,100.0\n", r"line 3: non-increasing time column \(hop 0\)"),
+            ("0.000000,100.0\n \n\t\n-0.010000,100.0\n", r"line 5: non-increasing time column \(hop -0.01\)"),
+        ]:
+            path.write_text("time_s,f0_hz\n" + rows)
+            with pytest.raises(CsvFormatError, match=f"^{message}$"):
+                read_f0_csv(path)
+
+    @pytest.mark.parametrize("rows", ["", "\n", "\n  \n\t\n", "\r\n \r\n"],
+                             ids=["none", "one-empty", "blank", "crlf-blank"])
+    def test_no_data_rows_is_empty_without_a_warning(self, tmp_path, rows):
+        path = tmp_path / "empty.csv"
+        path.write_text("time_s,f0_hz\n" + rows, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CsvFormatError, match="empty trajectory: no data rows"):
+                read_f0_csv(path)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_writer_refuses_fewer_than_two_frames(self, tmp_path, n):
+        message = f"^a contour CSV needs 2 frames to give its frame hop, got {n}$"
+        with pytest.raises(ValueError, match=message):
+            format_f0_csv(make_traj([120.0] * n))
+        with pytest.raises(ValueError, match=message):
+            write_f0_csv(make_traj([120.0] * n), tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestCsvReader:
@@ -271,6 +311,16 @@ class TestCsvReader:
         with pytest.raises(CsvFormatError, match="line 2: expected 2 columns, got 1"):
             read_f0_csv(path)
 
+    def test_float_syntax_is_kept_where_numpy_differs(self, tmp_path):
+        # numpy refuses 1_0 and full-width digits, which float() reads, and
+        # reads a "\x1f" before a number as a space, which float() refuses.
+        path = tmp_path / "t.csv"
+        path.write_text("time_s,f0_hz\n0.000000,1_20.5\n0.010000,\uff11\uff10\uff10\n", encoding="utf-8")
+        assert read_f0_csv(path).values.tolist() == [120.5, 100.0]
+        path.write_text("time_s,f0_hz\n0.000000,100.0\n0.010000,\x1f100.0\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError, match=r"^line 3: could not convert string to float: '\\x1f100\.0'$"):
+            read_f0_csv(path)
+
     def test_non_finite_time_is_non_uniform(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time_s,f0_hz\n0.000000,100.0\n0.010000,100.0\nnan,100.0\n")
@@ -301,6 +351,8 @@ CORRUPTIONS = (
     lambda row: "inf," + row.partition(",")[2],
     lambda row: "nan," + row.partition(",")[2],
     lambda row: row.partition(",")[0] + ",1_0",
+    lambda row: row.partition(",")[0] + ",\uff11",  # a full-width 1
+    lambda row: row.partition(",")[0] + ",\x1f1",  # numpy reads "\x1f" as a space, float() does not
     lambda row: " " + row.replace(",", " ,\t") + " ",
     lambda row: row.partition(",")[0] + ",",
     lambda row: "0.5," + row.partition(",")[2],
@@ -367,7 +419,7 @@ class TestCsvTemplates:
         }
         # Shuffled lengths both grow and slice each hop's template, and every
         # call switches hop.
-        lengths = np.random.default_rng(12).permutation(np.arange(1, 2001))
+        lengths = np.random.default_rng(12).permutation(np.arange(2, 2001))
         for i, n in enumerate(lengths.tolist()):
             hop = TEMPLATE_HOPS[i % len(TEMPLATE_HOPS)]
             expected = b"\n".join(reference[hop][: n + 1]) + b"\n"
@@ -377,9 +429,10 @@ class TestCsvTemplates:
 
     def test_empty_and_non_positive_hops_match_reference(self):
         for hop in (0.01, 0.0, -0.0, -0.01, float("nan")):
-            for values in ([], [120.0, 0.0, 130.5]):
-                traj = F0Trajectory(hop, values)
-                assert format_f0_csv(traj) == format_f0_csv_reference(hop, traj.values)
+            traj = F0Trajectory(hop, [120.0, 0.0, 130.5])
+            assert format_f0_csv(traj) == format_f0_csv_reference(hop, traj.values)
+            with pytest.raises(ValueError, match="needs 2 frames"):
+                format_f0_csv(F0Trajectory(hop, []))
 
     def test_cache_bounded_by_hops_not_lengths(self):
         slots = trajectory._template_slot
@@ -389,7 +442,7 @@ class TestCsvTemplates:
         template, ends = slots(0.01)[0]
         assert slots.cache_info().currsize == 1
         assert len(ends) == 5001 and len(template) == ends[-1]
-        for k in range(1, 40):
+        for k in range(2, 40):
             format_f0_csv(make_traj([120.0] * k, hop=k / 1000))
         assert slots.cache_info().currsize == slots.cache_info().maxsize
 

@@ -17,7 +17,8 @@ frame cannot hold, a ``modify`` input inside its own ``--out``, an
 ``extract`` manifest with a ``../x`` recording id, a corpus with absent
 statistics on both sides, a good ``extract`` manifest followed by one with a
 bad split, run configs with an unknown ``modifier`` key for ``modify`` and
-for ``eval`` OO), and then the five demos.
+for ``eval`` OO, CSVs with blank lines before a bad row and around good ones,
+a ``1_0`` value, and a WAV of one frame), and then the five demos.
 
 Each run is a fresh interpreter with its tree's ``src/`` on PYTHONPATH. Both
 sides run in the same working directory, one after the other, so the paths
@@ -35,6 +36,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import wave
 from pathlib import Path
 
 CLI = ["-c", "from f0priv.cli import main; main()"]
@@ -174,6 +176,23 @@ def edge_runs(root: Path, wavs: list) -> list:
         splits.append(root / f"{name}.json")
         splits[-1].write_text(json.dumps({"entries": [
             {"speaker_id": "s", "recording_id": name, "split": split, "path": wavs[0]}]}))
+    # Error lines count blank lines: the bad step of blank.csv is on line 6,
+    # and blank-first.csv's first row on line 3.
+    blank = root / "blank.csv"
+    blank.write_text("time_s,f0_hz\n0.000000,100.000000\n\n0.010000,100.000000\n0.020000,100.000000\n"
+                     "0.040000,100.000000\n")
+    blank_first = root / "blank-first.csv"
+    blank_first.write_text("time_s,f0_hz\n\n0.010000,100.000000\n0.020000,100.000000\n")
+    good_rows = csv(root / "gaps.csv", level[:10]).read_text().splitlines()
+    gaps = root / "gaps.csv"
+    gaps.write_text("\n".join(good_rows[:5] + [""] + good_rows[5:]) + "\n\n")
+    underscore = csv(root / "underscore.csv", ["1_000.5", "0", "120", "130"])  # float() reads 1_000.5
+    short = root / "short.wav"  # 400 samples at 16 kHz: one 25 ms frame
+    with wave.open(str(short), "wb") as out:
+        out.setnchannels(1)
+        out.setsampwidth(2)
+        out.setframerate(16000)
+        out.writeframes(bytes(800))
     configs = {}
     for name, modifier in (("modify", {"kind": "voiced-flat", "gain": 2}), ("eval", {"gain": 2})):
         configs[name] = root / f"{name}-unknown-key.json"
@@ -194,6 +213,12 @@ def edge_runs(root: Path, wavs: list) -> list:
                                               str(configs["modify"]), "--out", "out"], None),
         ("edge-eval-OO-unknown-modifier-key", ["eval", "--manifest", str(manifest), "--scenario", "OO",
                                                "--config", str(configs["eval"])], None),
+        ("edge-stats-blank-line", ["stats", str(blank)], None),
+        ("edge-stats-blank-first-line", ["stats", str(blank_first)], None),
+        ("edge-modify-blank-lines", ["modify", str(gaps), "--kind", "voiced-flat", "--out", "out"], None),
+        ("edge-plot-blank-lines", ["plot", str(gaps), "--out", "plot.svg"], None),
+        ("edge-stats-underscore", ["stats", str(underscore)], None),
+        ("edge-extract-one-frame", ["extract", str(short), "--out", "out"], None),
     ]
 
 
