@@ -258,7 +258,7 @@ def apply(spec: ModifierSpec, traj: F0Trajectory) -> F0Trajectory:
     :func:`validate`: a modification that leaves the valid range (a
     modulation of a 100 kHz contour, say) raises ``output failed validation``.
     """
-    require_valid(validate(traj), f"invalid trajectory {traj.recording_id!r}")
+    require_valid(validate(traj), "invalid trajectory")
     modified = _TRANSFORMS[spec.kind](spec, traj)
     require_valid(validate(modified), "output failed validation")
     return modified

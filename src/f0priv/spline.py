@@ -48,24 +48,12 @@ def _pbsv():
     return _scipy_extension("linalg", "_flapack").dpbsv
 
 
-def _check_solved(info: int) -> None:
-    # The errors scipy.linalg.solveh_banded raises for these codes.
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
-
-
-def _require_finite(*arrays: np.ndarray) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("array must not contain infs or NaNs")
-
-
 class _System:
     """Banded matrices of the natural-spline penalty problem for fixed knots.
 
-    Solves are memoised by exact penalty, since the bracketing, the root
-    search and the final solve revisit penalties.
+    Solves are memoised by exact penalty: the root search starts from the
+    two bracket ends the bracketing evaluated, and the final solve is at a
+    penalty the root search evaluated.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -109,13 +97,6 @@ class _System:
         last += np.multiply(self.qr, gamma, out=term)
         return out
 
-    def _solve_banded(self) -> np.ndarray:
-        if self.check_finite:
-            _require_finite(self.ab, self.qty)
-        _, x, info = self.pbsv(self.ab, self.qty, lower=0, overwrite_ab=1)
-        _check_solved(info)
-        return x
-
     def solve(self, penalty: float) -> tuple[np.ndarray, float]:
         """Residuals ``y - g`` and their sum of squares for one penalty.
 
@@ -129,12 +110,18 @@ class _System:
         if penalty <= 1.0:
             np.multiply(self.qtq_band, penalty, out=self.ab)
             self.ab += self.r_band
-            scaled = penalty * self._solve_banded()
         else:
             np.multiply(self.r_band, 1.0 / penalty, out=self.ab)
             self.ab += self.qtq_band
-            scaled = self._solve_banded()
-        err = self.q_times(scaled)
+        # The checks and errors of scipy.linalg.solveh_banded.
+        if self.check_finite and not (np.isfinite(self.ab).all() and np.isfinite(self.qty).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        _, solved, info = self.pbsv(self.ab, self.qty, lower=0, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
+        err = self.q_times(penalty * solved if penalty <= 1.0 else solved)
         found = self.solved[penalty] = (err, float(np.dot(err, err)))
         return found
 
@@ -212,41 +199,35 @@ def fit(x, y, s: float | None = None) -> SplineModel:
     sys_ = _System(x, y)
     evals = 0
 
-    def residual_at(penalty: float) -> float:
+    def excess(u: float) -> float:
+        # The residual's excess over the target at penalty exp(u), with the
+        # NaN guard scipy.optimize.brentq wraps around its function.
         nonlocal evals
         evals += 1
-        return sys_.solve(penalty)[1]
-
-    def excess(u: float) -> float:
-        # The NaN guard scipy.optimize.brentq wraps around its function.
-        r = residual_at(np.exp(u)) - s
+        r = sys_.solve(np.exp(u))[1] - s
         if r != r:
             raise ValueError(f"The function value at x={u} is NaN; solver cannot continue.")
         return r
 
-    # Bracket the monotone residual curve around the target, then root-find
-    # on the log of the penalty. A target no power of 16 in range brackets
-    # is an input the spline cannot fit.
-    lo = hi = start = _search_start(sys_)
-    r_start = residual_at(start)
-    if r_start < s:
-        while residual_at(hi := hi * 16.0) < s:
-            if hi > 1e300:
-                raise ValueError("penalty bracketing failed to reach the target")
-        lo = hi / 16.0
-    elif r_start > s:
-        while residual_at(lo := lo / 16.0) > s:
-            if lo < 1e-300:
-                raise ValueError("penalty bracketing failed to reach the target")
-        hi = lo * 16.0
-    if r_start == s:
-        root = start
-    else:
-        # scipy's compiled Brent's method: xtol, rtol, maxiter, args,
-        # full_output, disp.
-        brentq = _scipy_extension("optimize", "_zeros")._brentq
-        log_root = brentq(excess, float(np.log(lo)), float(np.log(hi)), 1e-12, 1e-14, 60, (), False, True)
-        root = float(np.exp(log_root))
+    # Bracket the monotone residual curve around the target: step the penalty
+    # by 16 from the start toward the target until the excess changes sign or
+    # is 0. Each step is evaluated at exp(log(p)), the penalty Brent's method
+    # evaluates at a bracket end, so it finds both ends solved. A target no
+    # power of 16 in range brackets is an input the spline cannot fit.
+    p = prev = _search_start(sys_)
+    r = excess(float(np.log(p)))
+    up = r < 0.0
+    while r < 0.0 if up else r > 0.0:
+        if not 1e-300 <= p <= 1e300:
+            raise ValueError("penalty bracketing failed to reach the target")
+        prev, p = p, p * 16.0 if up else p / 16.0
+        r = excess(float(np.log(p)))
+    # scipy's compiled Brent's method on the log of the penalty: xtol, rtol,
+    # maxiter, args, full_output, disp. An end where the excess is 0 is the root.
+    brentq = _scipy_extension("optimize", "_zeros")._brentq
+    lo, hi = sorted((prev, p))
+    log_root = brentq(excess, float(np.log(lo)), float(np.log(hi)), 1e-12, 1e-14, 60, (), False, True)
+    root = float(np.exp(log_root))
 
     err, residual = sys_.solve(root)
     # The root search lands within float noise of the target; the contract is

@@ -86,6 +86,7 @@ def fake_tree(root: Path, marker: str, modifiers_extra: str = "") -> Path:
     (package / "__init__.py").write_text("")
     (package / "trajectory.py").write_text(f"MARKER = {marker!r}\n")
     (package / "modifiers.py").write_text(f"from .trajectory import MARKER\n{modifiers_extra}")
+    (package / "spline.py").write_text("from .trajectory import MARKER\n")
     return root / "src"
 
 
@@ -96,6 +97,7 @@ class TestLoadTree:
         trees = [bench_layers.load_tree(src) for src in srcs]
         assert [t["modifiers"].MARKER for t in trees] == ["parent", "change"]
         assert [t["trajectory"].MARKER for t in trees] == ["parent", "change"]
+        assert [t["spline"].MARKER for t in trees] == ["parent", "change"]
         assert not [name for name in sys.modules if name.startswith("f0priv")]
         assert not {str(src) for src in srcs} & set(sys.path)
 

@@ -637,7 +637,7 @@ class TestModify:
             cli, ["modify", str(huge), str(ok), "--kind", "smoothing-spline", "--out", str(out)]
         )
         assert result.exit_code == 2
-        assert result.stderr == (f"error: {huge}: invalid trajectory 'huge': "
+        assert result.stderr == (f"error: {huge}: invalid trajectory: "
                                  f"voiced value > 128000 Hz at frame 0: 1e+299 (and 7 more)\n")
         assert result.stdout == f"{ok} -> {out / 'ok.csv'}\n"
         assert sorted(p.name for p in out.iterdir()) == ["ok.csv", "sidecar.json"]
@@ -653,8 +653,8 @@ class TestModify:
             )
         assert result.exit_code == 2
         assert result.stderr == (
-            f"error: {huge}: invalid trajectory 'huge': last frame must lie before 2147483648 s, got 3e+200 s\n"
-            f"error: {far}: invalid trajectory 'far': last frame must lie before 2147483648 s, got 1.7e+308 s\n"
+            f"error: {huge}: invalid trajectory: last frame must lie before 2147483648 s, got 3e+200 s\n"
+            f"error: {far}: invalid trajectory: last frame must lie before 2147483648 s, got 1.7e+308 s\n"
         )
 
 

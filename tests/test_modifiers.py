@@ -323,7 +323,7 @@ class TestApply:
         # One clause however many frames are bad.
         with pytest.raises(ValueError) as caught:
             apply(ModifierSpec(kind="voiced-flat"), make_traj([35.0, -1.0] * 200, rid="r"))
-        assert str(caught.value) == "invalid trajectory 'r': voiced value < 40 Hz at frame 0: 35 (and 399 more)"
+        assert str(caught.value) == "invalid trajectory: voiced value < 40 Hz at frame 0: 35 (and 399 more)"
 
     def test_rejects_output_outside_the_valid_range(self):
         # A valid contour that the modulation pushes above 128 kHz.

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from f0priv import spline
 from f0priv.spline import _pbsv, _System, _search_start, fit
 from oracles import spline_fit_reference
 
@@ -145,11 +146,26 @@ class TestAgainstScipy:
         assert np.max(np.abs(model.fitted - expected)) <= 1e-9 * np.max(np.abs(y))
 
 
+def fit_counting_solves(x, y, s):
+    """``fit(x, y, s)`` and the number of LAPACK solves it made."""
+    pbsv, solves = _pbsv(), []
+
+    def counting(*args, **kwargs):
+        solves.append(None)
+        return pbsv(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spline, "_pbsv", lambda: counting)
+        return fit(x, y, s=s), len(solves)
+
+
 def assert_matches_reference(x, y, s):
     # Bracketing from any power of 16 meets the same pair of consecutive
     # powers, so the fit must equal the search started at 1 bit for bit; the
-    # number of solves follows the library's own start.
-    model = fit(x, y, s=s)
+    # number of evaluations follows the library's own start. Brent's method
+    # finds both bracket ends solved, so every other evaluation is a solve.
+    model, solves = fit_counting_solves(x, y, s)
+    assert solves == max(model.iterations - 2, 0)
     fitted, penalty, residual, _ = spline_fit_reference(x, y, s)
     assert np.array_equal(model.fitted, fitted)
     assert model.penalty == penalty
@@ -180,6 +196,18 @@ class TestReferenceBitIdentity:
         assert_matches_reference(x, y, None)
         assert assert_matches_reference(x, y, 0.0).penalty == 0.0
         assert assert_matches_reference(x, y, 1e12).penalty == np.inf
+
+    def test_target_met_at_the_start(self):
+        # The start's own residual as the target: the bracket is the start
+        # alone, and Brent's method returns it from the memo.
+        x, y = uneven(50, seed=50)
+        system = _System(x, y)
+        penalty = np.exp(np.log(_search_start(system)))
+        err, s = system.solve(penalty)
+        model, solves = fit_counting_solves(x, y, s)
+        assert (model.penalty, model.achieved_residual) == (penalty, s)
+        assert np.array_equal(model.fitted, y - err)
+        assert (model.iterations, solves) == (3, 1)
 
     def test_pbsv_is_scipys_lapack_routine(self):
         from scipy.linalg import get_lapack_funcs

@@ -51,12 +51,13 @@ PROCESSES = 6
 ROUNDS = 24
 TIMED_FILES = 200  # of make_corpus's 1,200 CSVs
 LAYERS = ("read_f0_csv", "format_f0_csv", "validate", "stats",
-          "apply.smoothing-spline", "apply.random-walk-strong")
+          "apply.smoothing-spline", "apply.random-walk-strong", "spline.fit")
+MODULES = ("trajectory", "modifiers", "spline")
 TREES = ("parent", "change", "copy")
 
 
 def load_tree(src: Path) -> dict:
-    """``src``'s ``trajectory`` and ``modifiers`` modules, under a module set of their own.
+    """``src``'s MODULES, under a module set of their own.
 
     The tree's ``f0priv`` entries are taken out of ``sys.modules`` after the
     import, so the next tree imports afresh. Raises ``SystemExit`` when any
@@ -64,7 +65,7 @@ def load_tree(src: Path) -> dict:
     """
     sys.path.insert(0, str(src))
     try:
-        modules = {name: importlib.import_module(f"f0priv.{name}") for name in ("trajectory", "modifiers")}
+        modules = {name: importlib.import_module(f"f0priv.{name}") for name in MODULES}
     finally:
         sys.path.remove(str(src))
         loaded = {name: sys.modules.pop(name) for name in list(sys.modules)
@@ -76,18 +77,24 @@ def load_tree(src: Path) -> dict:
 
 
 def layer_calls(modules: dict, paths: list) -> dict:
-    """Each layer as a call over every input, with one tree's ``modules``."""
-    trajectory, modifiers = modules["trajectory"], modules["modifiers"]
+    """Each layer as a call over every input, with one tree's ``modules``.
+
+    ``spline.fit`` fits each contour's voiced frames at the default target,
+    as the smoothing-spline modification does.
+    """
+    trajectory, modifiers, spline = modules["trajectory"], modules["modifiers"], modules["spline"]
     contours = [trajectory.read_f0_csv(path) for path in paths]
-    spline = modifiers.ModifierSpec("smoothing-spline")
+    voiced = [(c.times[c.voiced_mask], c.values[c.voiced_mask]) for c in contours]
+    smooth = modifiers.ModifierSpec("smoothing-spline")
     walk = modifiers.ModifierSpec("random-walk-strong", seed=7)
     return {
         "read_f0_csv": lambda: [trajectory.read_f0_csv(path) for path in paths],
         "format_f0_csv": lambda: [trajectory.format_f0_csv(c) for c in contours],
         "validate": lambda: [trajectory.validate(c) for c in contours],
         "stats": lambda: [trajectory.stats(c) for c in contours],
-        "apply.smoothing-spline": lambda: [modifiers.apply(spline, c) for c in contours],
+        "apply.smoothing-spline": lambda: [modifiers.apply(smooth, c) for c in contours],
         "apply.random-walk-strong": lambda: [modifiers.apply(walk, c) for c in contours],
+        "spline.fit": lambda: [spline.fit(x, y) for x, y in voiced],
     }
 
 

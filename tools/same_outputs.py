@@ -11,9 +11,9 @@ parent's ``perfbench/inputs.py``:
   ``random-walk-strong`` and AA ``smoothing-spline``, and ``plot``.
 
 Hand-made inputs at the edges of the valid input follow (a one-row CSV,
-values next to the bounds of the F0 range, a corpus whose recordings fail
-their modification on both sides, tracker settings whose longest lag the
-frame cannot hold, a ``modify`` input inside its own ``--out``, an
+values next to the bounds of the F0 range for ``stats`` and ``modify``, a
+corpus whose recordings fail their modification on both sides, tracker
+settings whose longest lag the frame cannot hold, a ``modify`` input inside its own ``--out``, an
 ``extract`` manifest with a ``../x`` recording id, a corpus with absent
 statistics on both sides, a good ``extract`` manifest followed by one with a
 bad split, run configs with an unknown ``modifier`` key for ``modify`` and
@@ -200,6 +200,7 @@ def edge_runs(root: Path, wavs: list) -> list:
     return [
         ("edge-one-row", ["stats", str(one)], None),
         ("edge-near-bounds", ["stats", *map(str, near)], None),
+        ("edge-modify-near-bounds", ["modify", *map(str, near), "--kind", "voiced-flat", "--out", "out"], None),
         *((f"edge-eval-{scenario}", ["eval", "--manifest", str(manifest), "--scenario", scenario,
                                      "--kind", "modulated-same-1", "--out", "report.json"], None)
           for scenario in ("OA", "AA")),
