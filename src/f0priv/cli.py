@@ -305,7 +305,7 @@ def cmd_extract(inputs, out, config, **flags):
             jobs.append((path, path.stem))
     out_dir = Path(run_config.get("output_dir", ".") if out is None else out)
     _refuse([f"{wav_path}: recording id {rid!r} is not a plain file name"
-             for wav_path, rid in jobs if Path(rid).name != rid])
+             for wav_path, rid in jobs if not rid or Path(rid).name != rid])
     writes = [(wav_path, out_dir / f"{rid}.csv") for wav_path, rid in jobs]
     _plan_writes(writes + [(path, None) for path in reads], out_dir)
 

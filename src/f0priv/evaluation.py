@@ -118,28 +118,6 @@ class ScenarioReport:
         return json.dumps(asdict(self), indent=2, allow_nan=False)
 
 
-@dataclass(frozen=True)
-class ZNorm:
-    """Per-dimension normalization fit on the enrollment population."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __call__(self, vector: np.ndarray) -> np.ndarray:
-        return (vector - self.mean) / self.std
-
-
-def fit_znorm(vectors: np.ndarray) -> ZNorm:
-    """Fit the normalization on stacked statistics vectors, one row per recording."""
-    if len(vectors) == 0:
-        raise ScoringError("empty enrollment population")
-    mean = vectors.mean(axis=0)
-    std = vectors.std(axis=0)
-    floor = _STD_FLOOR * np.maximum(1.0, np.abs(mean))
-    std = np.where(std <= floor, 1.0, std)
-    return ZNorm(mean=mean, std=std)
-
-
 def _roc_points(scores: ScoreSet) -> tuple[np.ndarray, np.ndarray]:
     # Operating points of the rule "accept if score >= threshold" for every
     # observed threshold, plus the all-reject endpoint.
@@ -281,29 +259,41 @@ def affine_calibrate(scores: ScoreSet) -> ScoreSet:
     return ScoreSet(a * st + b, a * sn + b)
 
 
-def _squared_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    # (len(rows) x len(cols)) squared Euclidean distances, accumulated one
-    # dimension at a time in one reused buffer of the result's size.
-    out = np.zeros((len(rows), len(cols)))
-    diff = np.empty_like(out)
-    for k in range(rows.shape[1]):
-        np.subtract.outer(rows[:, k], cols[:, k], out=diff)
+def _euclidean_scores(enroll: np.ndarray, owner: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """The (trials x speakers) matrix of negative Euclidean distances.
+
+    ``owner`` holds each enrollment row's speaker index. A speaker's model is
+    the mean of their rows. The z-normalization is fit over all enrollment
+    rows, so within-speaker spread enters the per-dimension scale, and is
+    applied to the models and the trials.
+    """
+    counts = np.bincount(owner)
+    sums = np.zeros((counts.size, enroll.shape[1]))
+    np.add.at(sums, owner, enroll)
+    models = sums / counts[:, None]
+    mean, std = enroll.mean(axis=0), enroll.std(axis=0)
+    std[std <= _STD_FLOOR * np.maximum(1.0, np.abs(mean))] = 1.0
+    models, trials = (models - mean) / std, (trials - mean) / std
+    # Squared distances, accumulated one dimension at a time in one reused
+    # buffer of the result's size.
+    scores = np.zeros((len(trials), len(models)))
+    diff = np.empty_like(scores)
+    for k in range(enroll.shape[1]):
+        np.subtract.outer(trials[:, k], models[:, k], out=diff)
         diff *= diff
-        out += diff
-    return out
+        scores += diff
+    np.sqrt(scores, out=scores)
+    return np.negative(scores, out=scores)
 
 
 def score_corpus(enroll: list[Recording], trials: list[Recording]) -> ScoreSet:
     """Score every (enrolled speaker, trial recording) pair.
 
-    Each recording's statistics are computed once. Each speaker is modeled
-    as the field-wise mean of their enrollment recordings, and the
-    z-normalization is fit over all enrollment recordings so within-speaker
-    spread enters the per-dimension scale. Scores come out trial by trial,
-    speakers in sorted order within each trial. A score is the negative
-    Euclidean distance between the z-normalized speaker model and trial
-    vectors. The ScoringError it raises names each recording whose
-    statistics are absent, one per line, enrollment side first.
+    Each recording's statistics are computed once and scored by
+    :func:`_euclidean_scores`. Scores come out trial by trial, speakers in
+    sorted order within each trial. The ScoringError it raises names each
+    recording whose statistics are absent, one per line, enrollment side
+    first.
     """
     recordings = [*enroll, *trials]
     all_stats = [stats(r.trajectory) for r in recordings]
@@ -313,19 +303,10 @@ def score_corpus(enroll: list[Recording], trials: list[Recording]) -> ScoreSet:
         raise ScoringError("\n".join(absent))
     rows = [st.as_vector() for st in all_stats]
     vectors = np.array(rows).reshape(len(rows), len(F0Stats.FIELD_ORDER))
-    enroll_vectors, trial_vectors = vectors[: len(enroll)], vectors[len(enroll) :]
     speakers, owner = np.unique([r.speaker_id for r in enroll], return_inverse=True)
     if speakers.size < 2:
         raise ScoringError("need at least 2 enrolled speakers for nontarget pairs")
-    sums = np.zeros((speakers.size, enroll_vectors.shape[1]))
-    np.add.at(sums, owner, enroll_vectors)
-    models = sums / np.bincount(owner)[:, None]
-
-    znorm = fit_znorm(enroll_vectors)
-    models, trial_vectors = znorm(models), znorm(trial_vectors)
-    scores = _squared_distances(trial_vectors, models)
-    np.sqrt(scores, out=scores)
-    np.negative(scores, out=scores)
+    scores = _euclidean_scores(vectors[: len(enroll)], owner, vectors[len(enroll) :])
     trial_speakers = np.array([r.speaker_id for r in trials], dtype=str)
     is_target = trial_speakers[:, None] == speakers[None, :]
     target, nontarget = scores[is_target], scores[~is_target]

@@ -40,6 +40,8 @@ def trajectory_svg(named: list[tuple[str, F0Trajectory]]) -> str:
 
     Axes are seconds and Hz; the legend lists the given labels in order.
     """
+    import html  # here, so commands that draw nothing never load its entity tables
+
     if not named:
         raise ValueError("nothing to plot")
     for label, traj in named:
@@ -107,11 +109,7 @@ def trajectory_svg(named: list[tuple[str, F0Trajectory]]) -> str:
         color = PALETTE[i % len(PALETTE)]
         y = MARGIN_TOP + 10 + 16 * i
         parts.append(f'<rect x="{legend_x}" y="{y - 8}" width="12" height="4" fill="{color}"/>')
-        parts.append(f'<text x="{legend_x + 18}" y="{y}">{_escape(label)}</text>')
+        parts.append(f'<text x="{legend_x + 18}" y="{y}">{html.escape(label, quote=False)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

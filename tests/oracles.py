@@ -45,6 +45,20 @@ def walk_modulation_reference(values, walk, strength):
     return out
 
 
+def znorm_reference(vectors):
+    """Per-dimension z-normalization fit on ``vectors``, one row per recording.
+
+    Returns a function of one vector: each dimension minus its mean, over its
+    population standard deviation, or over 1 where that deviation is at most
+    1e-9 * max(1, |mean|) (no spread to scale).
+    """
+    n = len(vectors)
+    mean = [sum(column) / n for column in zip(*vectors)]
+    std = [math.sqrt(sum((v - m) ** 2 for v in column) / n) for column, m in zip(zip(*vectors), mean)]
+    std = [1.0 if s <= 1e-9 * max(1.0, abs(m)) else s for s, m in zip(std, mean)]
+    return lambda vector: np.array([(v - m) / s for v, m, s in zip(vector, mean, std)])
+
+
 def score(enroll, trial, znorm) -> float:
     """Per-pair reference for ``evaluation.score_corpus``.
 

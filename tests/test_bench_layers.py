@@ -43,6 +43,43 @@ class TestVerdict:
         assert bench_layers.verdict([1.01] * 3, [0.9, 0.92, 0.95])["verdict"] == "slower"
 
 
+def host_times(cost: dict, host) -> dict:
+    """``times[tree][worker][round]`` of bench_layers' workers and rounds, in its order:
+    a tree's time is its ``cost`` times the host's slowness ``host(worker, slot)``,
+    where slots number the worker's runs in the order they happen."""
+    times = {tree: [[] for _ in range(bench_layers.PROCESSES)] for tree in bench_layers.TREES}
+    for worker in range(bench_layers.PROCESSES):
+        for r in range(bench_layers.ROUNDS):
+            for i, tree in enumerate(bench_layers.round_order(r)):
+                times[tree][worker].append(cost[tree] * host(worker, 3 * r + i))
+    return times
+
+
+class TestJudge:
+    def test_steady_host(self):
+        times = host_times({"parent": 1.0, "change": 0.9, "copy": 1.0}, lambda worker, slot: 1.0)
+        judged = bench_layers.judge(times)
+        for name in ("paired", "minimum"):
+            assert judged[name]["verdict"] == "faster"
+            assert judged[name]["ratios"] == pytest.approx([0.9] * bench_layers.PROCESSES)
+            assert judged[name]["control_range"] == [1.0, 1.0]
+
+    def test_drifting_host(self):
+        # The host's slowness walks (log steps of sd 0.02 per run), and the
+        # change is 3 % faster. Adjacent runs share the host's state, so the
+        # paired statistic sees the gain on every host. Each tree's minimum
+        # falls in a different state, so the minimum misses it on about a fifth.
+        missed = {"paired": 0, "minimum": 0}
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            steps = rng.normal(0.0, 0.02, (bench_layers.PROCESSES, 3 * bench_layers.ROUNDS))
+            walks = np.exp(np.cumsum(steps, axis=1))
+            times = host_times({"parent": 1.0, "change": 0.97, "copy": 1.0}, lambda worker, slot: walks[worker, slot])
+            for name, judged in bench_layers.judge(times).items():
+                missed[name] += judged["verdict"] != "faster"
+        assert missed["paired"] == 0 and missed["minimum"] >= 10
+
+
 @dataclasses.dataclass
 class Pair:
     hop: float
@@ -87,6 +124,7 @@ def fake_tree(root: Path, marker: str, modifiers_extra: str = "") -> Path:
     (package / "trajectory.py").write_text(f"MARKER = {marker!r}\n")
     (package / "modifiers.py").write_text(f"from .trajectory import MARKER\n{modifiers_extra}")
     (package / "spline.py").write_text("from .trajectory import MARKER\n")
+    (package / "evaluation.py").write_text("from .trajectory import MARKER\n")
     return root / "src"
 
 
@@ -98,6 +136,7 @@ class TestLoadTree:
         assert [t["modifiers"].MARKER for t in trees] == ["parent", "change"]
         assert [t["trajectory"].MARKER for t in trees] == ["parent", "change"]
         assert [t["spline"].MARKER for t in trees] == ["parent", "change"]
+        assert [t["evaluation"].MARKER for t in trees] == ["parent", "change"]
         assert not [name for name in sys.modules if name.startswith("f0priv")]
         assert not {str(src) for src in srcs} & set(sys.path)
 

@@ -135,7 +135,7 @@ class TestExtract:
         assert "error: output x.csv would be written by each of" in result.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("rid", ["../escaped", "{tmp}/escaped", "sub/x"])
+    @pytest.mark.parametrize("rid", ["../escaped", "{tmp}/escaped", "sub/x", ""])
     def test_recording_id_not_a_plain_name(self, runner, tmp_path, rid):
         rid = rid.format(tmp=tmp_path)
         write_tone_wav(tmp_path / "bad.wav")

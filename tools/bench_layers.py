@@ -12,19 +12,33 @@ that every ``f0priv`` module of a set comes from that set's ``src/``.
 For each layer in LAYERS, a worker calls the layer on every CSV once per
 tree to warm it up and keep a digest of its outputs. It then times ROUNDS
 rounds of the layer on the first TIMED_FILES CSVs: a short call is less
-often disturbed than a long one. The trees run in
-the order parent, change, copy in even rounds and in reverse in odd ones, so
-each pair of trees alternates ABBA. A worker reports each tree's minimum
-time; its ratios are change / parent and copy / parent. Delays on a shared
-host only add time, so the minimum of many short runs is the estimate they
-disturb least (Chen & Revels, arXiv 1608.04295), and alternating inside one
-process cancels the host state that the process landed in.
+often disturbed than a long one. The scoring layers take those CSVs as
+recordings, with the speakers and splits ``make_corpus`` assigned them:
+``score_corpus`` scores them, and ``eer``, ``cllr_min`` and
+``affine_calibrate`` take the tree's own score set. The trees run in the
+order parent, change, copy in even rounds and in reverse in odd ones, so
+each pair of trees alternates ABBA.
 
-A layer counts as changed only when the median of its change ratios lies
-outside the range of its control ratios (see ``verdict``). The file keeps
-every ratio and minimum time, the verdicts, the output digests and the wall
-time. The script exits 1 when a layer's outputs differ between the parent and
-the change. Import time, process start and file writes are not seen here;
+Each worker gives a layer two ratios per tree, change / parent and
+copy / parent (the A/A control), under each of two statistics:
+
+- ``paired``, the median over rounds of the ratio of the trees' times in
+  that round. The trees of a round run next to each other, so the drift of
+  the host that they share cancels (Chen & Revels, arXiv 1608.04295, on
+  alternation);
+- ``minimum``, the ratio of the trees' minimum times. Delays on a shared
+  host only add time, so the minimum of many short runs is the estimate
+  they disturb least, but on a drifting host each tree's minimum falls in
+  a different host state.
+
+Under each statistic a layer counts as changed only when the median of its
+change ratios lies outside the range of its control ratios (see
+``verdict``); the paired verdict is the layer's verdict. The file keeps every
+round's time of every tree, the ratios and verdicts of both statistics, the
+output digests and the wall time. BENCH files written before the paired
+statistic keep only minimum times, so they cannot be judged by it. The
+script exits 1 when a layer's outputs differ between the parent and the
+change. Import time, process start and file writes are not seen here;
 ``tools/bench_pairs.py`` times those end to end.
 """
 
@@ -51,9 +65,15 @@ PROCESSES = 6
 ROUNDS = 24
 TIMED_FILES = 200  # of make_corpus's 1,200 CSVs
 LAYERS = ("read_f0_csv", "format_f0_csv", "validate", "stats",
-          "apply.smoothing-spline", "apply.random-walk-strong", "spline.fit")
-MODULES = ("trajectory", "modifiers", "spline")
+          "apply.smoothing-spline", "apply.random-walk-strong", "spline.fit",
+          "score_corpus", "eer", "cllr_min", "affine_calibrate")
+MODULES = ("trajectory", "modifiers", "spline", "evaluation")
 TREES = ("parent", "change", "copy")
+# A worker's ratio of one tree's round times to the parent's, per statistic.
+STATISTICS = {
+    "paired": lambda times, parent: statistics.median(t / p for t, p in zip(times, parent)),
+    "minimum": lambda times, parent: min(times) / min(parent),
+}
 
 
 def load_tree(src: Path) -> dict:
@@ -76,17 +96,25 @@ def load_tree(src: Path) -> dict:
     return modules
 
 
-def layer_calls(modules: dict, paths: list) -> dict:
+def layer_calls(modules: dict, paths: list, speakers: dict) -> dict:
     """Each layer as a call over every input, with one tree's ``modules``.
 
     ``spline.fit`` fits each contour's voiced frames at the default target,
-    as the smoothing-spline modification does.
+    as the smoothing-spline modification does. ``speakers`` maps each
+    recording id (a CSV's stem) to its speaker and split.
     """
     trajectory, modifiers, spline = modules["trajectory"], modules["modifiers"], modules["spline"]
+    evaluation = modules["evaluation"]
     contours = [trajectory.read_f0_csv(path) for path in paths]
     voiced = [(c.times[c.voiced_mask], c.values[c.voiced_mask]) for c in contours]
     smooth = modifiers.ModifierSpec("smoothing-spline")
     walk = modifiers.ModifierSpec("random-walk-strong", seed=7)
+    recordings = []
+    for path, contour in zip(paths, contours):
+        speaker, split = speakers[Path(path).stem]
+        recordings.append(evaluation.Recording(speaker, Path(path).stem, split, contour))
+    sides = [[r for r in recordings if r.split == split] for split in ("enrollment", "trial")]
+    scores = evaluation.score_corpus(*sides)
     return {
         "read_f0_csv": lambda: [trajectory.read_f0_csv(path) for path in paths],
         "format_f0_csv": lambda: [trajectory.format_f0_csv(c) for c in contours],
@@ -95,6 +123,10 @@ def layer_calls(modules: dict, paths: list) -> dict:
         "apply.smoothing-spline": lambda: [modifiers.apply(smooth, c) for c in contours],
         "apply.random-walk-strong": lambda: [modifiers.apply(walk, c) for c in contours],
         "spline.fit": lambda: [spline.fit(x, y) for x, y in voiced],
+        "score_corpus": lambda: evaluation.score_corpus(*sides),
+        "eer": lambda: evaluation.eer(scores),
+        "cllr_min": lambda: evaluation.cllr_min(scores),
+        "affine_calibrate": lambda: evaluation.affine_calibrate(scores),
     }
 
 
@@ -121,17 +153,23 @@ def digest(value) -> str:
     return h.hexdigest()
 
 
-def time_layers(srcs: dict, paths: list, rounds: int, timed_files: int) -> dict:
+def round_order(r: int) -> tuple:
+    """The order the trees run in round ``r``: ABBA for each pair of trees."""
+    return TREES if r % 2 == 0 else TREES[::-1]
+
+
+def time_layers(srcs: dict, paths: list, speakers: dict, rounds: int, timed_files: int) -> dict:
     """One worker's run: per layer, each tree's digest of its outputs on
     ``paths`` and its ``rounds`` times in seconds on the first ``timed_files``."""
     modules = {tree: load_tree(src) for tree, src in srcs.items()}
-    calls = {tree: layer_calls(modules[tree], paths[:timed_files]) for tree in TREES}
+    every = {tree: layer_calls(modules[tree], paths, speakers) for tree in TREES}
+    calls = {tree: layer_calls(modules[tree], paths[:timed_files], speakers) for tree in TREES}
     out = {}
     for layer in LAYERS:
-        digests = {tree: digest(layer_calls(modules[tree], paths)[layer]()) for tree in TREES}
+        digests = {tree: digest(every[tree][layer]()) for tree in TREES}
         times: dict = {tree: [] for tree in TREES}
         for r in range(rounds):
-            for tree in TREES if r % 2 == 0 else TREES[::-1]:
+            for tree in round_order(r):
                 call = calls[tree][layer]
                 gc.collect()
                 gc.disable()
@@ -140,6 +178,15 @@ def time_layers(srcs: dict, paths: list, rounds: int, timed_files: int) -> dict:
                 times[tree].append(time.perf_counter() - start)
                 gc.enable()
         out[layer] = {"digests": digests, "times": times}
+    return out
+
+
+def judge(times: dict) -> dict:
+    """A layer's verdict under each of STATISTICS, from ``times[tree][worker][round]``."""
+    out = {}
+    for name, ratio in STATISTICS.items():
+        ratios = {tree: [ratio(t, p) for t, p in zip(times[tree], times["parent"])] for tree in ("change", "copy")}
+        out[name] = verdict(ratios["change"], ratios["copy"])
     return out
 
 
@@ -186,9 +233,10 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         srcs = {"parent": roots["parent"] / "src", "change": roots["change"] / "src", "copy": Path(tmp) / "src"}
         shutil.copytree(srcs["parent"], srcs["copy"], ignore=shutil.ignore_patterns("__pycache__"))
-        paths = [str(c.path) for c in inputs.make_corpus(Path(tmp) / "corpus", SEED).contours]
+        corpus = inputs.make_corpus(Path(tmp) / "corpus", SEED)
+        paths = [str(c.path) for c in corpus.contours]
         job = json.dumps({"srcs": {t: str(s) for t, s in srcs.items()}, "paths": paths,
-                          "rounds": ROUNDS, "timed_files": TIMED_FILES})
+                          "speakers": corpus.speakers, "rounds": ROUNDS, "timed_files": TIMED_FILES})
         for k in range(PROCESSES):
             out = subprocess.run([sys.executable, __file__, "--worker"], input=job, env=env,
                                  capture_output=True, text=True, check=True)
@@ -200,14 +248,14 @@ def main() -> None:
 
     layers, differing = {}, []
     for layer in LAYERS:
-        minima = {tree: [min(run[layer]["times"][tree]) for run in runs] for tree in TREES}
-        ratios = {tree: [m / p for m, p in zip(minima[tree], minima["parent"])] for tree in ("change", "copy")}
+        times = {tree: [run[layer]["times"][tree] for run in runs] for tree in TREES}
         digests = {tree: {run[layer]["digests"][tree] for run in runs} for tree in TREES}
         identical = len(digests["parent"] | digests["change"]) == 1
         if not identical:
             differing.append(layer)
-        layers[layer] = {**verdict(ratios["change"], ratios["copy"]), "outputs_identical": identical,
-                         "min_ms": {tree: [1e3 * m for m in minima[tree]] for tree in TREES},
+        judged = judge(times)
+        layers[layer] = {"verdict": judged["paired"]["verdict"], **judged, "outputs_identical": identical,
+                         "times_ms": {tree: [[1e3 * t for t in run] for run in times[tree]] for tree in TREES},
                          "output_sha256": {tree: sorted(d) for tree, d in digests.items()}}
     doc = {
         "host": host(),
@@ -218,8 +266,9 @@ def main() -> None:
         "rounds": ROUNDS,
         "wall_s": time.perf_counter() - started,
         "src_sha256": {tree: sha[tree] for tree in ("parent", "change")},
-        "control_spread": [min(min(layer["control_ratios"]) for layer in layers.values()),
-                           max(max(layer["control_ratios"]) for layer in layers.values())],
+        "control_spread": {name: [min(min(layer[name]["control_ratios"]) for layer in layers.values()),
+                                  max(max(layer[name]["control_ratios"]) for layer in layers.values())]
+                           for name in STATISTICS},
         "layers": layers,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

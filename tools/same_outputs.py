@@ -14,7 +14,7 @@ Hand-made inputs at the edges of the valid input follow (a one-row CSV,
 values next to the bounds of the F0 range for ``stats`` and ``modify``, a
 corpus whose recordings fail their modification on both sides, tracker
 settings whose longest lag the frame cannot hold, a ``modify`` input inside its own ``--out``, an
-``extract`` manifest with a ``../x`` recording id, a corpus with absent
+``extract`` manifest with a ``../x`` recording id and one with an empty id, a corpus with absent
 statistics on both sides, a good ``extract`` manifest followed by one with a
 bad split, run configs with an unknown ``modifier`` key for ``modify`` and
 for ``eval`` OO, CSVs with blank lines before a bad row and around good ones,
@@ -168,9 +168,12 @@ def edge_runs(root: Path, wavs: list) -> list:
     (own / "out").mkdir(parents=True)
     csv(own / "out" / "x.csv", level)
     csv(own / "y.csv", level[::-1])
-    ids = root / "ids.json"
-    ids.write_text(json.dumps({"entries": [{"speaker_id": "s", "recording_id": rid, "split": "trial", "path": wav}
-                                           for rid, wav in zip(("../x", "good"), wavs)]}))
+    ids = {}  # a manifest whose first id is not a plain file name
+    for name, bad in (("ids", "../x"), ("empty-id", "")):
+        ids[name] = root / f"{name}.json"
+        ids[name].write_text(json.dumps({"entries": [
+            {"speaker_id": "s", "recording_id": rid, "split": "trial", "path": wav}
+            for rid, wav in zip((bad, "good"), wavs)]}))
     splits = []
     for name, split in (("good", "trial"), ("bad-split", "dev")):
         splits.append(root / f"{name}.json")
@@ -207,7 +210,8 @@ def edge_runs(root: Path, wavs: list) -> list:
         ("edge-extract-long-lag", ["extract", "--f-min", "40", "--frame-len", "0.024", "--out", "out",
                                    *wavs[:2]], None),
         ("edge-modify-own-input", ["modify", "out/x.csv", "y.csv", "--kind", "voiced-flat", "--out", "out"], own),
-        ("edge-extract-id-not-a-plain-name", ["extract", str(ids), "--out", "out"], None),
+        ("edge-extract-id-not-a-plain-name", ["extract", str(ids["ids"]), "--out", "out"], None),
+        ("edge-extract-empty-id", ["extract", str(ids["empty-id"]), "--out", "out"], None),
         ("edge-eval-absent-statistics", ["eval", "--manifest", str(sparse), "--scenario", "OO"], None),
         ("edge-extract-bad-split-manifest", ["extract", *map(str, splits), "--out", "out"], None),
         ("edge-modify-unknown-modifier-key", ["modify", str(csv(root / "level.csv", level)), "--config",
