@@ -304,8 +304,12 @@ def cmd_extract(inputs, out, config, **flags):
         else:
             jobs.append((path, path.stem))
     out_dir = Path(run_config.get("output_dir", ".") if out is None else out)
+    # <id>.csv must name a file of out_dir: no directory part, no NUL byte,
+    # and at most 255 bytes in UTF-8, the most file systems take (a lone
+    # surrogate counts one byte here; the write refuses it).
     _refuse([f"{wav_path}: recording id {rid!r} is not a plain file name"
-             for wav_path, rid in jobs if not rid or Path(rid).name != rid])
+             for wav_path, rid in jobs if not rid or Path(rid).name != rid or "\0" in rid
+             or len(f"{rid}.csv".encode("utf-8", "replace")) > 255])
     writes = [(wav_path, out_dir / f"{rid}.csv") for wav_path, rid in jobs]
     _plan_writes(writes + [(path, None) for path in reads], out_dir)
 

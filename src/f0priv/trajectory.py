@@ -179,49 +179,44 @@ def voiced_mean(traj: F0Trajectory) -> float:
     return float(np.mean(voiced))
 
 
-def _sample_skewness(x: np.ndarray) -> float:
-    # Bias-corrected (adjusted Fisher-Pearson) skewness of samples that are
-    # not all equal: distinct logs of doubles differ by ~1e-16 or more, so m2
-    # stays far above underflow.
-    n = x.size
-    d = x - np.mean(x)
-    m2 = np.mean(d**2)
-    g1 = np.mean(d**3) / m2**1.5
-    return float(g1 * np.sqrt(n * (n - 1)) / (n - 2))
-
-
-def _rise_rate(values: np.ndarray, frame_hop: float) -> float:
-    # Mean of strictly positive F0 deltas between consecutive voiced frames,
-    # in Hz per second; 0 when the contour never rises.
-    voiced = values > 0.0
-    both = voiced[:-1] & voiced[1:]
-    deltas = np.diff(values)[both]
-    rising = deltas[deltas > 0.0]
-    if rising.size == 0:
-        return 0.0
-    return float(np.mean(rising) / frame_hop)
-
-
 def stats(traj: F0Trajectory) -> F0Stats:
     """Compute the six speaker-identifying statistics of a trajectory.
 
     Recordings with fewer than 3 voiced frames get ``None`` for every field
     except ``voiced_fraction`` rather than a misleading 0.
     """
-    mask = traj.voiced_mask
-    voiced = traj.values[mask]
-    fraction = float(voiced.size / traj.n_frames) if traj.n_frames else 0.0
-    if voiced.size < 3:
+    values, mask = traj.values, traj.voiced_mask
+    voiced = values[mask]
+    n = voiced.size
+    fraction = float(n / traj.n_frames) if traj.n_frames else 0.0
+    if n < 3:
         return F0Stats(None, None, None, None, None, fraction)
+    # Mean of strictly positive F0 deltas between consecutive voiced frames,
+    # in Hz per second; 0 when the contour never rises.
+    deltas = np.diff(values)[mask[:-1] & mask[1:]]
+    rising = deltas[deltas > 0.0]
+    rise_rate = float(np.mean(rising) / traj.frame_hop) if rising.size else 0.0
     log_f0 = np.log(voiced)
+    log_mean = np.mean(log_f0)
     # Float dust in the mean would give a constant contour skewness +-1.
-    constant = np.ptp(log_f0) == 0.0
+    if np.ptp(log_f0) == 0.0:
+        var = skew = 0.0
+    else:
+        # The unbiased variance and the bias-corrected (adjusted
+        # Fisher-Pearson) skewness share one sum of squared deviations.
+        # Distinct logs of doubles differ by ~1e-16 or more, so m2 stays far
+        # above underflow.
+        d = log_f0 - log_mean
+        ss = np.sum(d * d)
+        var = float(ss / (n - 1))
+        m2 = ss / n
+        skew = float(np.mean(d**3) / m2**1.5 * np.sqrt(n * (n - 1)) / (n - 2))
     return F0Stats(
         voiced_mean_hz=float(np.mean(voiced)),
-        log_f0_mean=float(np.mean(log_f0)),
-        log_f0_var=0.0 if constant else float(np.var(log_f0, ddof=1)),
-        log_f0_skew=0.0 if constant else _sample_skewness(log_f0),
-        rise_rate_hz_s=_rise_rate(traj.values, traj.frame_hop),
+        log_f0_mean=float(log_mean),
+        log_f0_var=var,
+        log_f0_skew=skew,
+        rise_rate_hz_s=rise_rate,
         voiced_fraction=fraction,
     )
 

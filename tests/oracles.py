@@ -452,3 +452,37 @@ def read_f0_csv_reference(path):
             if all(float(f"{i * hop:.6f}") == t for i, t in enumerate(times)):
                 return hop, values, path.stem
     return mid, values, path.stem
+
+
+def stats_reference(frame_hop, values):
+    """``trajectory.stats``'s six fields in its field order, by the formula it
+    used before it shared one sum of squared deviations between the variance
+    and the skewness: ``np.var(ddof=1)``, and ``np.mean(d**2)`` for m2."""
+    values = np.asarray(values, dtype=np.float64)
+    mask = values > 0.0
+    voiced = values[mask]
+    fraction = float(voiced.size / values.size) if values.size else 0.0
+    if voiced.size < 3:
+        return (None, None, None, None, None, fraction)
+    log_f0 = np.log(voiced)
+    constant = np.ptp(log_f0) == 0.0
+    if constant:
+        skew = 0.0
+    else:
+        n = log_f0.size
+        d = log_f0 - np.mean(log_f0)
+        m2 = np.mean(d**2)
+        g1 = np.mean(d**3) / m2**1.5
+        skew = float(g1 * np.sqrt(n * (n - 1)) / (n - 2))
+    both = mask[:-1] & mask[1:]
+    deltas = np.diff(values)[both]
+    rising = deltas[deltas > 0.0]
+    rise = 0.0 if rising.size == 0 else float(np.mean(rising) / frame_hop)
+    return (
+        float(np.mean(voiced)),
+        float(np.mean(log_f0)),
+        0.0 if constant else float(np.var(log_f0, ddof=1)),
+        skew,
+        rise,
+        fraction,
+    )

@@ -135,7 +135,13 @@ class TestExtract:
         assert "error: output x.csv would be written by each of" in result.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("rid", ["../escaped", "{tmp}/escaped", "sub/x", ""])
+    @pytest.mark.parametrize("rid", [
+        "../escaped", "{tmp}/escaped", "sub/x", "",
+        pytest.param("a\0b", id="nul"),
+        # <id>.csv of 256 bytes, in ASCII and in two-byte UTF-8.
+        pytest.param("x" * 252, id="256-bytes"),
+        pytest.param("\u00e9" * 126, id="256-utf8-bytes"),
+    ])
     def test_recording_id_not_a_plain_name(self, runner, tmp_path, rid):
         rid = rid.format(tmp=tmp_path)
         write_tone_wav(tmp_path / "bad.wav")
@@ -246,9 +252,21 @@ class TestExtract:
         assert read_f0_csv(out / "a.csv").n_frames > 0
         assert read_f0_csv(out / "b.csv").n_frames > 0
 
-    def test_recording_id_with_nul_fails_alone_on_a_rerun(self, runner, tmp_path):
-        # An existing output makes the overwrite check resolve paths, which a
-        # NUL byte cannot go through; the entry still fails on its own.
+    def test_recording_id_of_255_bytes_is_written(self, runner, tmp_path):
+        rid = "\u00e9" * 125 + "x"  # <id>.csv is 255 bytes in UTF-8
+        wav = write_tone_wav(tmp_path / "a.wav")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"entries": [
+            {"speaker_id": "s", "recording_id": rid, "split": "trial", "path": "a.wav"}]}))
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["extract", str(manifest), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == f"{wav} -> {out / rid}.csv\n"
+        assert read_f0_csv(out / f"{rid}.csv").n_frames > 0
+
+    def test_recording_id_with_nul_is_refused_on_a_rerun(self, runner, tmp_path):
+        # An existing output would make the overwrite check resolve paths,
+        # which a NUL byte cannot go through; the id is refused before that.
         write_tone_wav(tmp_path / "a.wav")
         entries = [
             {"speaker_id": "s", "recording_id": "a\0b", "split": "trial", "path": "a.wav"},
@@ -262,8 +280,8 @@ class TestExtract:
         result = runner.invoke(cli, ["extract", str(manifest), "--out", str(out)])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-        assert result.stderr == f"error: {tmp_path / 'a.wav'}: embedded null byte\n"
-        assert read_f0_csv(out / "c.csv").n_frames > 0
+        assert result.stderr == f"error: {tmp_path / 'a.wav'}: recording id 'a\\x00b' is not a plain file name\n"
+        assert (out / "c.csv").read_text() == "stale"
 
     def test_pool_size_does_not_change_outputs(self, runner, tmp_path, monkeypatch):
         entries = []

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import skew as scipy_skew
 
@@ -23,7 +23,7 @@ from f0priv.trajectory import (
     voiced_mean,
     write_f0_csv,
 )
-from oracles import format_f0_csv_reference, read_f0_csv_reference
+from oracles import format_f0_csv_reference, read_f0_csv_reference, stats_reference
 
 
 class TestValidate:
@@ -163,6 +163,34 @@ class TestStats:
         assert vec[0] == st.voiced_mean_hz
         with pytest.raises(ValueError):
             stats(make_traj([0.0, 0.0])).as_vector()
+
+
+voiced_hz = st.floats(VOICED_MIN_HZ, VOICED_MAX_HZ)
+stats_contours = st.one_of(
+    st.lists(st.one_of(st.just(0.0), voiced_hz), min_size=1, max_size=400),
+    st.builds(lambda v, n: [v] * n, voiced_hz, st.integers(1, 400)),  # constant
+    # Three voiced frames, the fewest with statistics, between unvoiced runs.
+    st.builds(lambda voiced, gaps: [x for v, gap in zip(voiced + [0.0], gaps) for x in [0.0] * gap + [v]][:-1],
+              st.lists(voiced_hz, min_size=3, max_size=3), st.lists(st.integers(0, 99), min_size=4, max_size=4)),
+    st.lists(st.just(0.0), min_size=1, max_size=400),  # all unvoiced
+)
+
+
+def field_bits(fields):
+    return [None if v is None else np.float64(v).tobytes() for v in fields]
+
+
+class TestStatsProperties:
+    @settings(deadline=None)
+    @given(values=stats_contours, hop=st.floats(FRAME_HOP_MIN_S, 1.0))
+    @example(values=[100.0] * 7, hop=0.01)
+    @example(values=[VOICED_MIN_HZ] * 4 + [np.nextafter(VOICED_MIN_HZ, np.inf)], hop=0.01)
+    @example(values=[0.0, 120.0, 0.0, 130.0, 125.0], hop=FRAME_HOP_MIN_S)
+    @example(values=[0.0, 0.0, 0.0], hop=1.0)
+    def test_equals_the_reference_bit_for_bit(self, values, hop):
+        got = stats(make_traj(values, hop=hop))
+        want = stats_reference(hop, values)
+        assert field_bits(getattr(got, name) for name in got.FIELD_ORDER) == field_bits(want)
 
 
 class TestCsv:

@@ -3,43 +3,39 @@
     python3 tools/bench_layers.py PARENT_DIR CHANGE_DIR --out BENCH_name.json
 
 PARENT_DIR and CHANGE_DIR are checkout roots. The inputs are the CSVs of the
-parent's ``perfbench/inputs.make_corpus`` at SEED, written to a temporary
-directory. Each of PROCESSES fresh worker processes imports three copies of
-``f0priv``, each under its own module set: the parent's ``src/``, the
-change's and a copy of the parent's ``src/`` (the A/A control). It asserts
-that every ``f0priv`` module of a set comes from that set's ``src/``.
+parent's ``perfbench/inputs.make_corpus`` at SEED and the WAVs of its
+``make_wavs`` at SEED, written to a temporary directory. Each of PROCESSES
+fresh worker processes imports three copies of ``f0priv``, each under its
+own module set: the parent's ``src/``, the change's and a copy of the
+parent's ``src/`` (the A/A control). It asserts that every ``f0priv`` module
+of a set comes from that set's ``src/``.
 
-For each layer in LAYERS, a worker calls the layer on every CSV once per
+For each layer in LAYERS, a worker calls the layer on every input once per
 tree to warm it up and keep a digest of its outputs. It then times ROUNDS
-rounds of the layer on the first TIMED_FILES CSVs: a short call is less
-often disturbed than a long one. The scoring layers take those CSVs as
-recordings, with the speakers and splits ``make_corpus`` assigned them:
-``score_corpus`` scores them, and ``eer``, ``cllr_min`` and
-``affine_calibrate`` take the tree's own score set. The trees run in the
-order parent, change, copy in even rounds and in reverse in odd ones, so
-each pair of trees alternates ABBA.
+rounds of the layer on the first TIMED_FILES CSVs, or for ``extract_f0`` the
+first TIMED_WAVS WAVs (16 kHz mono): a short call is less often disturbed
+than a long one. The ``apply.<kind>`` layers take SPECS' fields for their
+kind. The scoring layers take the timed CSVs as recordings, with the speakers
+and splits ``make_corpus`` assigned them: ``score_corpus`` scores them, and
+``eer``, ``cllr_min`` and ``affine_calibrate`` take the tree's own score set.
+The trees run in the order parent, change, copy in even rounds and in reverse
+in odd ones, so each pair of trees alternates ABBA.
 
-Each worker gives a layer two ratios per tree, change / parent and
-copy / parent (the A/A control), under each of two statistics:
+Each worker gives a layer two ratios, change / parent and copy / parent (the
+A/A control): the median over rounds of the ratio of the two trees' times in
+that round. The trees of a round run next to each other, so the drift of the
+host that they share cancels (Chen & Revels, arXiv 1608.04295, on
+alternation). A layer counts as changed only when the median of its change
+ratios lies outside the range of its control ratios (see ``verdict``).
 
-- ``paired``, the median over rounds of the ratio of the trees' times in
-  that round. The trees of a round run next to each other, so the drift of
-  the host that they share cancels (Chen & Revels, arXiv 1608.04295, on
-  alternation);
-- ``minimum``, the ratio of the trees' minimum times. Delays on a shared
-  host only add time, so the minimum of many short runs is the estimate
-  they disturb least, but on a drifting host each tree's minimum falls in
-  a different host state.
-
-Under each statistic a layer counts as changed only when the median of its
-change ratios lies outside the range of its control ratios (see
-``verdict``); the paired verdict is the layer's verdict. The file keeps every
-round's time of every tree, the ratios and verdicts of both statistics, the
-output digests and the wall time. BENCH files written before the paired
-statistic keep only minimum times, so they cannot be judged by it. The
-script exits 1 when a layer's outputs differ between the parent and the
-change. Import time, process start and file writes are not seen here;
-``tools/bench_pairs.py`` times those end to end.
+The file keeps every round's time of every tree, the ratios, the verdict,
+the output digests, the timed seconds of audio and the wall time. Files
+written before this rule also hold a ``minimum`` entry, a verdict from the
+ratio of each tree's minimum time; files from before the paired rule keep
+only minimum times and cannot be re-judged. The script exits 1 when a
+layer's outputs differ between the parent and the change. Import time,
+process start and file writes are not seen here; ``tools/bench_pairs.py``
+times those end to end.
 """
 
 import argparse
@@ -64,16 +60,24 @@ SEED = 1
 PROCESSES = 6
 ROUNDS = 24
 TIMED_FILES = 200  # of make_corpus's 1,200 CSVs
-LAYERS = ("read_f0_csv", "format_f0_csv", "validate", "stats",
-          "apply.smoothing-spline", "apply.random-walk-strong", "spline.fit",
-          "score_corpus", "eer", "cllr_min", "affine_calibrate")
-MODULES = ("trajectory", "modifiers", "spline", "evaluation")
-TREES = ("parent", "change", "copy")
-# A worker's ratio of one tree's round times to the parent's, per statistic.
-STATISTICS = {
-    "paired": lambda times, parent: statistics.median(t / p for t, p in zip(times, parent)),
-    "minimum": lambda times, parent: min(times) / min(parent),
+TIMED_WAVS = 3  # of make_wavs's 24 WAVs; the first 20 are 16 kHz mono
+# Each modifier kind's ModifierSpec fields beyond its kind: the flags of
+# tools/same_outputs.py's KIND_FLAGS.
+SPECS = {
+    "voiced-flat": {},
+    "all-flat": {},
+    "smoothing-spline": {},
+    "modulated-same-1": {},
+    "modulated-same-2": {},
+    "modulated-different": {"role": "trial"},
+    "random-walk-weak": {"seed": 7},
+    "random-walk-strong": {"seed": 7},
+    "shift-and-scale": {"target_mean_hz": 165.0, "target_std_hz": 20.0},
 }
+LAYERS = ("read_f0_csv", "format_f0_csv", "validate", "stats", *(f"apply.{kind}" for kind in SPECS),
+          "spline.fit", "score_corpus", "eer", "cllr_min", "affine_calibrate", "extract_f0")
+MODULES = ("trajectory", "modifiers", "spline", "evaluation", "pitch")
+TREES = ("parent", "change", "copy")
 
 
 def load_tree(src: Path) -> dict:
@@ -96,37 +100,42 @@ def load_tree(src: Path) -> dict:
     return modules
 
 
-def layer_calls(modules: dict, paths: list, speakers: dict) -> dict:
+def layer_calls(modules: dict, paths: list, wavs: list, speakers: dict) -> dict:
     """Each layer as a call over every input, with one tree's ``modules``.
 
-    ``spline.fit`` fits each contour's voiced frames at the default target,
-    as the smoothing-spline modification does. ``speakers`` maps each
-    recording id (a CSV's stem) to its speaker and split.
+    ``paths`` are CSVs and ``wavs`` WAV files. ``spline.fit`` fits each
+    contour's voiced frames at the default target, as the smoothing-spline
+    modification does. ``speakers`` maps each recording id (a CSV's stem)
+    to its speaker and split.
     """
     trajectory, modifiers, spline = modules["trajectory"], modules["modifiers"], modules["spline"]
-    evaluation = modules["evaluation"]
+    evaluation, pitch = modules["evaluation"], modules["pitch"]
     contours = [trajectory.read_f0_csv(path) for path in paths]
     voiced = [(c.times[c.voiced_mask], c.values[c.voiced_mask]) for c in contours]
-    smooth = modifiers.ModifierSpec("smoothing-spline")
-    walk = modifiers.ModifierSpec("random-walk-strong", seed=7)
+    audio = [pitch.read_wav(wav) for wav in wavs]
     recordings = []
     for path, contour in zip(paths, contours):
         speaker, split = speakers[Path(path).stem]
         recordings.append(evaluation.Recording(speaker, Path(path).stem, split, contour))
     sides = [[r for r in recordings if r.split == split] for split in ("enrollment", "trial")]
     scores = evaluation.score_corpus(*sides)
+
+    def apply(kind):
+        spec = modifiers.ModifierSpec(kind, **SPECS[kind])
+        return lambda: [modifiers.apply(spec, c) for c in contours]
+
     return {
         "read_f0_csv": lambda: [trajectory.read_f0_csv(path) for path in paths],
         "format_f0_csv": lambda: [trajectory.format_f0_csv(c) for c in contours],
         "validate": lambda: [trajectory.validate(c) for c in contours],
         "stats": lambda: [trajectory.stats(c) for c in contours],
-        "apply.smoothing-spline": lambda: [modifiers.apply(smooth, c) for c in contours],
-        "apply.random-walk-strong": lambda: [modifiers.apply(walk, c) for c in contours],
+        **{f"apply.{kind}": apply(kind) for kind in SPECS},
         "spline.fit": lambda: [spline.fit(x, y) for x, y in voiced],
         "score_corpus": lambda: evaluation.score_corpus(*sides),
         "eer": lambda: evaluation.eer(scores),
         "cllr_min": lambda: evaluation.cllr_min(scores),
         "affine_calibrate": lambda: evaluation.affine_calibrate(scores),
+        "extract_f0": lambda: [pitch.extract_f0(a) for a in audio],
     }
 
 
@@ -158,12 +167,14 @@ def round_order(r: int) -> tuple:
     return TREES if r % 2 == 0 else TREES[::-1]
 
 
-def time_layers(srcs: dict, paths: list, speakers: dict, rounds: int, timed_files: int) -> dict:
+def time_layers(srcs: dict, paths: list, wavs: list, speakers: dict, rounds: int, timed_files: int,
+                timed_wavs: int) -> dict:
     """One worker's run: per layer, each tree's digest of its outputs on
-    ``paths`` and its ``rounds`` times in seconds on the first ``timed_files``."""
+    ``paths`` and ``wavs`` and its ``rounds`` times in seconds on the first
+    ``timed_files`` and ``timed_wavs`` of them."""
     modules = {tree: load_tree(src) for tree, src in srcs.items()}
-    every = {tree: layer_calls(modules[tree], paths, speakers) for tree in TREES}
-    calls = {tree: layer_calls(modules[tree], paths[:timed_files], speakers) for tree in TREES}
+    every = {tree: layer_calls(modules[tree], paths, wavs, speakers) for tree in TREES}
+    calls = {tree: layer_calls(modules[tree], paths[:timed_files], wavs[:timed_wavs], speakers) for tree in TREES}
     out = {}
     for layer in LAYERS:
         digests = {tree: digest(every[tree][layer]()) for tree in TREES}
@@ -182,12 +193,11 @@ def time_layers(srcs: dict, paths: list, speakers: dict, rounds: int, timed_file
 
 
 def judge(times: dict) -> dict:
-    """A layer's verdict under each of STATISTICS, from ``times[tree][worker][round]``."""
-    out = {}
-    for name, ratio in STATISTICS.items():
-        ratios = {tree: [ratio(t, p) for t, p in zip(times[tree], times["parent"])] for tree in ("change", "copy")}
-        out[name] = verdict(ratios["change"], ratios["copy"])
-    return out
+    """A layer's verdict from ``times[tree][worker][round]``: per worker, the
+    median over rounds of change / parent and of copy / parent."""
+    ratios = {tree: [statistics.median(t / p for t, p in zip(run, parent))
+                     for run, parent in zip(times[tree], times["parent"])] for tree in ("change", "copy")}
+    return verdict(ratios["change"], ratios["copy"])
 
 
 def verdict(ratios: list, control: list) -> dict:
@@ -235,8 +245,13 @@ def main() -> None:
         shutil.copytree(srcs["parent"], srcs["copy"], ignore=shutil.ignore_patterns("__pycache__"))
         corpus = inputs.make_corpus(Path(tmp) / "corpus", SEED)
         paths = [str(c.path) for c in corpus.contours]
-        job = json.dumps({"srcs": {t: str(s) for t, s in srcs.items()}, "paths": paths,
-                          "speakers": corpus.speakers, "rounds": ROUNDS, "timed_files": TIMED_FILES})
+        made = inputs.make_wavs(Path(tmp) / "wavs", SEED).wavs
+        wavs = [str(w.path) for w in made]
+        timed_audio_s = sum(w.duration_s for w in made[:TIMED_WAVS])
+        del made  # its decoded samples
+        job = json.dumps({"srcs": {t: str(s) for t, s in srcs.items()}, "paths": paths, "wavs": wavs,
+                          "speakers": corpus.speakers, "rounds": ROUNDS, "timed_files": TIMED_FILES,
+                          "timed_wavs": TIMED_WAVS})
         for k in range(PROCESSES):
             out = subprocess.run([sys.executable, __file__, "--worker"], input=job, env=env,
                                  capture_output=True, text=True, check=True)
@@ -253,22 +268,21 @@ def main() -> None:
         identical = len(digests["parent"] | digests["change"]) == 1
         if not identical:
             differing.append(layer)
-        judged = judge(times)
-        layers[layer] = {"verdict": judged["paired"]["verdict"], **judged, "outputs_identical": identical,
+        layers[layer] = {**judge(times), "outputs_identical": identical,
                          "times_ms": {tree: [[1e3 * t for t in run] for run in times[tree]] for tree in TREES},
                          "output_sha256": {tree: sorted(d) for tree, d in digests.items()}}
     doc = {
         "host": host(),
         "command": "python3 tools/bench_layers.py PARENT CHANGE",
         "inputs": {"generator": "perfbench/inputs.make_corpus", "seed": SEED, "csv_files": len(paths),
-                   "timed_files": TIMED_FILES},
+                   "timed_files": TIMED_FILES, "wav_generator": "perfbench/inputs.make_wavs",
+                   "wav_files": len(wavs), "timed_wavs": TIMED_WAVS, "timed_audio_s": timed_audio_s},
         "processes": PROCESSES,
         "rounds": ROUNDS,
         "wall_s": time.perf_counter() - started,
         "src_sha256": {tree: sha[tree] for tree in ("parent", "change")},
-        "control_spread": {name: [min(min(layer[name]["control_ratios"]) for layer in layers.values()),
-                                  max(max(layer[name]["control_ratios"]) for layer in layers.values())]
-                           for name in STATISTICS},
+        "control_spread": [min(min(layer["control_ratios"]) for layer in layers.values()),
+                           max(max(layer["control_ratios"]) for layer in layers.values())],
         "layers": layers,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

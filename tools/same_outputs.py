@@ -13,8 +13,9 @@ parent's ``perfbench/inputs.py``:
 Hand-made inputs at the edges of the valid input follow (a one-row CSV,
 values next to the bounds of the F0 range for ``stats`` and ``modify``, a
 corpus whose recordings fail their modification on both sides, tracker
-settings whose longest lag the frame cannot hold, a ``modify`` input inside its own ``--out``, an
-``extract`` manifest with a ``../x`` recording id and one with an empty id, a corpus with absent
+settings whose longest lag the frame cannot hold, a ``modify`` input inside
+its own ``--out``, ``extract`` manifests with a ``../x``, an empty, a
+NUL-holding and a 252-character recording id, a corpus with absent
 statistics on both sides, a good ``extract`` manifest followed by one with a
 bad split, run configs with an unknown ``modifier`` key for ``modify`` and
 for ``eval`` OO, CSVs with blank lines before a bad row and around good ones,
@@ -169,7 +170,7 @@ def edge_runs(root: Path, wavs: list) -> list:
     csv(own / "out" / "x.csv", level)
     csv(own / "y.csv", level[::-1])
     ids = {}  # a manifest whose first id is not a plain file name
-    for name, bad in (("ids", "../x"), ("empty-id", "")):
+    for name, bad in (("ids", "../x"), ("empty-id", ""), ("nul-id", "a\0b"), ("long-id", "x" * 252)):
         ids[name] = root / f"{name}.json"
         ids[name].write_text(json.dumps({"entries": [
             {"speaker_id": "s", "recording_id": rid, "split": "trial", "path": wav}
@@ -212,6 +213,8 @@ def edge_runs(root: Path, wavs: list) -> list:
         ("edge-modify-own-input", ["modify", "out/x.csv", "y.csv", "--kind", "voiced-flat", "--out", "out"], own),
         ("edge-extract-id-not-a-plain-name", ["extract", str(ids["ids"]), "--out", "out"], None),
         ("edge-extract-empty-id", ["extract", str(ids["empty-id"]), "--out", "out"], None),
+        ("edge-extract-nul-id", ["extract", str(ids["nul-id"]), "--out", "out"], None),
+        ("edge-extract-long-id", ["extract", str(ids["long-id"]), "--out", "out"], None),
         ("edge-eval-absent-statistics", ["eval", "--manifest", str(sparse), "--scenario", "OO"], None),
         ("edge-extract-bad-split-manifest", ["extract", *map(str, splits), "--out", "out"], None),
         ("edge-modify-unknown-modifier-key", ["modify", str(csv(root / "level.csv", level)), "--config",
