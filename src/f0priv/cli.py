@@ -305,11 +305,11 @@ def cmd_extract(inputs, out, config, **flags):
             jobs.append((path, path.stem))
     out_dir = Path(run_config.get("output_dir", ".") if out is None else out)
     # <id>.csv must name a file of out_dir: no directory part, no NUL byte,
-    # and at most 255 bytes in UTF-8, the most file systems take (a lone
-    # surrogate counts one byte here; the write refuses it).
+    # no lone surrogate (U+D800-U+DFFF, which UTF-8 cannot encode), and at
+    # most 255 bytes in UTF-8, the most file systems take.
     _refuse([f"{wav_path}: recording id {rid!r} is not a plain file name"
              for wav_path, rid in jobs if not rid or Path(rid).name != rid or "\0" in rid
-             or len(f"{rid}.csv".encode("utf-8", "replace")) > 255])
+             or any("\ud800" <= c <= "\udfff" for c in rid) or len(f"{rid}.csv".encode("utf-8")) > 255])
     writes = [(wav_path, out_dir / f"{rid}.csv") for wav_path, rid in jobs]
     _plan_writes(writes + [(path, None) for path in reads], out_dir)
 
@@ -445,11 +445,7 @@ def cmd_plot(inputs, out):
             "warning: trajectories have different frame hops; plotting on a common time axis",
             err=True,
         )
-    try:
-        svg = trajectory_svg(named)
-    except ValueError as exc:
-        _refuse([str(exc)])
-    _emit(svg, out)
+    _emit(trajectory_svg(named), out)
     click.echo(f"wrote {out}")
 
 

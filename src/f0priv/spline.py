@@ -81,10 +81,12 @@ class _System:
         self.term = np.empty(n)
         self.pbsv = _pbsv()
         # Every band entry is p * QtQ + R or R / p + QtQ with a factor of at
-        # most 1, so it is bounded by max|QtQ| + max|R|; only when that bound
-        # or Q^T y is not finite can a solve meet an inf or NaN.
+        # most 1, so it is bounded by max|QtQ| + max|R|. While that bound and
+        # Q^T y are finite, no solve meets an inf or NaN; otherwise the system
+        # is refused with scipy.linalg.solveh_banded's error.
         bound = np.abs(self.qtq_band).max() + np.abs(self.r_band).max()
-        self.check_finite = not (np.isfinite(bound) and np.isfinite(self.qty).all())
+        if not (np.isfinite(bound) and np.isfinite(self.qty).all()):
+            raise ValueError("array must not contain infs or NaNs")
         self.solved: dict[float, tuple[np.ndarray, float]] = {}
 
     def q_times(self, gamma: np.ndarray) -> np.ndarray:
@@ -113,9 +115,7 @@ class _System:
         else:
             np.multiply(self.r_band, 1.0 / penalty, out=self.ab)
             self.ab += self.qtq_band
-        # The checks and errors of scipy.linalg.solveh_banded.
-        if self.check_finite and not (np.isfinite(self.ab).all() and np.isfinite(self.qty).all()):
-            raise ValueError("array must not contain infs or NaNs")
+        # The errors of scipy.linalg.solveh_banded.
         _, solved, info = self.pbsv(self.ab, self.qty, lower=0, overwrite_ab=1)
         if info > 0:
             raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")

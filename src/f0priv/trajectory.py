@@ -132,7 +132,7 @@ def validate(traj: F0Trajectory) -> list[str]:
     Reports, never raises: a frame hop below 1e-6 s or infinite, a last frame
     at or beyond ``TIME_MAX_S``, empty contour, non-finite values, negative
     values and voiced values below 40 Hz or above 128 kHz, each with the
-    offending frame index.
+    offending frame index. Value problems come in frame order.
     """
     problems: list[str] = []
     last = (traj.n_frames - 1) * traj.frame_hop
@@ -144,13 +144,13 @@ def validate(traj: F0Trajectory) -> list[str]:
         problems.append("empty trajectory")
         return problems
     values = traj.values
-    finite = np.isfinite(values)
-    for i in np.flatnonzero(~finite):
-        problems.append(f"non-finite at frame {i}")
+    # NaN and +-inf lie outside the range too, so one mask finds every bad frame.
     in_range = (values == 0.0) | ((values >= VOICED_MIN_HZ) & (values <= VOICED_MAX_HZ))
-    for i in np.flatnonzero(finite & ~in_range):
+    for i in np.flatnonzero(~in_range):
         v = values[i]
-        if v < 0.0:
+        if not math.isfinite(v):
+            problems.append(f"non-finite at frame {i}")
+        elif v < 0.0:
             problems.append(f"negative value {v:g} at frame {i}")
         else:
             bound, side = (VOICED_MIN_HZ, "<") if v < VOICED_MIN_HZ else (VOICED_MAX_HZ, ">")

@@ -454,6 +454,37 @@ def read_f0_csv_reference(path):
     return mid, values, path.stem
 
 
+def validate_reference(frame_hop, values):
+    """``trajectory.validate``'s problems, one frame at a time in frame order.
+
+    The hop, last-frame and empty checks come first; then each frame that is
+    neither 0 nor within 40-128000 Hz is named as non-finite, negative or
+    past a bound. A value that :g would print as its bound is printed in full.
+    """
+    problems = []
+    n = len(values)
+    last = (n - 1) * frame_hop
+    if math.isnan(frame_hop) or frame_hop < 1e-6 or frame_hop == math.inf:
+        problems.append(f"frame_hop must be finite and at least 1e-06 s, got {frame_hop}")
+    elif last >= 2.0**31:
+        problems.append(f"last frame must lie before 2147483648 s, got {last} s")
+    if n == 0:
+        return problems + ["empty trajectory"]
+    for i, v in enumerate(values):
+        v = float(v)
+        if math.isnan(v) or math.isinf(v):
+            problems.append(f"non-finite at frame {i}")
+        elif v < 0.0:
+            problems.append(f"negative value {v:g} at frame {i}")
+        elif v < 40.0 and v != 0.0:
+            shown = repr(v) if f"{v:g}" == "40" else f"{v:g}"
+            problems.append(f"voiced value < 40 Hz at frame {i}: {shown}")
+        elif v > 128000.0:
+            shown = repr(v) if f"{v:g}" == "128000" else f"{v:g}"
+            problems.append(f"voiced value > 128000 Hz at frame {i}: {shown}")
+    return problems
+
+
 def stats_reference(frame_hop, values):
     """``trajectory.stats``'s six fields in its field order, by the formula it
     used before it shared one sum of squared deviations between the variance

@@ -129,11 +129,10 @@ def fake_tree(root: Path, marker: str, modifiers_extra: str = "") -> Path:
     package = root / "src" / "f0priv"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
-    (package / "trajectory.py").write_text(f"MARKER = {marker!r}\n")
-    (package / "modifiers.py").write_text(f"from .trajectory import MARKER\n{modifiers_extra}")
-    (package / "spline.py").write_text("from .trajectory import MARKER\n")
-    (package / "evaluation.py").write_text("from .trajectory import MARKER\n")
-    (package / "pitch.py").write_text("from .trajectory import MARKER\n")
+    # A stub for each module load_tree imports; the others import trajectory's marker.
+    for name in bench_layers.MODULES:
+        stub = f"MARKER = {marker!r}\n" if name == "trajectory" else "from .trajectory import MARKER\n"
+        (package / f"{name}.py").write_text(stub + (modifiers_extra if name == "modifiers" else ""))
     return root / "src"
 
 
@@ -142,11 +141,8 @@ class TestLoadTree:
     def test_each_tree_gets_its_own_modules(self, tmp_path):
         srcs = [fake_tree(tmp_path / name, name) for name in ("parent", "change")]
         trees = [bench_layers.load_tree(src) for src in srcs]
-        assert [t["modifiers"].MARKER for t in trees] == ["parent", "change"]
-        assert [t["trajectory"].MARKER for t in trees] == ["parent", "change"]
-        assert [t["spline"].MARKER for t in trees] == ["parent", "change"]
-        assert [t["evaluation"].MARKER for t in trees] == ["parent", "change"]
-        assert [t["pitch"].MARKER for t in trees] == ["parent", "change"]
+        for name in bench_layers.MODULES:
+            assert [t[name].MARKER for t in trees] == ["parent", "change"]
         assert not [name for name in sys.modules if name.startswith("f0priv")]
         assert not {str(src) for src in srcs} & set(sys.path)
 

@@ -141,6 +141,7 @@ class TestExtract:
         # <id>.csv of 256 bytes, in ASCII and in two-byte UTF-8.
         pytest.param("x" * 252, id="256-bytes"),
         pytest.param("\u00e9" * 126, id="256-utf8-bytes"),
+        pytest.param("\ud800", id="surrogate"),
     ])
     def test_recording_id_not_a_plain_name(self, runner, tmp_path, rid):
         rid = rid.format(tmp=tmp_path)
@@ -706,6 +707,13 @@ class TestStats:
         assert result.stderr == f"error: {bad}: invalid trajectory: non-finite at frame 0 (and 2 more)\n"
         data = json.loads(result.stdout)
         assert [r["recording_id"] for r in data] == ["good"]
+
+    def test_earliest_bad_frame_is_named_first(self, runner, tmp_path):
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text("time_s,f0_hz\n0.000000,-5\n0.010000,100\n0.020000,nan\n")
+        result = runner.invoke(cli, ["stats", str(mixed)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {mixed}: invalid trajectory: negative value -5 at frame 0 (and 1 more)\n"
 
     def test_overflowing_values_exit_2_with_valid_json(self, runner, tmp_path):
         good = write_fixture_csv(tmp_path / "good.csv")

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -146,8 +148,9 @@ class TestAgainstScipy:
         assert np.max(np.abs(model.fitted - expected)) <= 1e-9 * np.max(np.abs(y))
 
 
-def fit_counting_solves(x, y, s):
-    """``fit(x, y, s)`` and the number of LAPACK solves it made."""
+@contextlib.contextmanager
+def counting_solves():
+    """A list that gains an entry for each LAPACK solve made in the block."""
     pbsv, solves = _pbsv(), []
 
     def counting(*args, **kwargs):
@@ -156,6 +159,12 @@ def fit_counting_solves(x, y, s):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spline, "_pbsv", lambda: counting)
+        yield solves
+
+
+def fit_counting_solves(x, y, s):
+    """``fit(x, y, s)`` and the number of LAPACK solves it made."""
+    with counting_solves() as solves:
         return fit(x, y, s=s), len(solves)
 
 
@@ -215,12 +224,15 @@ class TestReferenceBitIdentity:
         assert _pbsv() is get_lapack_funcs("pbsv", (np.empty(0),))
 
     def test_non_finite_bands_still_raise(self):
-        # Knots 1e-200 apart make Q^T Q overflow to inf; the banded solve
-        # must refuse it as scipy's validating wrapper did.
+        # Knots 1e-200 apart make Q^T Q overflow to inf; the system must be
+        # refused, before any solve, as scipy's validating wrapper did.
         x = [0.0, 1e-200, 2e-200, 3e-200, 1.0, 2.0]
         y = [100.0, 300.0, 100.0, 300.0, 100.0, 300.0]
-        for solver in (fit, spline_fit_reference):
-            with np.errstate(over="ignore"), pytest.raises(
-                ValueError, match="must not contain infs or NaNs"
-            ):
-                solver(x, y, 1.0)
+        refused = "must not contain infs or NaNs"
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=refused):
+            _System(np.array(x), np.array(y))
+        with np.errstate(over="ignore"), counting_solves() as solves, pytest.raises(ValueError, match=refused):
+            fit(x, y, 1.0)
+        assert solves == []
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=refused):
+            spline_fit_reference(x, y, 1.0)

@@ -23,7 +23,7 @@ from f0priv.trajectory import (
     voiced_mean,
     write_f0_csv,
 )
-from oracles import format_f0_csv_reference, read_f0_csv_reference, stats_reference
+from oracles import format_f0_csv_reference, read_f0_csv_reference, stats_reference, validate_reference
 
 
 class TestValidate:
@@ -75,6 +75,19 @@ class TestValidate:
         assert validate(make_traj([100.0, 0.0, 110.0], hop=TIME_MAX_S / 2)) == [
             "last frame must lie before 2147483648 s, got 2147483648.0 s"]
         assert validate(make_traj([100.0], hop=1e300)) == []  # one frame lies at 0 s
+
+    @given(
+        hop=st.sampled_from([0.0, -0.01, np.nan, np.inf, 1e-7, FRAME_HOP_MIN_S, 0.01, TIME_MAX_S / 2, 1e300]),
+        values=st.lists(st.one_of(
+            st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, -5.0, -1e-300, 39.9999999, 40.0,
+                             VOICED_MAX_HZ, 128000.3, 1e308]),
+            st.floats(VOICED_MIN_HZ, VOICED_MAX_HZ),
+        ), max_size=12),
+    )
+    @example(hop=0.01, values=[-5.0, 100.0, np.nan])
+    def test_matches_the_per_frame_reference(self, hop, values):
+        # Problems come in frame order, whatever mix of kinds a contour holds.
+        assert validate(make_traj(values, hop=hop)) == validate_reference(hop, values)
 
 
 class TestVoicedMean:

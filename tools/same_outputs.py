@@ -15,11 +15,12 @@ values next to the bounds of the F0 range for ``stats`` and ``modify``, a
 corpus whose recordings fail their modification on both sides, tracker
 settings whose longest lag the frame cannot hold, a ``modify`` input inside
 its own ``--out``, ``extract`` manifests with a ``../x``, an empty, a
-NUL-holding and a 252-character recording id, a corpus with absent
-statistics on both sides, a good ``extract`` manifest followed by one with a
-bad split, run configs with an unknown ``modifier`` key for ``modify`` and
-for ``eval`` OO, CSVs with blank lines before a bad row and around good ones,
-a ``1_0`` value, and a WAV of one frame), and then the five demos.
+NUL-holding, a 252-character and a lone-surrogate recording id, a corpus
+with absent statistics on both sides, a good ``extract`` manifest followed
+by one with a bad split, run configs with an unknown ``modifier`` key for
+``modify`` and for ``eval`` OO, CSVs with blank lines before a bad row and
+around good ones, a ``1_0`` value, a CSV with a negative frame before a
+non-finite one, and a WAV of one frame), and then the five demos.
 
 Each run is a fresh interpreter with its tree's ``src/`` on PYTHONPATH. Both
 sides run in the same working directory, one after the other, so the paths
@@ -170,7 +171,8 @@ def edge_runs(root: Path, wavs: list) -> list:
     csv(own / "out" / "x.csv", level)
     csv(own / "y.csv", level[::-1])
     ids = {}  # a manifest whose first id is not a plain file name
-    for name, bad in (("ids", "../x"), ("empty-id", ""), ("nul-id", "a\0b"), ("long-id", "x" * 252)):
+    for name, bad in (("ids", "../x"), ("empty-id", ""), ("nul-id", "a\0b"), ("long-id", "x" * 252),
+                      ("surrogate-id", "\ud800")):
         ids[name] = root / f"{name}.json"
         ids[name].write_text(json.dumps({"entries": [
             {"speaker_id": "s", "recording_id": rid, "split": "trial", "path": wav}
@@ -191,6 +193,7 @@ def edge_runs(root: Path, wavs: list) -> list:
     gaps = root / "gaps.csv"
     gaps.write_text("\n".join(good_rows[:5] + [""] + good_rows[5:]) + "\n\n")
     underscore = csv(root / "underscore.csv", ["1_000.5", "0", "120", "130"])  # float() reads 1_000.5
+    mixed = csv(root / "mixed.csv", ["-5", "100", "nan"])  # a negative frame before a non-finite one
     short = root / "short.wav"  # 400 samples at 16 kHz: one 25 ms frame
     with wave.open(str(short), "wb") as out:
         out.setnchannels(1)
@@ -215,6 +218,7 @@ def edge_runs(root: Path, wavs: list) -> list:
         ("edge-extract-empty-id", ["extract", str(ids["empty-id"]), "--out", "out"], None),
         ("edge-extract-nul-id", ["extract", str(ids["nul-id"]), "--out", "out"], None),
         ("edge-extract-long-id", ["extract", str(ids["long-id"]), "--out", "out"], None),
+        ("edge-extract-surrogate-id", ["extract", str(ids["surrogate-id"]), "--out", "out"], None),
         ("edge-eval-absent-statistics", ["eval", "--manifest", str(sparse), "--scenario", "OO"], None),
         ("edge-extract-bad-split-manifest", ["extract", *map(str, splits), "--out", "out"], None),
         ("edge-modify-unknown-modifier-key", ["modify", str(csv(root / "level.csv", level)), "--config",
@@ -226,6 +230,7 @@ def edge_runs(root: Path, wavs: list) -> list:
         ("edge-modify-blank-lines", ["modify", str(gaps), "--kind", "voiced-flat", "--out", "out"], None),
         ("edge-plot-blank-lines", ["plot", str(gaps), "--out", "plot.svg"], None),
         ("edge-stats-underscore", ["stats", str(underscore)], None),
+        ("edge-stats-mixed-problems", ["stats", str(mixed)], None),
         ("edge-extract-one-frame", ["extract", str(short), "--out", "out"], None),
     ]
 
