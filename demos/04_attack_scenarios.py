@@ -23,7 +23,7 @@ specs = {
     "smoothing-spline": ModifierSpec(kind="smoothing-spline"),
     "modulated-same-1": ModifierSpec(kind="modulated-same-1"),
     "modulated-same-2": ModifierSpec(kind="modulated-same-2"),
-    "modulated-different": ModifierSpec(kind="modulated-different", role="trial"),
+    "modulated-different": ModifierSpec(kind="modulated-different"),
     "random-walk-weak": ModifierSpec(kind="random-walk-weak", seed=1234),
     "random-walk-strong": ModifierSpec(kind="random-walk-strong", seed=1234),
     "shift-and-scale": ModifierSpec(kind="shift-and-scale", target_mean_hz=165.0, target_std_hz=20.0),

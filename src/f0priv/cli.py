@@ -17,7 +17,7 @@ import click
 
 from . import __version__
 from .evaluation import SCENARIOS, Recording, SpeakerCorpus, run_scenario
-from .modifiers import KINDS, ROLES, ModifierSpec, SpecError, apply
+from .modifiers import KINDS, NO_SIDE, ModifierSpec, SpecError, apply
 from .pitch import PitchConfig, extract_f0, read_wav
 from .plotting import trajectory_svg
 from .trajectory import format_f0_csv, read_f0_csv, require_valid, stats, validate
@@ -88,17 +88,14 @@ def _spec_options(command):
     return command
 
 
-def _modifier_spec(config: dict, flags: dict, default_role: str | None = None):
-    """Each spec field from its flag, else the config's ``modifier``;
-    ``default_role`` fills a role given nowhere.
+def _modifier_spec(config: dict, flags: dict):
+    """Each spec field from its flag, else the config's ``modifier``.
 
     Returns None when no kind is given anywhere.
     """
     base = _settings(config, "modifier", flags)
     if base.get("kind") is None:
         return None
-    if base.get("role") is None:
-        base["role"] = default_role
     try:
         return ModifierSpec(**base)
     except SpecError as exc:
@@ -338,7 +335,6 @@ def cmd_extract(inputs, out, config, **flags):
 @cli.command("modify")
 @click.argument("inputs", nargs=-1, required=True)
 @_spec_options
-@click.option("--role", type=click.Choice(ROLES), default=None, help="Dataset role for modulated-different.")
 @click.option("--out", type=click.Path(file_okay=False), default=None, help="Output directory.")
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
 def cmd_modify(inputs, out, config, **flags):
@@ -347,6 +343,8 @@ def cmd_modify(inputs, out, config, **flags):
     spec = _modifier_spec(run_config, flags)
     if spec is None:
         raise click.UsageError("no modifier kind given (use --kind or a config file)")
+    if spec.kind == "modulated-different":
+        raise click.UsageError(NO_SIDE)
     paths = _resolve_inputs(inputs, run_config)
     out_dir = Path(run_config.get("output_dir", ".") if out is None else out)
     jobs = [(None, out_dir / SIDECAR), *((path, out_dir / path.name) for path in paths)]
@@ -398,9 +396,7 @@ def cmd_stats(inputs, out):
 def cmd_eval(manifest, scenario, out, config, **flags):
     """Score a corpus under one attack scenario and report EER/Cllr."""
     run_config = _load_run_config(config, ("modifier", "pitch"))
-    # run_scenario sets the role of each corpus side; "trial" only lets a
-    # modulated-different spec be built.
-    spec = _modifier_spec(run_config, flags, default_role="trial")
+    spec = _modifier_spec(run_config, flags)
     if scenario != "OO" and spec is None:
         raise click.UsageError(f"scenario {scenario} needs a modifier (--kind ...)")
     pitch_cfg = _pitch_config(run_config, {})

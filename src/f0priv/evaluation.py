@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ._scipy import _scipy_extension
-from .modifiers import ModifierSpec, apply
+from .modifiers import SIDE_KINDS, ModifierSpec, apply
 from .trajectory import F0Stats, F0Trajectory, stats
 
 SCENARIOS = ("OO", "OA", "AA")
@@ -321,10 +321,10 @@ def scenario_sides(corpus: SpeakerCorpus, spec: ModifierSpec | None,
     """The (enrollment, trial) recordings one attack scenario scores.
 
     OO returns the corpus recordings unmodified; OA modifies the trial side
-    with role=trial; AA additionally modifies the enrollment side with
-    role=enrollment (so 'modulated-different' uses its two carrier pairs,
-    whichever role its spec was built with). The ValueError it raises names
-    each recording whose modification failed, one per line, trial side first.
+    with ``spec``; AA additionally modifies the enrollment side. A
+    'modulated-different' spec modifies each side with that side's kind in
+    ``SIDE_KINDS``. The ValueError it raises names each recording whose
+    modification failed, one per line, trial side first.
     """
     if scenario not in SCENARIOS:
         raise ScoringError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
@@ -332,15 +332,15 @@ def scenario_sides(corpus: SpeakerCorpus, spec: ModifierSpec | None,
         raise ScoringError(f"scenario {scenario} requires a modifier spec")
     sides = {split: corpus.split(split) for split in ("enrollment", "trial")}
     failures = []
-    for role in {"OO": (), "OA": ("trial",), "AA": ("trial", "enrollment")}[scenario]:
-        role_spec = replace(spec, role=role)
+    for side in {"OO": (), "OA": ("trial",), "AA": ("trial", "enrollment")}[scenario]:
+        side_spec = ModifierSpec(SIDE_KINDS[side]) if spec.kind == "modulated-different" else spec
         modified = []
-        for r in sides[role]:
+        for r in sides[side]:
             try:
-                modified.append(replace(r, trajectory=apply(role_spec, r.trajectory)))
+                modified.append(replace(r, trajectory=apply(side_spec, r.trajectory)))
             except ValueError as exc:
                 failures.append(f"recording {r.recording_id!r}: {exc}")
-        sides[role] = modified
+        sides[side] = modified
     if failures:
         raise ValueError("\n".join(failures))
     return sides["enrollment"], sides["trial"]

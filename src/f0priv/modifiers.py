@@ -20,13 +20,13 @@ from . import spline
 from .trajectory import (VOICED_MAX_HZ, VOICED_MIN_HZ, F0Trajectory, finite_number, require_valid, validate,
                          voiced_mean)
 
-ROLES = ("enrollment", "trial")
-
 # Prime carrier pairs; sums and differences stay inside the 3-50 Hz band
 # where temporal scales correlate most with speaker identity.
 SAME_1_FREQS = (5.0, 11.0)
 SAME_2_FREQS = (3.0, 7.0)
-DIFFERENT_FREQS = {"enrollment": SAME_1_FREQS, "trial": SAME_2_FREQS}
+# modulated-different gives the two sides of a corpus different carrier
+# pairs: each side is modified with its kind here.
+SIDE_KINDS = {"enrollment": "modulated-same-1", "trial": "modulated-same-2"}
 
 WALK_STRENGTHS = {"random-walk-weak": 1, "random-walk-strong": 2}
 
@@ -39,17 +39,15 @@ class SpecError(ValueError):
 class ModifierSpec:
     """Which modification to apply, with its parameters.
 
-    ``role`` is consumed only by ``modulated-different`` (enrollment and
-    trial halves of a corpus get different carrier pairs). ``seed`` is
-    required for the random-walk kinds. ``target_mean_hz``/``target_std_hz``
-    are required for ``shift-and-scale``. Carrier pairs and walk strengths
-    are fixed by the kind; :func:`modulate` and :func:`random_walk_modulate`
-    take other values directly. A spec is checked when it is built, and
-    ``dataclasses.replace`` checks the copy, so every spec is valid.
+    ``seed`` is required for the random-walk kinds, ``target_mean_hz`` and
+    ``target_std_hz`` for ``shift-and-scale``. Carrier pairs and walk
+    strengths are fixed by the kind; :func:`modulate` and
+    :func:`random_walk_modulate` take other values directly. A spec is
+    checked when it is built, and ``dataclasses.replace`` checks the copy,
+    so every spec is valid.
     """
 
     kind: str
-    role: str | None = None
     seed: int | None = None
     target_mean_hz: float | None = None
     target_std_hz: float | None = None
@@ -65,10 +63,6 @@ class ModifierSpec:
             value = getattr(self, name)
             if value is not None and not finite_number(value):
                 raise SpecError(f"{name} must be a finite number, got {value!r}")
-        if self.role is not None and self.role not in ROLES:
-            raise SpecError(f"role must be one of {ROLES}, got {self.role!r}")
-        if self.kind == "modulated-different" and self.role is None:
-            raise SpecError("kind 'modulated-different' requires a role (enrollment or trial)")
         if self.kind in WALK_STRENGTHS:
             if self.seed is None:
                 raise SpecError(f"kind {self.kind!r} requires a seed")
@@ -241,12 +235,15 @@ _TRANSFORMS = {
     "smoothing-spline": lambda spec, traj: smoothing_spline_modifier(traj),
     "modulated-same-1": lambda spec, traj: modulate(traj, *SAME_1_FREQS),
     "modulated-same-2": lambda spec, traj: modulate(traj, *SAME_2_FREQS),
-    "modulated-different": lambda spec, traj: modulate(traj, *DIFFERENT_FREQS[spec.role]),
+    "modulated-different": None,  # a kind of the corpus sides, see SIDE_KINDS
     "random-walk-weak": _walk,
     "random-walk-strong": _walk,
     "shift-and-scale": lambda spec, traj: shift_and_scale(traj, spec.target_mean_hz, spec.target_std_hz),
 }
 KINDS = tuple(_TRANSFORMS)
+NO_SIDE = ("kind 'modulated-different' modifies the two sides of a corpus: "
+           f"{SIDE_KINDS['enrollment']} the enrollment side, {SIDE_KINDS['trial']} the trial side; "
+           "a single contour takes one of those two kinds")
 
 
 def apply(spec: ModifierSpec, traj: F0Trajectory) -> F0Trajectory:
@@ -257,7 +254,11 @@ def apply(spec: ModifierSpec, traj: F0Trajectory) -> F0Trajectory:
     recording gets a unique walk. Input and output are both checked with
     :func:`validate`: a modification that leaves the valid range (a
     modulation of a 100 kHz contour, say) raises ``output failed validation``.
+    A single contour has no corpus side, so ``modulated-different`` raises
+    a ValueError (``NO_SIDE``).
     """
+    if spec.kind == "modulated-different":
+        raise ValueError(NO_SIDE)
     require_valid(validate(traj), "invalid trajectory")
     modified = _TRANSFORMS[spec.kind](spec, traj)
     require_valid(validate(modified), "output failed validation")

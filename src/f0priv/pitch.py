@@ -28,7 +28,7 @@ BLOCK_FRAMES = 64
 
 
 class WavReadError(ValueError):
-    """Raised for files read_wav cannot parse (codec, truncation, structure)."""
+    """Raised for files read_wav cannot parse (codec, truncation, structure); the message omits the path."""
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def _wav_samples(path) -> tuple[int, np.ndarray]:
     raw = Path(path).read_bytes()
     view = memoryview(raw)  # its slices copy nothing
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise WavReadError(f"{path}: not a RIFF/WAVE file")
+        raise WavReadError("not a RIFF/WAVE file")
 
     fmt = None
     data = None
@@ -149,7 +149,7 @@ def _wav_samples(path) -> tuple[int, np.ndarray]:
         (size,) = struct.unpack("<I", raw[pos + 4 : pos + 8])
         body = view[pos + 8 : pos + 8 + size]
         if len(body) < size:
-            raise WavReadError(f"{path}: truncated {chunk_id!r} chunk")
+            raise WavReadError(f"truncated {chunk_id!r} chunk")
         if chunk_id == b"fmt ":
             fmt = _parse_fmt(body)
         elif chunk_id == b"data":
@@ -157,15 +157,15 @@ def _wav_samples(path) -> tuple[int, np.ndarray]:
         pos += 8 + size + (size & 1)  # chunks are padded to even length
 
     if fmt is None:
-        raise WavReadError(f"{path}: missing fmt chunk")
+        raise WavReadError("missing fmt chunk")
     if data is None:
-        raise WavReadError(f"{path}: missing data chunk")
+        raise WavReadError("missing data chunk")
     audio_format, channels, sample_rate, bits = fmt
 
     if not SAMPLE_RATE_RANGE[0] <= sample_rate <= SAMPLE_RATE_RANGE[1]:
-        raise WavReadError(f"{path}: sample rate {sample_rate} outside {SAMPLE_RATE_RANGE}")
+        raise WavReadError(f"sample rate {sample_rate} outside {SAMPLE_RATE_RANGE}")
     if channels not in (1, 2):
-        raise WavReadError(f"{path}: {channels} channels unsupported (mono or stereo only)")
+        raise WavReadError(f"{channels} channels unsupported (mono or stereo only)")
     if (audio_format, bits) == (WAVE_FORMAT_PCM, 16):
         scale = 1.0 / 32768.0
     elif (audio_format, bits) == (WAVE_FORMAT_PCM, 24):
@@ -174,15 +174,15 @@ def _wav_samples(path) -> tuple[int, np.ndarray]:
         scale = None
     else:
         raise WavReadError(
-            f"{path}: unsupported codec (format tag {audio_format}, {bits} bits); "
+            f"unsupported codec (format tag {audio_format}, {bits} bits); "
             "only 16/24-bit PCM and 32-bit IEEE float are readable"
         )
 
     frame_bytes = bits // 8 * channels
     if len(data) == 0:
-        raise WavReadError(f"{path}: zero-length data chunk")
+        raise WavReadError("zero-length data chunk")
     if len(data) % frame_bytes:
-        raise WavReadError(f"{path}: data chunk is not a whole number of frames")
+        raise WavReadError("data chunk is not a whole number of frames")
 
     pcm = _pcm24(data) if bits == 24 else np.frombuffer(data, dtype="<i2" if bits == 16 else "<f4")
     if channels == 2:
@@ -198,7 +198,7 @@ def _wav_samples(path) -> tuple[int, np.ndarray]:
     else:
         bad = np.flatnonzero(~np.isfinite(samples))  # np.clip would keep NaN
         if bad.size:
-            raise WavReadError(f"{path}: non-finite float sample at index {bad[0]}")
+            raise WavReadError(f"non-finite float sample at index {bad[0]}")
         np.clip(samples, -1.0, 1.0, out=samples)
     return sample_rate, samples
 

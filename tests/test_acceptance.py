@@ -108,8 +108,6 @@ def test_c4_post_rule_compliance():
             ModifierSpec(kind="smoothing-spline"),
             ModifierSpec(kind="modulated-same-1"),
             ModifierSpec(kind="modulated-same-2"),
-            ModifierSpec(kind="modulated-different", role="enrollment"),
-            ModifierSpec(kind="modulated-different", role="trial"),
             ModifierSpec(kind="random-walk-weak", seed=11),
             ModifierSpec(kind="random-walk-strong", seed=12),
             ModifierSpec(kind="shift-and-scale", target_mean_hz=45.0, target_std_hz=30.0),

@@ -81,8 +81,11 @@ class TestJudge:
 
 
 def test_every_layer_the_pipeline_runs_is_timed():
-    assert {f"apply.{kind}" for kind in modifiers.KINDS} | {"extract_f0"} <= set(bench_layers.LAYERS)
-    assert list(bench_layers.SPECS) == list(modifiers.KINDS)
+    # Every kind but modulated-different, which modifies a corpus side as one of the others.
+    single_contour = [kind for kind in modifiers.KINDS if kind != "modulated-different"]
+    assert {f"apply.{kind}" for kind in single_contour} | {"extract_f0"} <= set(bench_layers.LAYERS)
+    assert list(bench_layers.SPECS) == single_contour
+    assert set(modifiers.SIDE_KINDS.values()) <= set(single_contour)
     contour = make_traj(120.0 + 10.0 * np.sin(np.arange(60) / 5.0))
     for kind, fields in bench_layers.SPECS.items():
         modifiers.apply(modifiers.ModifierSpec(kind, **fields), contour)  # each kind's required fields are given

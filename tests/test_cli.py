@@ -19,7 +19,7 @@ from f0priv import __version__
 from f0priv import cli as cli_module
 from f0priv.cli import cli
 from f0priv.evaluation import Recording, SpeakerCorpus, run_scenario
-from f0priv.modifiers import ModifierSpec, apply
+from f0priv.modifiers import NO_SIDE, ModifierSpec, apply
 from f0priv.pitch import PitchConfig, extract_f0, read_wav
 from f0priv.trajectory import (
     FRAME_HOP_MIN_S,
@@ -120,6 +120,27 @@ class TestExtract:
         assert result.exit_code == 2
         assert "non-finite float sample at index 4000" in result.stderr
         assert not (out / "nan.csv").exists()
+
+    # wav_bytes writes the RIFF header in bytes 0-11, the 16-byte fmt chunk
+    # in bytes 12-35 and the data chunk from byte 36.
+    @pytest.mark.parametrize("make, reason", [
+        (lambda wav: wav[:12] + b"fmt " + (8).to_bytes(4, "little") + wav[20:28] + wav[36:], "truncated fmt chunk"),
+        (lambda wav: wav[:12] + wav[36:], "missing fmt chunk"),
+        (lambda wav: wav[:36], "missing data chunk"),
+        (lambda wav: wav_bytes(np.zeros(30, dtype=np.int16), channels=3),
+         "3 channels unsupported (mono or stereo only)"),
+        (lambda wav: wav_bytes(np.zeros(11, dtype=np.int16), channels=2), "data chunk is not a whole number of frames"),
+    ], ids=["truncated-fmt", "no-fmt", "no-data", "3-channels", "partial-frame"])
+    def test_wav_refusal_names_the_path_once(self, runner, tmp_path, make, reason):
+        good = write_tone_wav(tmp_path / "good.wav")
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(make(good.read_bytes()))
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["extract", str(bad), str(good), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [f"error: {bad}: {reason}"]
+        assert result.stdout.splitlines() == [f"{good} -> {out / 'good.csv'}"]
+        assert sorted(path.name for path in out.iterdir()) == ["good.csv"]
 
 
     def test_same_name_inputs_refused(self, runner, tmp_path):
@@ -329,7 +350,7 @@ class TestExtract:
         assert sorted(files) == ["w0.csv", "w1.csv", "w3.csv", "w4.csv", "w5.csv", "w6.csv"]
         assert files["w5.csv"].split(b"\n")[2].startswith(b"0.009977,")  # 220 samples at 22,050 Hz
         assert stdout.splitlines() == [f"w{i}.wav -> out/w{i}.csv" for i in (0, 1, 3, 4, 5, 6)]
-        assert stderr.splitlines() == ["error: w2.wav: w2.wav: not a RIFF/WAVE file"]
+        assert stderr.splitlines() == ["error: w2.wav: not a RIFF/WAVE file"]
 
     @pytest.mark.parametrize(
         "affinity, cpu_count, n_wavs, workers",
@@ -458,7 +479,6 @@ class TestModify:
             f'  "tool_version": "{__version__}",\n'
             '  "spec": {\n'
             '    "kind": "random-walk-weak",\n'
-            '    "role": null,\n'
             '    "seed": 5,\n'
             '    "target_mean_hz": null,\n'
             '    "target_std_hz": null\n'
@@ -469,13 +489,24 @@ class TestModify:
             "}\n"
         )
 
-    def test_modulated_different_requires_role(self, runner, tmp_path):
+    def test_modulated_different_is_refused(self, runner, tmp_path):
+        # A single contour has no corpus side, so modify refuses the kind
+        # before it reads or writes anything.
         src = write_fixture_csv(tmp_path / "fix.csv")
-        result = runner.invoke(
-            cli, ["modify", str(src), "--kind", "modulated-different", "--out", str(tmp_path / "o")]
-        )
+        out = tmp_path / "o"
+        result = runner.invoke(cli, ["modify", str(src), "--kind", "modulated-different", "--out", str(out)])
         assert result.exit_code == 2
-        assert "role" in result.output
+        assert result.stdout == ""
+        assert result.stderr == usage_error("modify", NO_SIDE)
+        assert not out.exists()
+
+    def test_role_is_an_unknown_modifier_key(self, runner, tmp_path):
+        src = write_fixture_csv(tmp_path / "fix.csv")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"modifier": {"kind": "modulated-same-2", "role": "trial"}}))
+        result = runner.invoke(cli, ["modify", str(src), "--config", str(config), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.stderr == usage_error("modify", f"config {config}: unknown modifier keys ['role']")
 
     def test_byte_identical_across_runs(self, runner, tmp_path):
         rng = np.random.default_rng(0)
@@ -708,6 +739,15 @@ class TestStats:
         data = json.loads(result.stdout)
         assert [r["recording_id"] for r in data] == ["good"]
 
+    def test_empty_file_has_no_header(self, runner, tmp_path):
+        good = write_fixture_csv(tmp_path / "good.csv")
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        result = runner.invoke(cli, ["stats", str(empty), str(good)])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {empty}: line 1: missing header\n"
+        assert [r["recording_id"] for r in json.loads(result.stdout)] == ["good"]
+
     def test_earliest_bad_frame_is_named_first(self, runner, tmp_path):
         mixed = tmp_path / "mixed.csv"
         mixed.write_text("time_s,f0_hz\n0.000000,-5\n0.010000,100\n0.020000,nan\n")
@@ -808,7 +848,7 @@ class TestEval:
         assert 0.0 <= report["eer_percent"] <= 50.0
 
     def test_modulated_different_needs_no_role_flag(self, runner, tmp_path):
-        # Roles are assigned per corpus side by the scenario runner.
+        # The scenario runner modifies each corpus side with that side's kind.
         manifest = build_eval_manifest(tmp_path)
         result = runner.invoke(
             cli,
@@ -1132,7 +1172,7 @@ class TestFailedInputs:
         result = runner.invoke(cli, [command, *args])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-        malformed = (f"{bad}: not a RIFF/WAVE file" if command == "extract"
+        malformed = ("not a RIFF/WAVE file" if command == "extract"
                      else "line 1: expected header 'time_s,f0_hz', got 'time,f0'")
         assert result.stderr.splitlines() == [f"error: {missing}: path does not exist",
                                               f"error: {bad}: {malformed}"]
@@ -1250,8 +1290,7 @@ class TestContract:
         assert options == {
             "extract": ["--config", "--f-max", "--f-min", "--frame-hop", "--frame-len", "--out",
                         "--voicing-threshold"],
-            "modify": ["--config", "--kind", "--out", "--role", "--seed", "--target-mean",
-                       "--target-std"],
+            "modify": ["--config", "--kind", "--out", "--seed", "--target-mean", "--target-std"],
             "stats": ["--out"],
             "eval": ["--config", "--kind", "--manifest", "--out", "--scenario", "--seed",
                      "--target-mean", "--target-std"],

@@ -23,7 +23,7 @@ from f0priv.evaluation import (
     scenario_sides,
     score_corpus,
 )
-from f0priv.modifiers import KINDS, ModifierSpec, apply
+from f0priv.modifiers import KINDS, SIDE_KINDS, ModifierSpec, apply
 from f0priv.synth import speaker_corpus
 from f0priv.trajectory import F0Stats, stats
 from oracles import (
@@ -451,10 +451,13 @@ class TestScenarios:
         assert a.to_json() == b.to_json()
 
     def test_modulated_different_uses_roles(self, corpus):
-        # run_scenario replaces the role the spec was built with.
-        spec = ModifierSpec(kind="modulated-different", role="trial")
-        report = run_scenario(corpus, spec, "AA")
-        assert report.n_target > 0
+        # Each side is modified with its kind: enrollment modulated-same-1, trial modulated-same-2.
+        enroll, trials = scenario_sides(corpus, ModifierSpec(kind="modulated-different"), "AA")
+        for side, modified in (("enrollment", enroll), ("trial", trials)):
+            expected = [apply(ModifierSpec(SIDE_KINDS[side]), r.trajectory) for r in corpus.split(side)]
+            assert [r.trajectory.values.tobytes() for r in modified] == [e.values.tobytes() for e in expected]
+        assert SIDE_KINDS == {"enrollment": "modulated-same-1", "trial": "modulated-same-2"}
+        assert run_scenario(corpus, ModifierSpec(kind="modulated-different"), "AA").n_target > 0
 
     def test_scenario_validation(self, corpus):
         with pytest.raises(ScoringError, match="scenario"):
@@ -473,7 +476,7 @@ class TestScenarios:
     @pytest.mark.parametrize("kind", KINDS)
     def test_oa_trial_side_is_the_aa_trial_side(self, corpus, kind):
         targets = {"target_mean_hz": 180.0, "target_std_hz": 25.0} if kind == "shift-and-scale" else {}
-        spec = ModifierSpec(kind, role="enrollment", seed=11, **targets)
+        spec = ModifierSpec(kind, seed=11, **targets)
         oa_enroll, oa_trials = scenario_sides(corpus, spec, "OA")
         aa_enroll, aa_trials = scenario_sides(corpus, spec, "AA")
         assert oa_enroll == corpus.split("enrollment")
@@ -481,8 +484,9 @@ class TestScenarios:
         assert [r.recording_id for r in aa_trials] == [r.recording_id for r in corpus.split("trial")]
         for oa, aa, original in zip(oa_trials, aa_trials, corpus.split("trial")):
             assert oa.trajectory.values.tobytes() == aa.trajectory.values.tobytes()
-            # Modified with role=trial, whichever role the spec was built with.
-            expected = apply(ModifierSpec(kind, role="trial", seed=11, **targets), original.trajectory)
+            # modulated-different modifies the trial side as that side's kind.
+            trial_kind = SIDE_KINDS["trial"] if kind == "modulated-different" else kind
+            expected = apply(ModifierSpec(trial_kind, seed=11, **targets), original.trajectory)
             assert aa.trajectory.values.tobytes() == expected.values.tobytes()
 
     def test_every_failing_recording_is_named(self):

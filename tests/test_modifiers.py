@@ -11,6 +11,8 @@ from conftest import make_traj
 from f0priv.evaluation import SCENARIOS, Recording, SpeakerCorpus, run_scenario
 from f0priv.modifiers import (
     KINDS,
+    NO_SIDE,
+    SIDE_KINDS,
     ModifierSpec,
     SpecError,
     apply,
@@ -48,9 +50,9 @@ def random_valid_traj(rng, n=None, low=60.0, high=320.0, rid="r"):
 
 
 def spec_for(kind, rid_seed=7):
+    if kind == "modulated-different":  # as it modifies the trial side
+        kind = SIDE_KINDS["trial"]
     extra = {}
-    if kind == "modulated-different":
-        extra["role"] = "trial"
     if kind.startswith("random-walk"):
         extra["seed"] = rid_seed
     if kind == "shift-and-scale":
@@ -143,11 +145,17 @@ class TestModulate:
         with pytest.raises(ValueError):
             modulate(make_traj([0.0, 0.0]), 5.0, 11.0)
 
-    def test_role_selects_frequency_pair(self, traj_fixture):
-        enroll = apply(ModifierSpec(kind="modulated-different", role="enrollment"), traj_fixture)
-        trial = apply(ModifierSpec(kind="modulated-different", role="trial"), traj_fixture)
-        assert np.array_equal(enroll.values, modulate(traj_fixture, 5.0, 11.0).values)
-        assert np.array_equal(trial.values, modulate(traj_fixture, 3.0, 7.0).values)
+    def test_modulated_different_needs_a_corpus_side(self, traj_fixture):
+        # Each side's kind carries its own pair; a single contour has no side.
+        assert {side: apply(ModifierSpec(kind), traj_fixture).values.tolist()
+                for side, kind in SIDE_KINDS.items()} == {
+            "enrollment": modulate(traj_fixture, 5.0, 11.0).values.tolist(),
+            "trial": modulate(traj_fixture, 3.0, 7.0).values.tolist()}
+        with pytest.raises(ValueError) as raised:
+            apply(ModifierSpec(kind="modulated-different"), traj_fixture)
+        assert str(raised.value) == NO_SIDE == (
+            "kind 'modulated-different' modifies the two sides of a corpus: modulated-same-1 the enrollment "
+            "side, modulated-same-2 the trial side; a single contour takes one of those two kinds")
 
 
 class TestWalk:
@@ -229,6 +237,28 @@ class TestSmoothingSpline:
     def test_too_few_voiced(self):
         with pytest.raises(ValueError, match="4 voiced"):
             smoothing_spline_modifier(make_traj([0.0, 100.0, 110.0, 120.0, 0.0]))
+
+
+class TestArgumentChecks:
+    """Each library call refuses arguments outside its domain with its own message."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: shift_and_scale(make_traj([100.0, 120.0]), 0.0, 20.0), "targets must be positive"),
+        (lambda: shift_and_scale(make_traj([100.0, 120.0]), 200.0, -1.0), "targets must be positive"),
+        (lambda: invert_shift_and_scale(make_traj([100.0, 120.0]), -5.0, 20.0),
+         "source statistics must be positive"),
+        (lambda: invert_shift_and_scale(make_traj([100.0, 120.0]), 150.0, 0.0),
+         "source statistics must be positive"),
+        (lambda: shift_and_scale(make_traj([0.0, 120.0, 0.0]), 200.0, 20.0),
+         "shift-and-scale needs at least 2 voiced frames"),
+        (lambda: generate_walk(0, 1), "walk length must be >= 1"),
+        (lambda: random_walk_modulate(make_traj([100.0, 120.0]), 3, 1), "strength must be 1 or 2, got 3"),
+    ], ids=["shift-zero-mean", "shift-negative-std", "invert-negative-mean", "invert-zero-std",
+            "shift-one-voiced-frame", "walk-length-0", "walk-strength-3"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 class TestShiftAndScale:
@@ -338,9 +368,11 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="unknown kind"):
             ModifierSpec(kind="reverse")
 
-    def test_different_requires_role(self):
-        with pytest.raises(SpecError, match="requires a role"):
-            ModifierSpec(kind="modulated-different")
+    def test_different_builds_without_a_role(self):
+        # Its carriers come from the corpus side it modifies, not from the spec.
+        spec = ModifierSpec(kind="modulated-different")
+        assert dataclasses.asdict(spec) == {"kind": "modulated-different", "seed": None,
+                                            "target_mean_hz": None, "target_std_hz": None}
 
     def test_walk_requires_seed(self):
         with pytest.raises(SpecError, match="requires a seed"):
@@ -360,8 +392,9 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("start, change, message", [
         (dict(kind="voiced-flat"), dict(kind="reverse"), "unknown kind 'reverse'"),
-        (dict(kind="modulated-different", role="trial"), dict(role=None), "requires a role"),
-        (dict(kind="modulated-different", role="trial"), dict(role="test"), "role must be one of"),
+        (dict(kind="shift-and-scale", target_mean_hz=150.0, target_std_hz=20.0), dict(target_mean_hz=np.nan),
+         "target_mean_hz must be a finite number"),
+        (dict(kind="random-walk-weak", seed=1), dict(seed=None), "kind 'random-walk-weak' requires a seed"),
         (dict(kind="random-walk-weak", seed=1), dict(seed=2**64), "64 unsigned bits"),
         (dict(kind="random-walk-weak", seed=1), dict(seed=True), "seed must be an integer"),
         (dict(kind="shift-and-scale", target_mean_hz=150.0, target_std_hz=20.0), dict(target_std_hz=0.0),
@@ -393,9 +426,9 @@ def valid_contours(draw):
 
 @st.composite
 def specs(draw, kind):
+    if kind == "modulated-different":  # as it modifies either side
+        kind = SIDE_KINDS[draw(st.sampled_from(list(SIDE_KINDS)))]
     fields = {}
-    if kind == "modulated-different":
-        fields["role"] = draw(st.sampled_from(["enrollment", "trial"]))
     if kind.startswith("random-walk"):
         fields["seed"] = draw(st.integers(0, 2**64 - 1))
     if kind == "shift-and-scale":
@@ -483,7 +516,7 @@ def range_contours(draw):
 def range_specs(draw, kind):
     """Valid specs; shift-and-scale targets anywhere up to ``VOICED_MAX_HZ``."""
     target = st.one_of(st.just(VOICED_MAX_HZ), st.floats(0.0, VOICED_MAX_HZ, exclude_min=True))
-    fields = {"role": draw(st.sampled_from(["enrollment", "trial"]))}
+    fields = {}
     if kind.startswith("random-walk"):
         fields["seed"] = draw(st.integers(0, 2**64 - 1))
     if kind == "shift-and-scale":
@@ -505,6 +538,8 @@ class TestValidRangeArithmetic:
     @settings(deadline=None, max_examples=30)
     @given(data=st.data(), traj=range_contours())
     def test_apply_and_stats(self, kind, data, traj):
+        if kind == "modulated-different":  # as it modifies either side
+            kind = SIDE_KINDS[data.draw(st.sampled_from(list(SIDE_KINDS)))]
         spec = data.draw(range_specs(kind))
         with np.errstate(over="raise", invalid="raise"):
             assert all(np.isfinite(v) for v in stats(traj).to_dict().values())

@@ -99,6 +99,16 @@ class TestErrors:
         with pytest.raises(ValueError):
             fit([0, 1, 2, 3], [1, 2, 3])
 
+    # A NaN abscissa passes the increasing-order check: NaN compares false.
+    @pytest.mark.parametrize("x, y", [
+        ([0, 1, 2, 3], [1, np.nan, 3, 4]),
+        ([0, 1, 2, 3], [1, 2, np.inf, 4]),
+        ([0, 1, 2, np.nan], [1, 2, 3, 4]),
+    ], ids=["nan-y", "inf-y", "nan-x"])
+    def test_non_finite_input(self, x, y):
+        with pytest.raises(ValueError, match="^non-finite input$"):
+            fit(x, y)
+
     def test_nan_residual_stops_the_root_search(self, monkeypatch):
         # As scipy.optimize.brentq does, a NaN residual raises rather than
         # steering the search. Residuals are NaN well above the search start

@@ -245,6 +245,12 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="header"):
             read_f0_csv(path)
 
+    def test_empty_file_has_no_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.raises(CsvFormatError, match="^line 1: missing header$"):
+            read_f0_csv(path)
+
     def test_non_numeric_with_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time_s,f0_hz\n0.010,not_a_number\n")

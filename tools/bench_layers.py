@@ -61,15 +61,15 @@ PROCESSES = 6
 ROUNDS = 24
 TIMED_FILES = 200  # of make_corpus's 1,200 CSVs
 TIMED_WAVS = 3  # of make_wavs's 24 WAVs; the first 20 are 16 kHz mono
-# Each modifier kind's ModifierSpec fields beyond its kind: the flags of
-# tools/same_outputs.py's KIND_FLAGS.
+# Each kind a single contour takes (all but modulated-different, a kind of
+# the corpus sides), with its ModifierSpec fields beyond the kind: the flags
+# of tools/same_outputs.py's KIND_FLAGS.
 SPECS = {
     "voiced-flat": {},
     "all-flat": {},
     "smoothing-spline": {},
     "modulated-same-1": {},
     "modulated-same-2": {},
-    "modulated-different": {"role": "trial"},
     "random-walk-weak": {"seed": 7},
     "random-walk-strong": {"seed": 7},
     "shift-and-scale": {"target_mean_hz": 165.0, "target_std_hz": 20.0},

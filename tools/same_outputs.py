@@ -6,9 +6,10 @@ PARENT_DIR and CHANGE_DIR are checkout roots. The inputs come from the
 parent's ``perfbench/inputs.py``:
 
 - ``make_wavs`` at WAV_SEED: ``extract``;
-- ``make_corpus`` per seed: ``modify`` of every CSV with each of the nine
-  kinds, ``stats`` to a file and to stdout, ``eval`` OO, OA
-  ``random-walk-strong`` and AA ``smoothing-spline``, and ``plot``.
+- ``make_corpus`` per seed: ``modify`` of every CSV with each of the eight
+  kinds a single contour takes, ``stats`` to a file and to stdout, ``eval``
+  OO, OA ``random-walk-strong``, AA ``smoothing-spline``, OA and AA
+  ``modulated-different``, and ``plot``.
 
 Hand-made inputs at the edges of the valid input follow (a one-row CSV,
 values next to the bounds of the F0 range for ``stats`` and ``modify``, a
@@ -20,7 +21,9 @@ with absent statistics on both sides, a good ``extract`` manifest followed
 by one with a bad split, run configs with an unknown ``modifier`` key for
 ``modify`` and for ``eval`` OO, CSVs with blank lines before a bad row and
 around good ones, a ``1_0`` value, a CSV with a negative frame before a
-non-finite one, and a WAV of one frame), and then the five demos.
+non-finite one, a WAV of one frame, a ``.wav`` file that is no WAV before
+a good one, and ``modify --kind modulated-different``, which a single
+contour cannot take), and then the five demos.
 
 Each run is a fresh interpreter with its tree's ``src/`` on PYTHONPATH. Both
 sides run in the same working directory, one after the other, so the paths
@@ -42,14 +45,13 @@ import wave
 from pathlib import Path
 
 CLI = ["-c", "from f0priv.cli import main; main()"]
-# The flags each kind needs beyond --kind.
+# The flags each kind that a single contour takes needs beyond --kind.
 KIND_FLAGS = {
     "voiced-flat": [],
     "all-flat": [],
     "smoothing-spline": [],
     "modulated-same-1": [],
     "modulated-same-2": [],
-    "modulated-different": ["--role", "trial"],
     "random-walk-weak": ["--seed", "7"],
     "random-walk-strong": ["--seed", "7"],
     "shift-and-scale": ["--target-mean", "165", "--target-std", "20"],
@@ -200,6 +202,9 @@ def edge_runs(root: Path, wavs: list) -> list:
         out.setsampwidth(2)
         out.setframerate(16000)
         out.writeframes(bytes(800))
+    level_csv = csv(root / "level.csv", level)
+    not_wav = root / "not.wav"
+    not_wav.write_bytes(b"RIFX not a wave file")
     configs = {}
     for name, modifier in (("modify", {"kind": "voiced-flat", "gain": 2}), ("eval", {"gain": 2})):
         configs[name] = root / f"{name}-unknown-key.json"
@@ -221,7 +226,7 @@ def edge_runs(root: Path, wavs: list) -> list:
         ("edge-extract-surrogate-id", ["extract", str(ids["surrogate-id"]), "--out", "out"], None),
         ("edge-eval-absent-statistics", ["eval", "--manifest", str(sparse), "--scenario", "OO"], None),
         ("edge-extract-bad-split-manifest", ["extract", *map(str, splits), "--out", "out"], None),
-        ("edge-modify-unknown-modifier-key", ["modify", str(csv(root / "level.csv", level)), "--config",
+        ("edge-modify-unknown-modifier-key", ["modify", str(level_csv), "--config",
                                               str(configs["modify"]), "--out", "out"], None),
         ("edge-eval-OO-unknown-modifier-key", ["eval", "--manifest", str(manifest), "--scenario", "OO",
                                                "--config", str(configs["eval"])], None),
@@ -232,6 +237,9 @@ def edge_runs(root: Path, wavs: list) -> list:
         ("edge-stats-underscore", ["stats", str(underscore)], None),
         ("edge-stats-mixed-problems", ["stats", str(mixed)], None),
         ("edge-extract-one-frame", ["extract", str(short), "--out", "out"], None),
+        ("edge-extract-not-a-wav", ["extract", str(not_wav), wavs[0], "--out", "out"], None),
+        ("edge-modify-modulated-different", ["modify", str(level_csv), "--kind",
+                                             "modulated-different", "--out", "out"], None),
     ]
 
 
@@ -248,6 +256,9 @@ def corpus_runs(corpus) -> list:
         ("eval-OA-walk", ["eval", "--manifest", manifest, "--scenario", "OA", "--kind", "random-walk-strong",
                           "--seed", "7", "--out", "report.json"]),
         ("eval-AA-spline", ["eval", "--manifest", manifest, "--scenario", "AA", "--kind", "smoothing-spline"]),
+        *((f"eval-{scenario}-different", ["eval", "--manifest", manifest, "--scenario", scenario,
+                                          "--kind", "modulated-different", "--out", "report.json"])
+          for scenario in ("OA", "AA")),
         ("plot", ["plot", *paths[:6], "--out", "plot.svg"]),
     ]
 
