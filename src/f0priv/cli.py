@@ -22,12 +22,8 @@ from .pitch import PitchConfig, extract_f0, read_wav
 from .plotting import trajectory_svg
 from .trajectory import format_f0_csv, read_f0_csv, require_valid, stats, validate
 
-RUN_CONFIG_TYPES = {
-    "modifier": (dict, "an object"),
-    "pitch": (dict, "an object"),
-    "input_dir": (str, "a string"),
-    "output_dir": (str, "a string"),
-}
+# The run config's keys, each an object of its settings class's fields.
+RUN_CONFIG = {"modifier": ModifierSpec, "pitch": PitchConfig}
 SIDECAR = "sidecar.json"  # written by modify next to its outputs
 
 
@@ -48,10 +44,10 @@ def _load_run_config(path, keys: tuple[str, ...]) -> dict:
     unknown = set(data) - set(keys)
     if unknown:
         raise click.UsageError(f"config {path}: unknown keys {sorted(unknown)}")
-    for key, (kind, noun) in RUN_CONFIG_TYPES.items():
-        if key in data and not isinstance(data[key], kind):
-            raise click.UsageError(f"config {path}: {key!r} must be {noun}")
-    for key, settings in (("modifier", ModifierSpec), ("pitch", PitchConfig)):
+    for key in RUN_CONFIG:
+        if not isinstance(data.get(key, {}), dict):
+            raise click.UsageError(f"config {path}: {key!r} must be an object")
+    for key, settings in RUN_CONFIG.items():
         bad = data.get(key, {}).keys() - {field.name for field in dataclasses.fields(settings)}
         if bad:
             raise click.UsageError(f"config {path}: unknown {key} keys {sorted(bad)}")
@@ -154,7 +150,12 @@ def _each(step, jobs):
         try:
             result = step(*job)
         except (OSError, ValueError) as exc:
-            reason = "path does not exist" if isinstance(exc, FileNotFoundError) else exc
+            if isinstance(exc, FileNotFoundError):
+                reason = "path does not exist"
+            elif isinstance(exc, OSError) and exc.filename == os.fspath(job[0]):
+                reason = exc.strerror  # the OS message would name the path again
+            else:
+                reason = exc
             click.echo(f"error: {job[0]}: {reason}", err=True)
             meta[FAILED_INPUTS] = meta.get(FAILED_INPUTS, 0) + 1
             continue
@@ -211,11 +212,6 @@ def _plan_writes(jobs, out_dir: Path | None = None) -> None:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             _refuse([f"cannot create output directory {out_dir}: {exc.strerror}"])
-
-
-def _resolve_inputs(inputs, config: dict) -> list[Path]:
-    # An absolute input replaces the config's input_dir.
-    return [Path(config.get("input_dir", ""), item) for item in inputs]
 
 
 def _read_valid(path, recording_id: str | None = None):
@@ -280,7 +276,7 @@ def _exit_on_failed_inputs(_result):
 
 @cli.command("extract")
 @click.argument("inputs", nargs=-1, required=True)
-@click.option("--out", type=click.Path(file_okay=False), default=None, help="Output directory.")
+@click.option("--out", type=click.Path(file_okay=False), default=".", help="Output directory.")
 @click.option("--frame-len", type=float, default=None, help="Analysis window in seconds.")
 @click.option("--frame-hop", type=float, default=None, help="Hop between frames in seconds.")
 @click.option("--f-min", type=float, default=None, help="Lowest trackable F0 in Hz.")
@@ -289,18 +285,18 @@ def _exit_on_failed_inputs(_result):
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
 def cmd_extract(inputs, out, config, **flags):
     """Extract F0 trajectories from WAV files (or a manifest) to CSV."""
-    run_config = _load_run_config(config, ("pitch", "input_dir", "output_dir"))
+    run_config = _load_run_config(config, ("pitch",))
     pitch_cfg = _pitch_config(run_config, flags)
     jobs: list[tuple[Path, str]] = []  # (wav path, recording id)
     reads = [config] if config else []  # read, never written
-    for path in _resolve_inputs(inputs, run_config):
+    for path in map(Path, inputs):
         if path.suffix.lower() == ".json":
             reads.append(path)
             for entry in _load_manifest(path):
                 jobs.append((entry["path"], entry["recording_id"]))
         else:
             jobs.append((path, path.stem))
-    out_dir = Path(run_config.get("output_dir", ".") if out is None else out)
+    out_dir = Path(out)
     # <id>.csv must name a file of out_dir: no directory part, no NUL byte,
     # no lone surrogate (U+D800-U+DFFF, which UTF-8 cannot encode), and at
     # most 255 bytes in UTF-8, the most file systems take.
@@ -335,18 +331,18 @@ def cmd_extract(inputs, out, config, **flags):
 @cli.command("modify")
 @click.argument("inputs", nargs=-1, required=True)
 @_spec_options
-@click.option("--out", type=click.Path(file_okay=False), default=None, help="Output directory.")
+@click.option("--out", type=click.Path(file_okay=False), default=".", help="Output directory.")
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
 def cmd_modify(inputs, out, config, **flags):
     """Apply one modification to trajectory CSV files."""
-    run_config = _load_run_config(config, ("modifier", "input_dir", "output_dir"))
+    run_config = _load_run_config(config, ("modifier",))
     spec = _modifier_spec(run_config, flags)
     if spec is None:
         raise click.UsageError("no modifier kind given (use --kind or a config file)")
     if spec.kind == "modulated-different":
         raise click.UsageError(NO_SIDE)
-    paths = _resolve_inputs(inputs, run_config)
-    out_dir = Path(run_config.get("output_dir", ".") if out is None else out)
+    paths = [Path(item) for item in inputs]
+    out_dir = Path(out)
     jobs = [(None, out_dir / SIDECAR), *((path, out_dir / path.name) for path in paths)]
     _plan_writes(jobs + ([(config, None)] if config else []), out_dir)
 

@@ -580,23 +580,6 @@ class TestModify:
         assert {path: path.read_bytes() for path in before} == before
         assert [p.name for p in out.iterdir()] == ["a.csv"]
 
-    def test_input_dir_joins_relative_inputs_only(self, runner, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        for folder in ("sub", "elsewhere"):
-            (tmp_path / folder).mkdir()
-        write_fixture_csv(tmp_path / "sub" / "x.csv")
-        absolute = write_fixture_csv(tmp_path / "elsewhere" / "a0.csv")
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"input_dir": "sub"}))
-        result = runner.invoke(
-            cli, ["modify", "x.csv", str(absolute), "--config", str(config), "--kind", "voiced-flat",
-                  "--out", "o"]
-        )
-        assert result.exit_code == 0
-        assert result.stdout == f"sub/x.csv -> o/x.csv\n{absolute} -> o/a0.csv\n"
-        assert result.stderr == ""
-        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["a0.csv", "sidecar.json", "x.csv"]
-
     def test_no_kind_is_exit_2(self, runner, tmp_path):
         src = write_fixture_csv(tmp_path / "fix.csv")
         out = tmp_path / "out"
@@ -1188,6 +1171,21 @@ class TestFailedInputs:
             assert result.stdout == ""
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["extract", "modify", "stats", "eval", "plot"])
+    def test_directory_input_names_the_path_once(self, runner, tmp_path, command):
+        if command == "eval":
+            args = ["--manifest", str(build_eval_manifest(tmp_path)), "--scenario", "OO"]
+            folder = tmp_path / "s1r0.csv"
+            folder.unlink()
+        else:
+            folder = tmp_path / ("x.wav" if command == "extract" else "x.csv")
+            args = [str(folder), "--out", str(tmp_path / "out")]
+            args += ["--kind", "voiced-flat"] if command == "modify" else []
+        folder.mkdir()
+        result = runner.invoke(cli, [command, *args])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {folder}: Is a directory\n"
+
     @pytest.mark.parametrize("command, message", [
         ("modify", "output failed validation: voiced value > 128000 Hz at frame 1: 256000 (and 149 more)"),
         ("stats", "invalid trajectory: non-finite at frame 1 (and 149 more)"),
@@ -1224,8 +1222,8 @@ class TestContract:
             # walk strength, and the seed belongs to the modifier.
             ("modify", {"modifier": {"kind": "random-walk-weak", "seed": 1, "strength": 2}}),  # unknown key
             ("extract", {"pitch": {"f_min": "x"}}),
-            ("modify", {"modifier": {"kind": "voiced-flat"}, "input_dir": 5}),
-            ("extract", {"output_dir": ["out"]}),
+            ("modify", {"modifier": ["voiced-flat"]}),
+            ("extract", {"pitch": None}),
             ("modify", {"modifier": {"kind": "modulated-same-1", "f1_hz": 4, "f2_hz": 9}}),  # unknown key
             ("modify", {"modifier": {"kind": "random-walk-weak"}, "seed": 1}),  # unknown key
             ("extract", {"pitch": {"frame_len": float("inf")}}),
@@ -1256,6 +1254,10 @@ class TestContract:
         ("eval", {"output_dir": "reports", "input_dir": "nowhere"}, ["input_dir", "output_dir"]),
         ("modify", {"modifier": {"kind": "voiced-flat"}, "pitch": {"f_min": 1e-3}}, ["pitch"]),
         ("extract", {"modifier": {"kind": "voiced-flat"}}, ["modifier"]),
+        # No command reads a path from the config: inputs are named as
+        # arguments and the output directory by --out.
+        ("extract", {"input_dir": "sub"}, ["input_dir"]),
+        ("modify", {"modifier": {"kind": "voiced-flat"}, "output_dir": "o"}, ["output_dir"]),
     ])
     def test_config_key_the_command_does_not_read_is_exit_2(self, runner, tmp_path, command, config, unknown):
         path = tmp_path / "run.json"
@@ -1302,20 +1304,13 @@ class TestContract:
         assert envvars == set()
 
     @pytest.mark.parametrize("command", ["extract", "modify"])
-    @pytest.mark.parametrize("how", ["config", "flag"])
-    def test_output_dir_not_creatable_is_exit_2(self, runner, tmp_path, command, how):
+    def test_output_dir_not_creatable_is_exit_2(self, runner, tmp_path, command):
         if command == "extract":
             args = [command, str(write_tone_wav(tmp_path / "tone.wav"))]
         else:
             args = [command, str(write_fixture_csv(tmp_path / "fix.csv")), "--kind", "voiced-flat"]
         afile = write_fixture_csv(tmp_path / "afile")
-        if how == "config":
-            config = tmp_path / "run.json"
-            config.write_text(json.dumps({"output_dir": str(afile)}))
-            args += ["--config", str(config)]
-        else:
-            args += ["--out", str(afile / "sub")]
-        result = runner.invoke(cli, args)
+        result = runner.invoke(cli, [*args, "--out", str(afile / "sub")])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "error: cannot create output directory" in result.stderr

@@ -127,6 +127,19 @@ class TestErrors:
             fit(x, y, s=s)
         assert str(raised.value) == message
 
+    # The errors scipy.linalg.solveh_banded raises for LAPACK's ``info``.
+    @pytest.mark.parametrize("info, error, message", [
+        (2, np.linalg.LinAlgError, "2th leading minor not positive definite"),
+        (-3, ValueError, "illegal value in 3th argument of internal pbsv"),
+    ], ids=["not-positive-definite", "illegal-argument"])
+    def test_lapack_failure_is_raised(self, monkeypatch, info, error, message):
+        monkeypatch.setattr(spline, "_pbsv", lambda: lambda ab, b, **_: (ab, b, info))
+        x, y = uneven(50, seed=1)
+        with pytest.raises(ValueError) as raised:
+            fit(x, y)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
     def test_unbracketable_target_is_a_value_error(self):
         # Values near 1e300 Hz: no penalty in range brings the residual to the target.
         x = np.arange(8) * 0.01

@@ -22,8 +22,10 @@ by one with a bad split, run configs with an unknown ``modifier`` key for
 ``modify`` and for ``eval`` OO, CSVs with blank lines before a bad row and
 around good ones, a ``1_0`` value, a CSV with a negative frame before a
 non-finite one, a WAV of one frame, a ``.wav`` file that is no WAV before
-a good one, and ``modify --kind modulated-different``, which a single
-contour cannot take), and then the five demos.
+a good one, ``modify --kind modulated-different``, which a single contour
+cannot take, run configs with an ``input_dir`` for ``extract`` and an
+``output_dir`` for ``modify``, and a directory given to ``stats``), and
+then the five demos.
 
 Each run is a fresh interpreter with its tree's ``src/`` on PYTHONPATH. Both
 sides run in the same working directory, one after the other, so the paths
@@ -209,6 +211,15 @@ def edge_runs(root: Path, wavs: list) -> list:
     for name, modifier in (("modify", {"kind": "voiced-flat", "gain": 2}), ("eval", {"gain": 2})):
         configs[name] = root / f"{name}-unknown-key.json"
         configs[name].write_text(json.dumps({"modifier": modifier}))
+    # Path keys: the WAV lies in sub/ and is named relative to it.
+    input_dir = root / "input-dir"
+    (input_dir / "sub").mkdir(parents=True)
+    shutil.copy(wavs[0], input_dir / "sub" / "a.wav")
+    (input_dir / "run.json").write_text(json.dumps({"input_dir": "sub"}))
+    configs["output-dir"] = root / "output-dir.json"
+    configs["output-dir"].write_text(json.dumps({"modifier": {"kind": "voiced-flat"}, "output_dir": "out"}))
+    folder = root / "folder.csv"
+    folder.mkdir()
     return [
         ("edge-one-row", ["stats", str(one)], None),
         ("edge-near-bounds", ["stats", *map(str, near)], None),
@@ -240,6 +251,11 @@ def edge_runs(root: Path, wavs: list) -> list:
         ("edge-extract-not-a-wav", ["extract", str(not_wav), wavs[0], "--out", "out"], None),
         ("edge-modify-modulated-different", ["modify", str(level_csv), "--kind",
                                              "modulated-different", "--out", "out"], None),
+        ("edge-extract-config-input-dir", ["extract", "--config", "run.json", "a.wav", "--out", "out"],
+         input_dir),
+        ("edge-modify-config-output-dir", ["modify", str(level_csv), "--config", str(configs["output-dir"])],
+         None),
+        ("edge-stats-directory", ["stats", str(folder)], None),
     ]
 
 
