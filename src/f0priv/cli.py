@@ -22,8 +22,6 @@ from .pitch import PitchConfig, extract_f0, read_wav
 from .plotting import trajectory_svg
 from .trajectory import format_f0_csv, read_f0_csv, require_valid, stats, validate
 
-# The run config's keys, each an object of its settings class's fields.
-RUN_CONFIG = {"modifier": ModifierSpec, "pitch": PitchConfig}
 SIDECAR = "sidecar.json"  # written by modify next to its outputs
 
 
@@ -34,42 +32,16 @@ def _read_json(path, noun: str):
         raise click.UsageError(f"{noun} {path}: invalid JSON ({exc})")
 
 
-def _load_run_config(path, keys: tuple[str, ...]) -> dict:
-    """The run config at ``path`` ({} for None); ``keys`` are the ones its command reads."""
-    if path is None:
-        return {}
-    data = _read_json(path, "config")
-    if not isinstance(data, dict):
-        raise click.UsageError(f"config {path}: expected a JSON object")
-    unknown = set(data) - set(keys)
-    if unknown:
-        raise click.UsageError(f"config {path}: unknown keys {sorted(unknown)}")
-    for key in RUN_CONFIG:
-        if not isinstance(data.get(key, {}), dict):
-            raise click.UsageError(f"config {path}: {key!r} must be an object")
-    for key, settings in RUN_CONFIG.items():
-        bad = data.get(key, {}).keys() - {field.name for field in dataclasses.fields(settings)}
-        if bad:
-            raise click.UsageError(f"config {path}: unknown {key} keys {sorted(bad)}")
-    return data
-
-
-def _settings(config: dict, key: str, flags: dict) -> dict:
-    """The config's ``key`` object with each flag that was given (not None) laid over it."""
-    merged = dict(config.get(key, {}))
-    merged.update((name, value) for name, value in flags.items() if value is not None)
-    return merged
-
-
-def _pitch_config(config: dict, flags: dict) -> PitchConfig:
-    try:
-        return PitchConfig(**_settings(config, "pitch", flags))
-    except ValueError as exc:
-        raise click.UsageError(f"pitch {exc}")
-
-
-# The modifier flags shared by ``modify`` and ``eval``. Each parameter is
-# named after the ModifierSpec field it sets.
+# Each flag's parameter is named after the field of the settings class it
+# sets: PitchConfig for the tracker flags (``extract`` and ``eval``),
+# ModifierSpec for the modifier flags (``modify`` and ``eval``).
+PITCH_OPTIONS = (
+    click.option("--frame-len", type=float, default=None, help="Analysis window in seconds."),
+    click.option("--frame-hop", type=float, default=None, help="Hop between frames in seconds."),
+    click.option("--f-min", type=float, default=None, help="Lowest trackable F0 in Hz."),
+    click.option("--f-max", type=float, default=None, help="Highest trackable F0 in Hz."),
+    click.option("--voicing-threshold", type=float, default=None, help="Peak correlation needed to call a frame voiced."),
+)
 SPEC_OPTIONS = (
     click.option("--kind", type=click.Choice(KINDS), default=None, help="Which modification to apply."),
     click.option("--seed", type=int, default=None, help="Seed for the random-walk kinds."),
@@ -78,22 +50,35 @@ SPEC_OPTIONS = (
 )
 
 
-def _spec_options(command):
-    for option in reversed(SPEC_OPTIONS):
-        command = option(command)
-    return command
+def _options(options):
+    """A decorator that adds ``options`` to a command, in the order listed."""
+    def decorate(command):
+        for option in reversed(options):
+            command = option(command)
+        return command
+    return decorate
 
 
-def _modifier_spec(config: dict, flags: dict):
-    """Each spec field from its flag, else the config's ``modifier``.
+def _given(settings, flags: dict) -> dict:
+    """The flags that set a field of the dataclass ``settings`` and were given (not None)."""
+    return {field.name: flags[field.name] for field in dataclasses.fields(settings)
+            if flags[field.name] is not None}
 
-    Returns None when no kind is given anywhere.
-    """
-    base = _settings(config, "modifier", flags)
-    if base.get("kind") is None:
+
+def _pitch_config(flags: dict) -> PitchConfig:
+    try:
+        return PitchConfig(**_given(PitchConfig, flags))
+    except ValueError as exc:
+        raise click.UsageError(f"pitch {exc}")
+
+
+def _modifier_spec(flags: dict) -> ModifierSpec | None:
+    """The spec the modifier flags give; None when no ``--kind`` is given."""
+    given = _given(ModifierSpec, flags)
+    if "kind" not in given:
         return None
     try:
-        return ModifierSpec(**base)
+        return ModifierSpec(**given)
     except SpecError as exc:
         raise click.UsageError(str(exc))
 
@@ -150,12 +135,12 @@ def _each(step, jobs):
         try:
             result = step(*job)
         except (OSError, ValueError) as exc:
-            if isinstance(exc, FileNotFoundError):
+            if not isinstance(exc, OSError) or exc.filename != os.fspath(job[0]):
+                reason = exc  # a ValueError, or a failed write: its OS text names the staging file
+            elif isinstance(exc, FileNotFoundError):
                 reason = "path does not exist"
-            elif isinstance(exc, OSError) and exc.filename == os.fspath(job[0]):
-                reason = exc.strerror  # the OS message would name the path again
             else:
-                reason = exc
+                reason = exc.strerror  # the OS message would name the path again
             click.echo(f"error: {job[0]}: {reason}", err=True)
             meta[FAILED_INPUTS] = meta.get(FAILED_INPUTS, 0) + 1
             continue
@@ -177,8 +162,8 @@ def _plan_writes(jobs, out_dir: Path | None = None) -> None:
     """Check a command's (source, target) jobs before any of them is read or written.
 
     A job whose source is None only writes (the sidecar, an ``--out`` file);
-    one whose target is None only reads (``--config``, a manifest, an input
-    of ``stats``, ``eval`` or ``plot``). Exits 2 when two jobs share a target
+    one whose target is None only reads (a manifest, an input of ``stats``,
+    ``eval`` or ``plot``). Exits 2 when two jobs share a target
     or a target resolves to an input, then makes ``out_dir``.
     """
     # Targets as str: a Path costs more to hash.
@@ -277,18 +262,12 @@ def _exit_on_failed_inputs(_result):
 @cli.command("extract")
 @click.argument("inputs", nargs=-1, required=True)
 @click.option("--out", type=click.Path(file_okay=False), default=".", help="Output directory.")
-@click.option("--frame-len", type=float, default=None, help="Analysis window in seconds.")
-@click.option("--frame-hop", type=float, default=None, help="Hop between frames in seconds.")
-@click.option("--f-min", type=float, default=None, help="Lowest trackable F0 in Hz.")
-@click.option("--f-max", type=float, default=None, help="Highest trackable F0 in Hz.")
-@click.option("--voicing-threshold", type=float, default=None, help="Peak correlation needed to call a frame voiced.")
-@click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
-def cmd_extract(inputs, out, config, **flags):
+@_options(PITCH_OPTIONS)
+def cmd_extract(inputs, out, **flags):
     """Extract F0 trajectories from WAV files (or a manifest) to CSV."""
-    run_config = _load_run_config(config, ("pitch",))
-    pitch_cfg = _pitch_config(run_config, flags)
+    pitch_cfg = _pitch_config(flags)
     jobs: list[tuple[Path, str]] = []  # (wav path, recording id)
-    reads = [config] if config else []  # read, never written
+    reads = []  # the manifests: read, never written
     for path in map(Path, inputs):
         if path.suffix.lower() == ".json":
             reads.append(path)
@@ -330,21 +309,19 @@ def cmd_extract(inputs, out, config, **flags):
 
 @cli.command("modify")
 @click.argument("inputs", nargs=-1, required=True)
-@_spec_options
+@_options(SPEC_OPTIONS)
 @click.option("--out", type=click.Path(file_okay=False), default=".", help="Output directory.")
-@click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
-def cmd_modify(inputs, out, config, **flags):
+def cmd_modify(inputs, out, **flags):
     """Apply one modification to trajectory CSV files."""
-    run_config = _load_run_config(config, ("modifier",))
-    spec = _modifier_spec(run_config, flags)
+    spec = _modifier_spec(flags)
     if spec is None:
-        raise click.UsageError("no modifier kind given (use --kind or a config file)")
+        raise click.UsageError("no modifier kind given (use --kind)")
     if spec.kind == "modulated-different":
         raise click.UsageError(NO_SIDE)
     paths = [Path(item) for item in inputs]
     out_dir = Path(out)
     jobs = [(None, out_dir / SIDECAR), *((path, out_dir / path.name) for path in paths)]
-    _plan_writes(jobs + ([(config, None)] if config else []), out_dir)
+    _plan_writes(jobs, out_dir)
 
     def modify(path, target):
         _atomic_write(target, format_f0_csv(apply(spec, read_f0_csv(path))))
@@ -386,19 +363,17 @@ def cmd_stats(inputs, out):
 @cli.command("eval")
 @click.option("--manifest", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--scenario", type=click.Choice(SCENARIOS), required=True)
-@_spec_options
+@_options(SPEC_OPTIONS + PITCH_OPTIONS)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the report here instead of stdout.")
-@click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
-def cmd_eval(manifest, scenario, out, config, **flags):
+def cmd_eval(manifest, scenario, out, **flags):
     """Score a corpus under one attack scenario and report EER/Cllr."""
-    run_config = _load_run_config(config, ("modifier", "pitch"))
-    spec = _modifier_spec(run_config, flags)
+    spec = _modifier_spec(flags)
     if scenario != "OO" and spec is None:
         raise click.UsageError(f"scenario {scenario} needs a modifier (--kind ...)")
-    pitch_cfg = _pitch_config(run_config, {})
+    pitch_cfg = _pitch_config(flags)  # checked even when no entry is a WAV
 
     entries = _load_manifest(Path(manifest))
-    reads = [manifest, *([config] if config else []), *(entry["path"] for entry in entries)]
+    reads = [manifest, *(entry["path"] for entry in entries)]
     _plan_writes([(Path(path), None) for path in reads] + ([(None, Path(out))] if out is not None else []))
 
     def load(path, entry):

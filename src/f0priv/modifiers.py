@@ -41,10 +41,10 @@ class ModifierSpec:
 
     ``seed`` is required for the random-walk kinds, ``target_mean_hz`` and
     ``target_std_hz`` for ``shift-and-scale``. Carrier pairs and walk
-    strengths are fixed by the kind; :func:`modulate` and
-    :func:`random_walk_modulate` take other values directly. A spec is
-    checked when it is built, and ``dataclasses.replace`` checks the copy,
-    so every spec is valid.
+    strengths are fixed by the kind; :func:`modulate` takes other carriers
+    directly, while :func:`random_walk_modulate` takes only the strengths
+    the kinds use, 1 and 2. A spec is checked when it is built, and
+    ``dataclasses.replace`` checks the copy, so every spec is valid.
     """
 
     kind: str

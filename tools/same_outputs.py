@@ -18,14 +18,12 @@ settings whose longest lag the frame cannot hold, a ``modify`` input inside
 its own ``--out``, ``extract`` manifests with a ``../x``, an empty, a
 NUL-holding, a 252-character and a lone-surrogate recording id, a corpus
 with absent statistics on both sides, a good ``extract`` manifest followed
-by one with a bad split, run configs with an unknown ``modifier`` key for
-``modify`` and for ``eval`` OO, CSVs with blank lines before a bad row and
-around good ones, a ``1_0`` value, a CSV with a negative frame before a
-non-finite one, a WAV of one frame, a ``.wav`` file that is no WAV before
-a good one, ``modify --kind modulated-different``, which a single contour
-cannot take, run configs with an ``input_dir`` for ``extract`` and an
-``output_dir`` for ``modify``, and a directory given to ``stats``), and
-then the five demos.
+by one with a bad split, CSVs with blank lines before a bad row and around
+good ones, a ``1_0`` value, a CSV with a negative frame before a non-finite
+one, a WAV of one frame, a ``.wav`` file that is no WAV before a good one,
+``modify --kind modulated-different``, which a single contour cannot take,
+a directory given to ``stats``, and ``eval`` OO over a manifest of
+``make_wavs`` WAVs, which ``eval`` tracks itself), and then the five demos.
 
 Each run is a fresh interpreter with its tree's ``src/`` on PYTHONPATH. Both
 sides run in the same working directory, one after the other, so the paths
@@ -207,19 +205,12 @@ def edge_runs(root: Path, wavs: list) -> list:
     level_csv = csv(root / "level.csv", level)
     not_wav = root / "not.wav"
     not_wav.write_bytes(b"RIFX not a wave file")
-    configs = {}
-    for name, modifier in (("modify", {"kind": "voiced-flat", "gain": 2}), ("eval", {"gain": 2})):
-        configs[name] = root / f"{name}-unknown-key.json"
-        configs[name].write_text(json.dumps({"modifier": modifier}))
-    # Path keys: the WAV lies in sub/ and is named relative to it.
-    input_dir = root / "input-dir"
-    (input_dir / "sub").mkdir(parents=True)
-    shutil.copy(wavs[0], input_dir / "sub" / "a.wav")
-    (input_dir / "run.json").write_text(json.dumps({"input_dir": "sub"}))
-    configs["output-dir"] = root / "output-dir.json"
-    configs["output-dir"].write_text(json.dumps({"modifier": {"kind": "voiced-flat"}, "output_dir": "out"}))
     folder = root / "folder.csv"
     folder.mkdir()
+    wav_manifest = root / "wavs.json"  # 2 speakers, each with one WAV per split
+    wav_manifest.write_text(json.dumps({"entries": [
+        {"speaker_id": f"s{i // 2}", "recording_id": f"w{i}", "split": ("enrollment", "trial")[i % 2],
+         "path": wav} for i, wav in enumerate(wavs[:4])]}))
     return [
         ("edge-one-row", ["stats", str(one)], None),
         ("edge-near-bounds", ["stats", *map(str, near)], None),
@@ -237,10 +228,6 @@ def edge_runs(root: Path, wavs: list) -> list:
         ("edge-extract-surrogate-id", ["extract", str(ids["surrogate-id"]), "--out", "out"], None),
         ("edge-eval-absent-statistics", ["eval", "--manifest", str(sparse), "--scenario", "OO"], None),
         ("edge-extract-bad-split-manifest", ["extract", *map(str, splits), "--out", "out"], None),
-        ("edge-modify-unknown-modifier-key", ["modify", str(level_csv), "--config",
-                                              str(configs["modify"]), "--out", "out"], None),
-        ("edge-eval-OO-unknown-modifier-key", ["eval", "--manifest", str(manifest), "--scenario", "OO",
-                                               "--config", str(configs["eval"])], None),
         ("edge-stats-blank-line", ["stats", str(blank)], None),
         ("edge-stats-blank-first-line", ["stats", str(blank_first)], None),
         ("edge-modify-blank-lines", ["modify", str(gaps), "--kind", "voiced-flat", "--out", "out"], None),
@@ -251,11 +238,8 @@ def edge_runs(root: Path, wavs: list) -> list:
         ("edge-extract-not-a-wav", ["extract", str(not_wav), wavs[0], "--out", "out"], None),
         ("edge-modify-modulated-different", ["modify", str(level_csv), "--kind",
                                              "modulated-different", "--out", "out"], None),
-        ("edge-extract-config-input-dir", ["extract", "--config", "run.json", "a.wav", "--out", "out"],
-         input_dir),
-        ("edge-modify-config-output-dir", ["modify", str(level_csv), "--config", str(configs["output-dir"])],
-         None),
         ("edge-stats-directory", ["stats", str(folder)], None),
+        ("edge-eval-wav-manifest", ["eval", "--manifest", str(wav_manifest), "--scenario", "OO"], None),
     ]
 
 
