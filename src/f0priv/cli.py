@@ -86,17 +86,21 @@ def _modifier_spec(flags: dict) -> ModifierSpec | None:
 def _atomic_write(path: Path, data: bytes) -> None:
     # Staged under a fresh name, created exclusively, so the staging file
     # never opens, truncates or follows an existing file or link. A name
-    # already taken fails this write with FileExistsError.
+    # already taken fails this write with "File exists".
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
-    f = open(tmp, "xb")
     try:
-        with f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        f = open(tmp, "xb")
+        try:
+            with f:
+                f.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # Named by its target: the staging file's name changes every run.
+        raise OSError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _refuse(faults: list[str]) -> None:
@@ -113,11 +117,10 @@ def _emit(text: str, out) -> None:
     if out is None:
         click.echo(text, nl=False)
         return
-    path = Path(out)
     try:
-        _atomic_write(path, text.encode("utf-8"))
+        _atomic_write(Path(out), text.encode("utf-8"))
     except OSError as exc:
-        _refuse([f"cannot write {path}: {exc.strerror}"])
+        _refuse([str(exc)])
 
 
 FAILED_INPUTS = "f0priv.failed_inputs"  # key in the click context's meta
@@ -136,7 +139,7 @@ def _each(step, jobs):
             result = step(*job)
         except (OSError, ValueError) as exc:
             if not isinstance(exc, OSError) or exc.filename != os.fspath(job[0]):
-                reason = exc  # a ValueError, or a failed write: its OS text names the staging file
+                reason = exc  # a ValueError, or a failed write, which names its target
             elif isinstance(exc, FileNotFoundError):
                 reason = "path does not exist"
             else:

@@ -182,9 +182,7 @@ def smoothing_spline_modifier(traj: F0Trajectory) -> F0Trajectory:
     n_voiced = int(mask.sum())
     if n_voiced < 4:
         raise ValueError(f"smoothing spline needs >= 4 voiced frames, got {n_voiced}")
-    times = traj.times[mask]
-    model = spline.fit(times, traj.values[mask], s=float(n_voiced))
-    return post_rules(traj, model.fitted)
+    return post_rules(traj, spline.fit(traj.times[mask], traj.values[mask]).fitted)
 
 
 def _voiced_moments(traj: F0Trajectory) -> tuple[float, float]:

@@ -127,17 +127,11 @@ class _System:
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    coeffs = np.polynomial.polynomial.polyfit(x, y, 1)
-    g = coeffs[0] + coeffs[1] * x
-    return g, float(np.sum((y - g) ** 2))
-
-
-def _line_residual(x: np.ndarray, y: np.ndarray) -> float:
-    # The least-squares line's residual from centred sums, without polyfit.
+    # The least-squares line from centred sums, and its residual.
     dx = x - x.mean()
     dy = y - y.mean()
     err = dy - (np.dot(dx, dy) / np.dot(dx, dx)) * dx
-    return float(np.dot(err, err))
+    return y - err, float(np.dot(err, err))
 
 
 def _search_start(sys_: _System) -> float:
@@ -186,15 +180,9 @@ def fit(x, y, s: float | None = None) -> SplineModel:
         # The natural interpolating spline passes through every point.
         return SplineModel(y, penalty=0.0, achieved_residual=0.0, iterations=0)
 
-    # A closed-form line residual clearly above s goes straight to the search.
-    # Otherwise polyfit's line and residual decide and are returned, as
-    # always; the margin is far wider than the rounding of either residual.
-    line_residual = _line_residual(x, y)
-    margin = 1e-6 * s + 1e-9 * float(np.dot(y, y))
-    if not (np.isfinite(line_residual) and line_residual > s + margin):
-        g_line, line_residual = _line_fit(x, y)
-        if line_residual <= s:
-            return SplineModel(g_line, penalty=np.inf, achieved_residual=line_residual, iterations=0)
+    g_line, line_residual = _line_fit(x, y)
+    if line_residual <= s:
+        return SplineModel(g_line, penalty=np.inf, achieved_residual=line_residual, iterations=0)
 
     sys_ = _System(x, y)
     evals = 0

@@ -333,9 +333,12 @@ def spline_fit_reference(x, y, s=None, start=1.0):
         # The natural interpolating spline passes through every point.
         return y, 0.0, 0.0, 0
 
-    line = np.polynomial.polynomial.polyfit(x, y, 1)
-    g_line = line[0] + line[1] * x
-    line_residual = float(np.sum((y - g_line) ** 2))
+    # The least-squares line from centred sums.
+    dx = x - x.mean()
+    dy = y - y.mean()
+    line_err = dy - (np.dot(dx, dy) / np.dot(dx, dx)) * dx
+    g_line = y - line_err
+    line_residual = float(np.dot(line_err, line_err))
     if line_residual <= s:
         return g_line, np.inf, line_residual, 0
 

@@ -1,6 +1,12 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from f0priv import spline
+from f0priv.modifiers import smoothing_spline_modifier
+from f0priv.trajectory import read_f0_csv
+
 _path = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
 _spec = importlib.util.spec_from_file_location("same_outputs", _path)
 same_outputs = importlib.util.module_from_spec(_spec)
@@ -55,3 +61,14 @@ def test_long_diffs_are_cut(tmp_path):
     assert lines[0] == "differs: stdout" and lines[1] == f"@@ -0,0 +1,{n} @@"
     assert lines[2:-1] == [f"+line {i}" for i in range(same_outputs.DIFF_LINES - 1)]
     assert lines[-1] == "... 6 more lines"
+
+
+def test_near_lines_take_the_spline_line(tmp_path):
+    # The edge run reaches the spline's straight-line branch with every contour.
+    paths = same_outputs.near_lines(tmp_path)
+    assert len(paths) == 200
+    for path in paths:
+        traj = read_f0_csv(path)
+        mask = traj.voiced_mask
+        assert spline.fit(traj.times[mask], traj.values[mask]).penalty == np.inf
+        assert smoothing_spline_modifier(traj).n_frames == traj.n_frames

@@ -2,9 +2,11 @@ import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f0priv import spline
-from f0priv.spline import _pbsv, _System, _search_start, fit
+from f0priv.spline import _line_fit, _pbsv, _System, _search_start, fit
 from oracles import spline_fit_reference
 
 
@@ -50,6 +52,53 @@ class TestLimits:
     def test_constant_data(self):
         model = fit(np.linspace(0, 1, 10), np.full(10, 150.0))
         assert np.allclose(model.fitted, 150.0, atol=1e-9)
+
+
+class TestLineFit:
+    # np.polyfit solves the same least-squares problem by an SVD, so it checks
+    # the centred sums independently. Both round at about eps * max|y| per
+    # value, times sqrt(n) for the sums and times the design's condition
+    # number, 1 + |mean x| / std x, for the intercept.
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(
+        n=st.integers(4, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        hop_exponents=st.tuples(st.floats(-6.0, 0.0), st.floats(-6.0, 0.0)).map(sorted),
+        one_long_hop=st.sampled_from([None, 0, -1]),
+        bounds=st.tuples(st.floats(40.0, 128_000.0), st.floats(40.0, 128_000.0)).map(sorted),
+        shape=st.sampled_from(["uniform", "sorted", "line", "near-line"]),
+        noise_exponent=st.floats(-12.0, 0.0),
+    )
+    def test_matches_polyfit(self, n, seed, hop_exponents, one_long_hop, bounds, shape, noise_exponent):
+        rng = np.random.default_rng(seed)
+        hops = 10.0 ** rng.uniform(*hop_exponents, n - 1)
+        if one_long_hop is not None:
+            hops[:] = 1e-6
+            hops[one_long_hop] = 1.0
+        x = np.concatenate(([0.0], np.cumsum(hops)))
+        lo, hi = bounds
+        if shape in ("uniform", "sorted"):
+            y = rng.uniform(lo, hi, n)
+            if shape == "sorted":
+                y.sort()
+        else:
+            y = lo + (hi - lo) * (x / x[-1])
+            if shape == "near-line":
+                noise = (hi - lo) * 10.0**noise_exponent * rng.standard_normal(n)
+                y = np.clip(y + noise, 40.0, 128_000.0)
+
+        line, residual = _line_fit(x, y)
+        slope, intercept = np.polyfit(x, y, 1)
+        expected = intercept + slope * x
+        expected_residual = float(np.sum((y - expected) ** 2))
+
+        eps = np.finfo(np.float64).eps
+        value_tol = 16.0 * eps * np.abs(y).max() * np.sqrt(n) * (1.0 + abs(x.mean()) / x.std())
+        assert np.abs(line - expected).max() <= value_tol
+        # Residual vectors at most sqrt(n) * value_tol apart change the sum of
+        # squares by at most that distance times (2 |err| + that distance).
+        gap = np.sqrt(n) * value_tol
+        assert abs(residual - expected_residual) <= gap * (2.0 * np.sqrt(expected_residual) + gap)
 
 
 class TestProperties:

@@ -22,8 +22,10 @@ by one with a bad split, CSVs with blank lines before a bad row and around
 good ones, a ``1_0`` value, a CSV with a negative frame before a non-finite
 one, a WAV of one frame, a ``.wav`` file that is no WAV before a good one,
 ``modify --kind modulated-different``, which a single contour cannot take,
-a directory given to ``stats``, and ``eval`` OO over a manifest of
-``make_wavs`` WAVs, which ``eval`` tracks itself), and then the five demos.
+a directory given to ``stats``, ``eval`` OO over a manifest of
+``make_wavs`` WAVs, which ``eval`` tracks itself, and ``modify --kind
+smoothing-spline`` over 200 near-linear contours, which the spline fits
+with its straight line), and then the five demos.
 
 Each run is a fresh interpreter with its tree's ``src/`` on PYTHONPATH. Both
 sides run in the same working directory, one after the other, so the paths
@@ -37,6 +39,7 @@ import argparse
 import difflib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -151,6 +154,24 @@ def corpus_manifest(path: Path, sides: dict) -> Path:
     return path
 
 
+def near_lines(root: Path) -> list:
+    """200 CSVs in ``root`` of 8-400 frames each: a ramp plus N(0, 0.5 Hz)
+    noise, with about 10 % of the frames unvoiced.
+
+    The smoothing spline fits each with its least-squares line: the line's
+    residual lies below the default target, one per voiced frame.
+    """
+    rng = random.Random(0)
+    paths = []
+    for i in range(200):
+        n = rng.randint(8, 400)
+        start, end = rng.uniform(80.0, 300.0), rng.uniform(80.0, 300.0)
+        values = [0.0 if rng.random() < 0.1 else start + (end - start) * k / (n - 1) + rng.gauss(0.0, 0.5)
+                  for k in range(n)]
+        paths.append(csv(root / f"line-{i:03d}.csv", [f"{v:.6f}" for v in values]))
+    return paths
+
+
 def edge_runs(root: Path, wavs: list) -> list:
     """The (name, argv, start) runs of hand-made inputs at the edges of the valid input.
 
@@ -211,6 +232,8 @@ def edge_runs(root: Path, wavs: list) -> list:
     wav_manifest.write_text(json.dumps({"entries": [
         {"speaker_id": f"s{i // 2}", "recording_id": f"w{i}", "split": ("enrollment", "trial")[i % 2],
          "path": wav} for i, wav in enumerate(wavs[:4])]}))
+    (root / "lines").mkdir()
+    lines = near_lines(root / "lines")
     return [
         ("edge-one-row", ["stats", str(one)], None),
         ("edge-near-bounds", ["stats", *map(str, near)], None),
@@ -240,6 +263,8 @@ def edge_runs(root: Path, wavs: list) -> list:
                                              "modulated-different", "--out", "out"], None),
         ("edge-stats-directory", ["stats", str(folder)], None),
         ("edge-eval-wav-manifest", ["eval", "--manifest", str(wav_manifest), "--scenario", "OO"], None),
+        ("edge-modify-spline-line", ["modify", *map(str, lines), "--kind", "smoothing-spline", "--out", "out"],
+         None),
     ]
 
 
